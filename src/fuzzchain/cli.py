@@ -33,7 +33,6 @@ from .closure import (
     render_numeric_matrix,
     render_symbolic_matrix,
     resolve_matrix,
-    transmission,
     warshall_closure,
 )
 from .errors import BindingError, ParseError, UnknownSystemError
@@ -185,14 +184,14 @@ def _cmd_closure(args) -> int:
     assignment = _assignment(args, base)
     vertices, grid = resolve_matrix(registry, args.system, assignment)
     closed = warshall_closure(grid)
-    value = transmission(registry, args.system, assignment)
+    system = registry[args.system]
+    value = closed[vertices.index(system.input_terminal)][vertices.index(system.output_terminal)]
     payload = {
         "system": args.system,
         "vertices": list(vertices),
         "closure": closed,
         "transmission": value,
     }
-    system = registry[args.system]
     plain = render_numeric_matrix(vertices, closed) + (
         f"\ntransmission {system.input_terminal}->{system.output_terminal} = {value!r}"
     )

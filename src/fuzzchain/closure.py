@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .algebra import Call, assignment_valuation, snorm_max, tnorm_min
+from .algebra import Call, assignment_valuation
 from .systems import (
     ONE,
     ZERO,
@@ -47,19 +47,36 @@ def _check_square(m: Matrix, what: str = "matrix") -> int:
     return n
 
 
+def _relax_row(row: list[float], through: float, other: list[float]) -> None:
+    """``row[j] = snorm_max(row[j], tnorm_min(through, other[j]))`` for every j.
+
+    The one max-min kernel behind the product and the closure, written
+    as inline comparisons.  ``x >= through`` or ``x >= y`` is exactly
+    the case where the s-norm keeps ``x``; otherwise the t-norm's pick
+    wins.  So each cell selects the same value, ties included, as the
+    two scalar ops would, and results compare ``==``.
+    """
+    row[:] = [
+        x if x >= through or x >= y else (through if through <= y else y)
+        for x, y in zip(row, other)
+    ]
+
+
 def maxmin_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product in the max-min algebra."""
+    """Matrix product in the max-min algebra.
+
+    A zero ``a[i][k]`` is skipped: with grades in [0, 1] it can raise
+    no entry of the output row.
+    """
     n = _check_square(a)
     if _check_square(b) != n:
         raise ValueError(f"dimension mismatch: {n} vs {len(b)}")
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc = snorm_max(acc, tnorm_min(a[i][k], b[k][j]))
-            row.append(acc)
+    for a_row in a:
+        row = [0.0] * n
+        for through, b_row in zip(a_row, b):
+            if through != 0.0:
+                _relax_row(row, through, b_row)
         out.append(row)
     return out
 
@@ -75,6 +92,20 @@ def matrix_power(m: Matrix, p: int) -> Matrix:
     return out
 
 
+def _relax_pivot(work: Matrix, k: int) -> None:
+    """Relax every row of ``work`` in place through pivot ``k``.
+
+    A row whose entry in column k is 0 is skipped: with grades in
+    [0, 1] it can raise nothing.  Row k itself is relaxed too; that
+    leaves it unchanged, so later rows read the same pivot row.
+    """
+    row_k = work[k]
+    for row_i in work:
+        through = row_i[k]
+        if through != 0.0:
+            _relax_row(row_i, through, row_k)
+
+
 def warshall_steps(m: Matrix) -> Iterator[tuple[int, Matrix]]:
     """Run the closure relaxation, yielding (pivot, snapshot) after each pivot.
 
@@ -83,29 +114,27 @@ def warshall_steps(m: Matrix) -> Iterator[tuple[int, Matrix]]:
     n = _check_square(m)
     work = [row[:] for row in m]
     for k in range(n):
-        for i in range(n):
-            through = work[i][k]
-            row_k = work[k]
-            row_i = work[i]
-            for j in range(n):
-                row_i[j] = snorm_max(row_i[j], tnorm_min(through, row_k[j]))
+        _relax_pivot(work, k)
         yield k, [row[:] for row in work]
 
 
 def warshall_closure(m: Matrix) -> Matrix:
     """Max-min transitive closure of ``m``.
 
-    One relaxation sweep reaches the fixpoint; a second sweep asserts
-    idempotence on every call (cheap at the matrix sizes this package
-    works with, and it turns any future ordering bug into a loud
-    failure rather than a silently weaker closure).
+    One relaxation sweep reaches the fixpoint; a second sweep, on a
+    copy, asserts idempotence on every call (it turns any future
+    ordering bug into a loud failure rather than a silently weaker
+    closure).
     """
+    n = _check_square(m)
     out = [row[:] for row in m]
-    for _, snapshot in warshall_steps(m):
-        out = snapshot
-    for _, snapshot in warshall_steps(out):
-        if snapshot != out:
-            raise AssertionError("closure failed to reach a fixpoint in one sweep")
+    for k in range(n):
+        _relax_pivot(out, k)
+    again = [row[:] for row in out]
+    for k in range(n):
+        _relax_pivot(again, k)
+    if again != out:
+        raise AssertionError("closure failed to reach a fixpoint in one sweep")
     return out
 
 

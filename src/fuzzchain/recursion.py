@@ -73,6 +73,11 @@ def _effective(declared: int, budget: Budget) -> int:
     return min(declared, budget - 1)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"call budget must be >= 0, got {budget}")
+
+
 def stabilization_budget(registry: SystemRegistry) -> int:
     """Smallest budget at which every resolve_call equals the top level.
 
@@ -113,8 +118,7 @@ def resolve_call(
     deeper call nesting until :func:`stabilization_budget`, beyond which
     the value stops changing.
     """
-    if budget < 0:
-        raise ValueError(f"call budget must be >= 0, got {budget}")
+    _check_budget(budget)
     registry[name]  # surface unknown names eagerly
     return _Evaluator(registry, assignment).value(name, budget)
 
@@ -205,6 +209,8 @@ class ExpansionNode:
 
 def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -> ExpansionNode:
     """Unroll ``name`` into nested call-free structure at the given budget."""
+    if budget is not None:
+        _check_budget(budget)
     system = registry[name]
     plain: list[ExpansionBranch] = []
     calling: list[ExpansionBranch] = []

@@ -253,18 +253,15 @@ class ConnectionMatrix:
 
 
 def connection_matrix(system: FuzzySystem) -> ConnectionMatrix:
-    """The symbolic vertex-by-vertex matrix of a system."""
-    rows = []
-    for u in system.vertices:
-        row: list[Cell] = []
-        for v in system.vertices:
-            if u == v:
-                row.append(ONE)
-            else:
-                atom = system.edge_atom(u, v)
-                row.append(ZERO if atom is None else atom)
-        rows.append(tuple(row))
-    return ConnectionMatrix(tuple(system.vertices), tuple(rows))
+    """The symbolic vertex-by-vertex matrix of a system, filled from its edges."""
+    index = {v: i for i, v in enumerate(system.vertices)}
+    rows: list[list[Cell]] = [[ZERO] * len(index) for _ in index]
+    for i, row in enumerate(rows):
+        row[i] = ONE
+    for edge in system.edges:
+        u, v = index[edge.u], index[edge.v]
+        rows[u][v] = rows[v][u] = edge.atom
+    return ConnectionMatrix(tuple(system.vertices), tuple(tuple(row) for row in rows))
 
 
 # --- definition files -----------------------------------------------------
@@ -296,6 +293,7 @@ def parse_registry(text: str) -> SystemRegistry:
     """Parse definition text into a registry; empty input is an empty registry."""
     registry = SystemRegistry()
     current: str | None = None
+    opened_at = (0, 0)  # line and column of the current 'system' clause
     terminals: tuple[str, str] | None = None
     edges: list[tuple[str, str, Atom]] = []
     seen_pairs: set[frozenset[str]] = set()
@@ -325,6 +323,7 @@ def parse_registry(text: str) -> SystemRegistry:
             if not is_identifier(words[1]):
                 raise ParseError(f"invalid system name: {words[1]!r}", line_no, col)
             current = words[1]
+            opened_at = (line_no, col)
             edges = []
             seen_pairs = set()
             continue
@@ -378,7 +377,7 @@ def parse_registry(text: str) -> SystemRegistry:
         raise ParseError(f"unknown clause: {words[0]!r}", line_no, col)
 
     if current is not None:
-        raise ParseError(f"unterminated system {current!r} (missing '}}')", 0, 0)
+        raise ParseError(f"unterminated system {current!r} (missing '}}')", *opened_at)
     return registry
 
 

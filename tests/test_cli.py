@@ -45,6 +45,10 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
 
     assert run_cli("eval", "--set", "x=1.5")[0] == 3  # grade out of range
     assert run_cli("eval", "--budget", "-1")[0] == 3
+    for mode in ("raw", "paper"):
+        code, out, err = run_cli("expand", "--mode", mode, "--budget", "-5")
+        assert (code, out) == (3, "")
+        assert "call budget must be >= 0, got -5" in err
     assert run_cli("power", "x + y", "0")[0] == 3
 
     partial = tmp_path / "partial.values"

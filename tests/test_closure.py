@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from fuzzchain import closure
 from fuzzchain.closure import (
     matrix_power,
     maxmin_matmul,
@@ -33,6 +34,86 @@ PSI1_CLOSED = [
     [0.7, 0.6, 1.0, 0.6],
     [0.6, 0.8, 0.6, 1.0],
 ]
+
+
+def _product_by_definition(a, b):
+    """(a o b)[i][j] = max over k of min(a[i][k], b[k][j])."""
+    n = len(a)
+    return [[max(min(a[i][k], b[k][j]) for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _closure_by_definition(m):
+    """m v m^2 v m^3 v ..., grown one product at a time until it stops changing.
+
+    If ``total o m`` adds nothing to ``total``, no higher power of m can
+    add anything either, so the first sum that stops growing is the whole
+    sum.
+    """
+    n = len(m)
+    total = [row[:] for row in m]
+    while True:
+        step = _product_by_definition(total, m)
+        grown = [[max(total[i][j], step[i][j]) for j in range(n)] for i in range(n)]
+        if grown == total:
+            return total
+        total = grown
+
+
+def _seeded_matrices(seed):
+    """Square grade matrices, n = 1..12, in four shapes per size.
+
+    ``dense`` is asymmetric and non-reflexive, ``sparse`` has three cells
+    in four at 0, ``symmetric`` has a unit diagonal and ``hollow`` is
+    ``dense`` with a zero diagonal.  Grades come from a 20-point grid, so
+    ties are common.
+    """
+    rng = SplitMix64(seed)
+    for n in range(1, 13):
+        for _ in range(3):
+            dense = [[rng.grade() for _ in range(n)] for _ in range(n)]
+            sparse = [
+                [0.0 if rng.chance(3, 4) else rng.grade() for _ in range(n)] for _ in range(n)
+            ]
+            symmetric = [[1.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    symmetric[i][j] = symmetric[j][i] = 0.0 if rng.chance(1, 2) else rng.grade()
+            hollow = [
+                [0.0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(dense)
+            ]
+            yield from (dense, sparse, symmetric, hollow)
+
+
+def test_matmul_equals_definition_on_seeded_matrices():
+    left, right = list(_seeded_matrices(11)), list(_seeded_matrices(12))
+    for a, b in zip(left, right):
+        assert maxmin_matmul(a, b) == _product_by_definition(a, b)
+        assert maxmin_matmul(a, a) == _product_by_definition(a, a)
+
+
+def test_closure_equals_definition_on_seeded_matrices():
+    for m in _seeded_matrices(13):
+        before = [row[:] for row in m]
+        assert warshall_closure(m) == _closure_by_definition(m)
+        assert m == before  # the input is left untouched
+
+
+def test_closure_raises_when_the_first_sweep_misses_a_pivot(monkeypatch):
+    # 1 - 0 - 2 is the only route from 1 to 2, so it needs pivot 0
+    path = [[1.0, 0.5, 0.4], [0.5, 1.0, 0.0], [0.4, 0.0, 1.0]]
+    relax_pivot = closure._relax_pivot
+    skipped = []
+
+    def skip_first_pivot_zero(work, k):
+        if k == 0 and not skipped:
+            skipped.append(k)
+            return
+        relax_pivot(work, k)
+
+    monkeypatch.setattr(closure, "_relax_pivot", skip_first_pivot_zero)
+    with pytest.raises(AssertionError, match="closure failed to reach a fixpoint in one sweep"):
+        warshall_closure(path)
+    assert skipped == [0]
 
 
 def test_matmul_by_hand():

@@ -58,6 +58,9 @@ def test_unknown_system_and_bad_budget(registry, fixture_assignment):
         resolve_call(registry, "psi9", 1, fixture_assignment)
     with pytest.raises(ValueError, match="budget must be >= 0"):
         resolve_call(registry, "psi1", -1, fixture_assignment)
+    for expand in (expansion_tree, symbolic_expand):
+        with pytest.raises(ValueError, match=r"^call budget must be >= 0, got -5$"):
+            expand(registry, "psi1_rec", -5)
 
 
 def test_stabilization_budget(registry, variant_registry):

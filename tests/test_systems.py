@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from fuzzchain.algebra import Call, Var
+from fuzzchain.checks import random_registry
 from fuzzchain.errors import ParseError, UnknownSystemError
+from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
     ONE,
@@ -118,6 +120,25 @@ def test_connection_matrix_cells():
     assert matrix.index("C") == 2
 
 
+def _cell_by_lookup(system, u, v):
+    if u == v:
+        return ONE
+    atom = system.edge_atom(u, v)
+    return ZERO if atom is None else atom
+
+
+def test_connection_matrix_equals_per_cell_lookup():
+    rng = SplitMix64(17)
+    for _ in range(40):
+        for system in random_registry(rng, n_systems=3, max_vertices=7, max_edges=14):
+            matrix = connection_matrix(system)
+            assert matrix.vertices == system.vertices
+            assert matrix.cells == tuple(
+                tuple(_cell_by_lookup(system, u, v) for v in system.vertices)
+                for u in system.vertices
+            )
+
+
 def test_registry_text_round_trip():
     registry = builtin_fixtures()
     text = format_registry(registry)
@@ -190,6 +211,13 @@ def test_parse_registry_reports_position():
         parse_registry("system s {\n  terminals A -> B\n  edge A A x\n}")
     assert err.value.line == 3
     assert "line 3" in str(err.value)
+
+    # an unterminated system points at its own 'system' clause
+    text = "system a {\n  terminals A -> B\n}\n\n  system s {\n  terminals A -> B\n"
+    with pytest.raises(ParseError, match="unterminated system 's'") as err:
+        parse_registry(text)
+    assert (err.value.line, err.value.col) == (5, 3)
+    assert str(err.value).startswith("line 5, col 3: ")
 
 
 def test_validate_registry_diagnostics():
