@@ -1,4 +1,4 @@
-"""Chain enumeration, derived transmission functions, and chain spaces.
+"""Chain enumeration and derived transmission functions.
 
 A chain is a simple input-to-output path through a system.  Enumeration
 is a depth-first walk that explores neighbors in edge-declaration order,
@@ -13,8 +13,6 @@ simple path it shortcuts to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FtfExpr, Term
 from .errors import FuzzchainError
 from .systems import FuzzySystem
@@ -24,10 +22,6 @@ __all__ = [
     "enumerate_chains",
     "chain_atoms",
     "derive_ftf",
-    "ChainSpace",
-    "chain_value",
-    "lift_chain_space",
-    "best_chain_value",
 ]
 
 Chain = tuple[str, ...]
@@ -75,80 +69,3 @@ def derive_ftf(system: FuzzySystem) -> FtfExpr:
     """
     return FtfExpr(tuple(Term(chain_atoms(system, c)) for c in enumerate_chains(system)))
 
-
-# --- degree-n chain spaces --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainSpace:
-    """Items of some degree plus a square transition-grade matrix over them.
-
-    The items are opaque labels; ``mu[i][j]`` is the grade of stepping
-    from item i to item j.  Nothing requires symmetry or a unit
-    diagonal — the space is just a weighted step relation.
-    """
-
-    degree: int
-    items: tuple[str, ...]
-    mu: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
-        n = len(self.items)
-        if len(self.mu) != n or any(len(row) != n for row in self.mu):
-            raise ValueError("mu must be square over the items")
-        for row in self.mu:
-            for value in row:
-                if not (0.0 <= value <= 1.0):
-                    raise ValueError(f"mu value out of range [0, 1]: {value!r}")
-
-
-def chain_value(space: ChainSpace, indices: list[int] | tuple[int, ...]) -> float:
-    """Min of the consecutive transition grades along an item sequence."""
-    if len(indices) < 2:
-        raise ValueError("a chain needs at least two items")
-    n = len(space.items)
-    for i in indices:
-        if not (0 <= i < n):
-            raise ValueError(f"item index out of range: {i}")
-    value = 1.0
-    for i, j in zip(indices, indices[1:]):
-        step = space.mu[i][j]
-        value = step if step < value else value
-    return value
-
-
-def lift_chain_space(
-    items: list[str] | tuple[str, ...],
-    mu: list[list[float]] | tuple[tuple[float, ...], ...],
-    degree: int,
-) -> ChainSpace:
-    """Build the next-degree space whose items are lower-degree chains.
-
-    The supplied ``items`` name the degree-(n-1) chains and ``mu`` gives
-    the grades of stepping between them; this constructor only pins the
-    bookkeeping (degree, squareness, ranges) — no canonical derivation
-    of ``mu`` from the lower degree is imposed.
-    """
-    if degree < 2:
-        raise ValueError("lifted spaces start at degree 2")
-    return ChainSpace(degree, tuple(items), tuple(tuple(row) for row in mu))
-
-
-def best_chain_value(space: ChainSpace, start: int, end: int) -> float:
-    """Best (max) chain value from item ``start`` to item ``end``.
-
-    The empty chain from an item to itself has value 1.  Computed with
-    the max-min closure of ``mu``, which agrees with brute-force
-    enumeration of simple item sequences.
-    """
-    n = len(space.items)
-    for i in (start, end):
-        if not (0 <= i < n):
-            raise ValueError(f"item index out of range: {i}")
-    if start == end:
-        return 1.0
-    from .closure import warshall_closure
-
-    return warshall_closure([list(row) for row in space.mu])[start][end]

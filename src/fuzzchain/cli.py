@@ -5,7 +5,8 @@ Exit codes are part of the contract:
 * 0 — success
 * 1 — usage error (bad flags, malformed ``--set``)
 * 2 — parse error in a registry or assignment file
-* 3 — validation error (unknown system, missing binding, bad grade)
+* 3 — validation error (unknown system, missing binding, bad grade), or an
+  input too deep or too large to evaluate (recursion limit, out of memory)
 * 4 — internal invariant breach (a check suite or engine/oracle disagreement)
 """
 
@@ -379,6 +380,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return VALIDATION_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return VALIDATION_ERROR
+    except (RecursionError, MemoryError) as exc:
+        kind = type(exc).__name__
+        print(f"error: input too deep or too large to evaluate ({kind})", file=sys.stderr)
         return VALIDATION_ERROR
     except AssertionError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)

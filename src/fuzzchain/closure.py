@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .algebra import Call, assignment_valuation
+from .recursion import _Evaluator
 from .systems import (
     ONE,
     ZERO,
@@ -24,6 +25,7 @@ from .systems import (
     SystemRegistry,
     cell_text,
     connection_matrix,
+    require_bindings,
 )
 
 __all__ = [
@@ -144,17 +146,15 @@ def resolve_matrix(
     """Numeric connection matrix of a system under an assignment.
 
     Variable cells take their bound grade; call cells take the called
-    system's value at the declared budget (0 when the declared count is
-    0 — a call that may never run transmits nothing).  Returns the
-    vertex order alongside the grid.
+    system's value at the declared budget, as :func:`resolve_call` gives
+    it (0 when the declared count is 0 — a call that may never run
+    transmits nothing).  Returns the vertex order alongside the grid.
     """
-    from .recursion import resolve_call
-
-    system = registry[name]
-    symbolic = connection_matrix(system)
+    require_bindings(registry, name, assignment)
+    symbolic = connection_matrix(registry[name])
     valuation = assignment_valuation(assignment)
+    calls = _Evaluator(registry, assignment)
     grid: Matrix = []
-    call_cache: dict[tuple[str, int], float] = {}
     for row in symbolic.cells:
         out_row = []
         for cell in row:
@@ -163,12 +163,7 @@ def resolve_matrix(
             elif cell is ZERO:
                 out_row.append(0.0)
             elif isinstance(cell, Call):
-                key = (cell.target, cell.count)
-                if key not in call_cache:
-                    call_cache[key] = (
-                        0.0 if cell.count < 1 else resolve_call(registry, *key, assignment)
-                    )
-                out_row.append(call_cache[key])
+                out_row.append(0.0 if cell.count < 1 else calls.value(cell.target, cell.count))
             else:
                 out_row.append(valuation(cell))
         grid.append(out_row)

@@ -11,19 +11,24 @@ dropped, contributing nothing to the max.  Budgets strictly decrease
 with depth, so evaluation always terminates, self-referential systems
 included.
 
-Three views of the same recursion live here:
+Two walkers over the same recursion live here:
 
 * :func:`eval_system` / :func:`resolve_call` — numeric, memoized;
-* :func:`expansion_tree` / :func:`symbolic_expand` — the call structure
-  unrolled into a nested (or flattened) call-free expression;
-* :func:`trace_eval` — numeric again, but unmemoized and narrated as a
-  stream of enter/push/branch/pop/exit events.
+* :func:`expansion_tree` — the call structure unrolled into one
+  expansion DAG with a node per (system, budget).  ``expand`` renders
+  it nested (:func:`render_expansion`) or flattened
+  (:func:`symbolic_expand`), and :func:`trace_eval` narrates it,
+  unmemoized, as a stream of enter/push/branch/pop/exit events.
+
+Every entry point that takes an assignment checks it first with
+:func:`~fuzzchain.systems.require_bindings`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Union
 
 from .algebra import (
@@ -36,12 +41,11 @@ from .algebra import (
     check_grade,
     eval_expr,
     format_expr,
-    format_term,
     snorm_max,
     tnorm_min,
 )
 from .chains import Chain, chain_atoms, enumerate_chains
-from .systems import SystemRegistry
+from .systems import SystemRegistry, require_bindings
 
 __all__ = [
     "eval_system",
@@ -119,7 +123,7 @@ def resolve_call(
     the value stops changing.
     """
     _check_budget(budget)
-    registry[name]  # surface unknown names eagerly
+    require_bindings(registry, name, assignment)
     return _Evaluator(registry, assignment).value(name, budget)
 
 
@@ -129,7 +133,7 @@ def eval_system(
     assignment: Mapping[str, float],
 ) -> float:
     """Top-level transmission grade: every call runs at its declared count."""
-    registry[name]
+    require_bindings(registry, name, assignment)
     return _Evaluator(registry, assignment).value(name, None)
 
 
@@ -163,16 +167,25 @@ class _Evaluator:
 
 @dataclass(frozen=True)
 class ExpansionBranch:
-    """One surviving chain, calls replaced by expanded child nodes."""
+    """One surviving chain, calls replaced by expanded child nodes.
+
+    ``atoms`` are the chain's edge atoms in path order; ``segments`` are
+    the same atoms with every call replaced by its child node.
+    """
 
     chain: Chain
     segments: tuple[Union[Var, "ExpansionNode"], ...]
+    atoms: tuple[Atom, ...]
 
     def has_calls(self) -> bool:
         return any(isinstance(seg, ExpansionNode) for seg in self.segments)
 
     def flat_terms(self) -> tuple[Term, ...]:
         """Distribute child alternatives over this chain, in order."""
+        return self._flat_terms
+
+    @cached_property
+    def _flat_terms(self) -> tuple[Term, ...]:
         factor_lists: list[tuple[tuple[Atom, ...], ...]] = []
         for seg in self.segments:
             if isinstance(seg, Var):
@@ -192,45 +205,64 @@ class ExpansionBranch:
 class ExpansionNode:
     """A system unrolled at one budget; branches hold the live chains.
 
-    Call-free branches come first (in chain order), then call-bearing
-    ones, matching how the rendered expansion reads.
+    Branches are in chain order.  One tree shares a node between every
+    call that reaches the same (system, budget), so it is a DAG.
     """
 
     system: str
     budget: Budget
     branches: tuple[ExpansionBranch, ...]
 
+    def presentation_order(self) -> tuple[ExpansionBranch, ...]:
+        """Call-free branches first, then call-bearing ones, each in
+        chain order: how the rendered expansion reads."""
+        plain = tuple(b for b in self.branches if not b.has_calls())
+        return plain + tuple(b for b in self.branches if b.has_calls())
+
     def flat_terms(self) -> tuple[Term, ...]:
+        return self._flat_terms
+
+    @cached_property
+    def _flat_terms(self) -> tuple[Term, ...]:
         out: list[Term] = []
-        for branch in self.branches:
+        for branch in self.presentation_order():
             out.extend(branch.flat_terms())
         return tuple(out)
 
 
 def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -> ExpansionNode:
-    """Unroll ``name`` into nested call-free structure at the given budget."""
+    """Unroll ``name`` into nested call-free structure at the given budget.
+
+    This is the one place that applies the call-budget rule for the
+    symbolic views: a chain with a dead call is dropped, and each live
+    call becomes the node of its target at the effective budget.  Nodes
+    are built once per (system, budget).
+    """
     if budget is not None:
         _check_budget(budget)
-    system = registry[name]
-    plain: list[ExpansionBranch] = []
-    calling: list[ExpansionBranch] = []
-    for chain in enumerate_chains(system):
-        segments: list[Union[Var, ExpansionNode]] = []
-        dead = False
-        for atom in chain_atoms(system, chain):
-            if isinstance(atom, Var):
-                segments.append(atom)
-                continue
-            eff = _effective(atom.count, budget)
-            if eff < 1:
-                dead = True
-                break
-            segments.append(expansion_tree(registry, atom.target, eff))
-        if dead:
-            continue
-        branch = ExpansionBranch(chain, tuple(segments))
-        (calling if branch.has_calls() else plain).append(branch)
-    return ExpansionNode(name, budget, tuple(plain) + tuple(calling))
+    nodes: dict[tuple[str, Budget], ExpansionNode] = {}
+
+    def node(system_name: str, budget: Budget) -> ExpansionNode:
+        key = (system_name, budget)
+        if key not in nodes:
+            nodes[key] = ExpansionNode(system_name, budget, branches(system_name, budget))
+        return nodes[key]
+
+    def branches(system_name: str, budget: Budget) -> tuple[ExpansionBranch, ...]:
+        system = registry[system_name]
+        out = []
+        for chain in enumerate_chains(system):
+            atoms = chain_atoms(system, chain)
+            if any(isinstance(a, Call) and _effective(a.count, budget) < 1 for a in atoms):
+                continue  # a dead call drops the chain
+            segments = tuple(
+                node(a.target, _effective(a.count, budget)) if isinstance(a, Call) else a
+                for a in atoms
+            )
+            out.append(ExpansionBranch(chain, segments, atoms))
+        return tuple(out)
+
+    return node(name, budget)
 
 
 def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) -> FtfExpr:
@@ -272,7 +304,8 @@ def render_expansion(node: ExpansionNode) -> str:
     if not node.branches:
         return "0"
     rendered = [
-        _compose(_branch_pieces(branch, render_expansion)) for branch in node.branches
+        _compose(_branch_pieces(branch, render_expansion))
+        for branch in node.presentation_order()
     ]
     return " + ".join(rendered)
 
@@ -368,86 +401,59 @@ def trace_eval(
 ) -> TraceResult:
     """Evaluate like :func:`eval_system` while narrating every step.
 
-    Deliberately unmemoized: repeated descents into the same callee are
-    part of the story the trace tells, so each one is shown in full.
-    Dead chains are silent.  A chain with exactly one live call also
-    reports each callee alternative on its own ``sub=`` line before the
-    chain's summary; chains with several calls get the summary only.
+    Narrates the :func:`expansion_tree` of ``name``, deliberately
+    unmemoized: a node shared by several calls is descended into once
+    per call, because each descent is part of the story the trace
+    tells.  Dead chains are silent.  A chain with exactly one live call
+    also reports each callee alternative on its own ``sub=`` line before
+    the chain's summary; chains with several calls get the summary only.
     """
-    registry[name]
+    require_bindings(registry, name, assignment)
     valuation = assignment_valuation(assignment)
     events: list[TraceEvent] = []
 
-    def eval_vars(atoms: Iterable[Var]) -> float:
+    def eval_vars(atoms: Iterable[Atom]) -> float:
         value = 1.0
         for atom in atoms:
-            value = tnorm_min(value, valuation(atom))
+            if isinstance(atom, Var):
+                value = tnorm_min(value, valuation(atom))
         return value
 
-    def walk(system_name: str, budget: Budget) -> tuple[float, ExpansionNode]:
-        system = registry[system_name]
-        events.append(Enter(system_name, budget))
+    def narrate(node: ExpansionNode) -> float:
+        events.append(Enter(node.system, node.budget))
         best = 0.0
-        plain: list[ExpansionBranch] = []
-        calling: list[ExpansionBranch] = []
-        for chain in enumerate_chains(system):
-            atoms = chain_atoms(system, chain)
-            cid = _chain_id(chain)
-            call_slots = [i for i, a in enumerate(atoms) if isinstance(a, Call)]
-            if not call_slots:
-                value = eval_vars(atoms)  # type: ignore[arg-type]
-                events.append(BranchResult(cid, format_term(Term(atoms), "paper"), value))
-                best = snorm_max(best, value)
-                plain.append(ExpansionBranch(chain, atoms))
-                continue
-            effs = {}
-            dead = False
-            for i in call_slots:
-                eff = _effective(atoms[i].count, budget)  # type: ignore[union-attr]
-                if eff < 1:
-                    dead = True
-                    break
-                effs[i] = eff
-            if dead:
-                continue
-            segments: list[Union[Var, ExpansionNode]] = list(atoms)
-            chain_val = 1.0
-            for i in call_slots:
-                label = _return_label(atoms[i + 1 :])
-                events.append(PushReturn(label))
-                got, node = walk(atoms[i].target, effs[i])  # type: ignore[union-attr]
-                events.append(PopReturn(label))
-                segments[i] = node
-                chain_val = tnorm_min(chain_val, got)
-            chain_val = tnorm_min(
-                chain_val, eval_vars(a for a in atoms if isinstance(a, Var))
-            )
-            branch = ExpansionBranch(chain, tuple(segments))
-            calling.append(branch)
-            if len(call_slots) == 1:
-                slot = call_slots[0]
-                child = segments[slot]
-                assert isinstance(child, ExpansionNode)
-                prefix = atoms[:slot]
-                suffix = atoms[slot + 1 :]
-                around = eval_vars(a for a in atoms if isinstance(a, Var))
-                for sub_branch in child.branches:
-                    sub_expr = FtfExpr(sub_branch.flat_terms())
-                    text = _compose(
-                        [(True, a.name) for a in prefix]  # type: ignore[union-attr]
-                        + [(False, "(" + format_expr(sub_expr, "paper") + ")")]
-                        + [(True, a.name) for a in suffix]  # type: ignore[union-attr]
-                    )
-                    sub_val = tnorm_min(around, eval_expr(sub_expr, valuation))
-                    events.append(
-                        BranchResult(cid, text, sub_val, sub=_chain_id(sub_branch.chain))
-                    )
-            summary = _compose(_branch_pieces(branch, _flat_text))
-            events.append(BranchResult(cid, summary, chain_val))
-            best = snorm_max(best, chain_val)
-        events.append(Exit(system_name, best))
+        for branch in node.branches:
+            best = snorm_max(best, narrate_branch(branch))
+        events.append(Exit(node.system, best))
         check_grade(best, "trace value")
-        return best, ExpansionNode(system_name, budget, tuple(plain) + tuple(calling))
+        return best
 
-    value, _ = walk(name, None)
+    def narrate_branch(branch: ExpansionBranch) -> float:
+        atoms = branch.atoms
+        calls = [
+            (i, seg) for i, seg in enumerate(branch.segments) if isinstance(seg, ExpansionNode)
+        ]
+        value = 1.0
+        for i, child in calls:
+            label = _return_label(atoms[i + 1 :])
+            events.append(PushReturn(label))
+            value = tnorm_min(value, narrate(child))
+            events.append(PopReturn(label))
+        around = eval_vars(atoms)
+        value = tnorm_min(value, around)
+        cid = _chain_id(branch.chain)
+        pieces = _branch_pieces(branch, _flat_text)
+        summary = _compose(pieces)
+        if len(calls) == 1:
+            ((slot, child),) = calls
+            for sub in child.presentation_order():
+                sub_expr = FtfExpr(sub.flat_terms())
+                pieces[slot] = (False, "(" + format_expr(sub_expr, "paper") + ")")
+                sub_value = tnorm_min(around, eval_expr(sub_expr, valuation))
+                sub_id = _chain_id(sub.chain)
+                events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
+        events.append(BranchResult(cid, summary, value))
+        return value
+
+    value = narrate(expansion_tree(registry, name))
     return TraceResult(value, tuple(events))

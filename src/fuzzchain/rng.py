@@ -45,6 +45,3 @@ class SplitMix64:
         """A membership grade from the uniform grid {i/points}, i < points."""
         return self.below(points) / points
 
-    def spawn(self) -> "SplitMix64":
-        """An independent generator seeded from this one's stream."""
-        return SplitMix64(self.next_u64())

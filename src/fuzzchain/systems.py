@@ -28,10 +28,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .algebra import Atom, Call, Var, check_grade, is_identifier
-from .errors import ParseError, UnknownSystemError
+from .errors import BindingError, ParseError, UnknownSystemError
 
 __all__ = [
     "EdgeDef",
@@ -46,6 +46,7 @@ __all__ = [
     "parse_registry",
     "format_registry",
     "validate_registry",
+    "require_bindings",
     "parse_assignment",
     "format_assignment",
     "builtin_fixtures",
@@ -204,6 +205,29 @@ def validate_registry(registry: SystemRegistry) -> list[Diagnostic]:
                     Diagnostic(system.name, "warning", f"disconnected terminal {terminal!r}")
                 )
     return diagnostics
+
+
+def require_bindings(
+    registry: SystemRegistry, name: str, assignment: Mapping[str, float]
+) -> None:
+    """The binding contract every evaluation route checks on entry.
+
+    Every variable of ``name``, and of every system reachable from it
+    through call edges (whatever their count), must be bound: a missing
+    one raises :class:`BindingError`, an unknown system
+    :class:`UnknownSystemError`.  Systems are visited breadth-first from
+    ``name`` and edges in declaration order, so every route reports the
+    same first problem.
+    """
+    order = [name]
+    for system_name in order:
+        for edge in registry[system_name].edges:
+            atom = edge.atom
+            if isinstance(atom, Call):
+                if atom.target not in order:
+                    order.append(atom.target)
+            elif atom.name not in assignment:
+                raise BindingError(f"missing binding for variable {atom.name!r}")
 
 
 # --- connection matrices --------------------------------------------------

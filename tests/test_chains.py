@@ -3,18 +3,8 @@ from __future__ import annotations
 import pytest
 
 from fuzzchain.algebra import canonicalize, format_expr, parse_expr
-from fuzzchain.chains import (
-    ChainSpace,
-    best_chain_value,
-    chain_atoms,
-    chain_value,
-    derive_ftf,
-    enumerate_chains,
-    lift_chain_space,
-)
+from fuzzchain.chains import chain_atoms, derive_ftf, enumerate_chains
 from fuzzchain.errors import FuzzchainError
-from fuzzchain.oracles import oracle_path_enum
-from fuzzchain.rng import SplitMix64
 
 # Sum-of-products transmission functions worked out by hand for the five
 # built-in diamonds (terminals A/B, inner vertices C/D), as a (display,
@@ -64,67 +54,3 @@ def test_derive_ftf_composite(registry):
     assert format_expr(derived, "raw") == PHI_DERIVED
     assert canonicalize(derived) == canonicalize(parse_expr(PHI_DERIVED))
 
-
-def test_chain_space_validation():
-    with pytest.raises(ValueError, match="degree must be at least 1"):
-        ChainSpace(0, ("a",), ((1.0,),))
-    with pytest.raises(ValueError, match="square"):
-        ChainSpace(1, ("a", "b"), ((0.5,),))
-    with pytest.raises(ValueError, match="out of range"):
-        ChainSpace(1, ("a",), ((1.5,),))
-
-
-TRIANGLE = ChainSpace(
-    1,
-    ("p0", "p1", "p2"),
-    ((1.0, 0.2, 0.7), (0.2, 1.0, 0.4), (0.7, 0.4, 1.0)),
-)
-
-
-def test_chain_value_is_min_of_steps():
-    assert chain_value(TRIANGLE, (0, 1)) == 0.2
-    assert chain_value(TRIANGLE, (0, 2, 1)) == 0.4
-    assert chain_value(TRIANGLE, (0, 2, 2, 1)) == 0.4  # repeats allowed, still a min
-    with pytest.raises(ValueError, match="at least two items"):
-        chain_value(TRIANGLE, (0,))
-    with pytest.raises(ValueError, match="index out of range"):
-        chain_value(TRIANGLE, (0, 9))
-
-
-def test_best_chain_value_triangle():
-    # direct step 0->1 is 0.2; the detour through 2 lifts it to min(0.7, 0.4)
-    assert best_chain_value(TRIANGLE, 0, 1) == 0.4
-    assert best_chain_value(TRIANGLE, 2, 2) == 1.0
-    with pytest.raises(ValueError, match="index out of range"):
-        best_chain_value(TRIANGLE, 0, 3)
-
-
-def test_lift_chain_space():
-    lifted = lift_chain_space(("c1", "c2"), [[1.0, 0.3], [0.3, 1.0]], 2)
-    assert lifted.degree == 2
-    assert lifted.items == ("c1", "c2")
-    assert lifted.mu == ((1.0, 0.3), (0.3, 1.0))
-    with pytest.raises(ValueError, match="degree 2"):
-        lift_chain_space(("c1",), [[1.0]], 1)
-
-
-def test_best_chain_value_matches_path_oracle():
-    rng = SplitMix64(23)
-    for _ in range(100):
-        n = rng.randint(2, 6)
-        items = tuple(f"i{k}" for k in range(n))
-        mu = tuple(tuple(rng.grade() for _ in range(n)) for _ in range(n))
-        space = ChainSpace(1, items, mu)
-        edge_value = {
-            (items[i], items[j]): mu[i][j] for i in range(n) for j in range(n) if i != j
-        }
-        start, end = rng.below(n), rng.below(n)
-        want = (
-            1.0
-            if start == end
-            else max(
-                oracle_path_enum(items, edge_value, items[start], items[end]),
-                mu[start][end],
-            )
-        )
-        assert best_chain_value(space, start, end) == want

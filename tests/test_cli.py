@@ -57,6 +57,28 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
     assert code == 3
     assert "missing binding" in err
 
+    # an unused edge's variable must be bound on every route alike
+    loose = tmp_path / "loose.fz"
+    loose.write_text(
+        "system s {\n  terminals A -> B\n  edge A B x\n  edge C D q\n}\n", encoding="utf-8"
+    )
+    for command in ("eval", "closure", "trace"):
+        code, out, err = run_cli(
+            command, "--fixtures", str(loose), "--system", "s", "--assign", str(partial)
+        )
+        assert (code, out, err) == (3, "", "error: missing binding for variable 'q'\n")
+
+    # too deep for the recursion limit: one error line, no traceback
+    for argv in (
+        ("eval", "--system", "psi1_rec", "--rec-count", "3000"),
+        ("trace", "--rec-count", "3000"),
+        ("expand", "--rec-count", "3000"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err
+
 
 def test_missing_file_exits_1(run_cli, tmp_path):
     assert run_cli("ftf", "--fixtures", str(tmp_path / "nope.fz"))[0] == 1

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzchain.algebra import assignment_valuation, eval_expr, format_expr
+from fuzzchain.algebra import Call, Var, assignment_valuation, eval_expr, format_expr
 from fuzzchain.checks import random_assignment, random_registry
-from fuzzchain.errors import UnknownSystemError
+from fuzzchain.closure import resolve_matrix, transmission
+from fuzzchain.errors import BindingError, UnknownSystemError
 from fuzzchain.oracles import oracle_unroll_eval
 from fuzzchain.recursion import (
     Enter,
+    ExpansionNode,
     Exit,
     PopReturn,
     PushReturn,
@@ -21,7 +23,7 @@ from fuzzchain.recursion import (
     trace_eval,
 )
 from fuzzchain.rng import SplitMix64
-from fuzzchain.systems import parse_registry
+from fuzzchain.systems import builtin_fixtures, parse_registry
 
 # One full unroll of psi1_rec at its declared self-call budget of 2: the
 # call-free chains first, then each call chain with its callee expanded
@@ -63,6 +65,51 @@ def test_unknown_system_and_bad_budget(registry, fixture_assignment):
             expand(registry, "psi1_rec", -5)
 
 
+# Every route that takes an assignment, called the same way.
+ROUTES = {
+    "eval_system": eval_system,
+    "resolve_call": lambda registry, name, assignment: resolve_call(
+        registry, name, 2, assignment
+    ),
+    "trace_eval": trace_eval,
+    "resolve_matrix": resolve_matrix,
+    "transmission": transmission,
+}
+
+BINDING_CASES = {
+    # an edge no chain uses still needs its variable
+    "disconnected": ("system s {\n terminals A -> B\n edge A B x\n edge C D q\n}\n", "s"),
+    # so does a callee's, even behind a count-0 call that never runs
+    "callee": (
+        "system t {\n terminals A -> B\n edge A B q\n}\n"
+        "system s {\n terminals A -> B\n edge A B x\n edge A C call t 0\n}\n",
+        "s",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("case", sorted(BINDING_CASES))
+def test_every_route_requires_every_reachable_binding(route, case):
+    text, name = BINDING_CASES[case]
+    registry = parse_registry(text)
+    with pytest.raises(BindingError, match=r"^missing binding for variable 'q'$"):
+        ROUTES[route](registry, name, {"x": 0.4})
+    # bound, the unused variable changes nothing
+    got = ROUTES[route](registry, name, {"x": 0.4, "q": 0.9})
+    if route != "resolve_matrix":
+        assert getattr(got, "value", got) == 0.4
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_rejects_an_unknown_call_target(route):
+    registry = parse_registry(
+        "system s {\n terminals A -> B\n edge A B x\n edge A C call ghost 0\n}\n"
+    )
+    with pytest.raises(UnknownSystemError, match="'ghost'"):
+        ROUTES[route](registry, "s", {"x": 0.4})
+
+
 def test_stabilization_budget(registry, variant_registry):
     assert stabilization_budget(registry) == 3  # psi1_rec declares count 2
     assert stabilization_budget(variant_registry) == 3
@@ -99,17 +146,43 @@ def test_expansion_tree_structure(registry):
     tree = expansion_tree(registry, "psi1_rec")
     assert tree.system == "psi1_rec"
     assert tree.budget is None
-    chains = ["-".join(b.chain) for b in tree.branches]
-    # call-free branches first, then the two call chains in chain order
-    assert chains == ["A-D-B", "A-C-B", "A-D-C-B", "A-C-D-B"]
-    assert not tree.branches[0].has_calls()
-    assert tree.branches[2].has_calls()
-    child = tree.branches[2].segments[1]
+
+    def ids(branches):
+        return ["-".join(b.chain) for b in branches]
+
+    # branches keep chain order; presentation puts the call-free ones first
+    assert ids(tree.branches) == ["A-D-B", "A-D-C-B", "A-C-B", "A-C-D-B"]
+    assert ids(tree.presentation_order()) == ["A-D-B", "A-C-B", "A-D-C-B", "A-C-D-B"]
+    assert [b.has_calls() for b in tree.branches] == [False, True, False, True]
+    assert tree.branches[1].atoms == (Var("x"), Call("psi1_rec", 2), Var("w"))
+    child = tree.branches[1].segments[1]
     assert child.system == "psi1_rec"
     assert child.budget == 2
-    grandchild = child.branches[2].segments[1]
+    assert tree.branches[3].segments[1] is child  # one node per (system, budget)
+    grandchild = child.branches[1].segments[1]
     assert grandchild.budget == 1
+    assert child.branches[3].segments[1] is grandchild
     assert len(grandchild.branches) == 2  # deeper calls are dead
+
+
+def test_expansion_dag_has_one_node_per_budget():
+    registry = builtin_fixtures(rec_count=8)
+    nodes = {}
+    pending = [expansion_tree(registry, "psi1_rec")]
+    while pending:
+        node = pending.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            pending.extend(
+                seg
+                for branch in node.branches
+                for seg in branch.segments
+                if isinstance(seg, ExpansionNode)
+            )
+    assert len(nodes) == 9
+    assert {node.budget for node in nodes.values()} == {None, *range(1, 9)}
+    # flattening stays exponential: T(b) = 2 + 2 T(b - 1), T(1) = 2
+    assert len(symbolic_expand(registry, "psi1_rec").terms) == 2 ** (8 + 2) - 2
 
 
 def test_render_expansion_nested_and_flat(registry):
