@@ -163,14 +163,6 @@ class FtfExpr:
     def one() -> "FtfExpr":
         return FtfExpr((Term(()),))
 
-    @staticmethod
-    def of(*terms: Iterable[Atom]) -> "FtfExpr":
-        return FtfExpr(tuple(Term(tuple(t)) for t in terms))
-
-    def atoms(self) -> Iterator[Atom]:
-        for term in self.terms:
-            yield from term.atoms
-
     def __str__(self) -> str:
         return format_expr(self, "raw")
 
@@ -407,10 +399,6 @@ def parse_expr(text: str) -> FtfExpr:
 _MODES = ("raw", "canonical", "paper")
 
 
-def _atom_str(atom: Atom) -> str:
-    return str(atom)
-
-
 def format_term(term: Term, mode: str = "raw") -> str:
     """Render one term.  ``paper`` juxtaposes single-character variables."""
     if mode not in _MODES:
@@ -420,7 +408,7 @@ def format_term(term: Term, mode: str = "raw") -> str:
         return "1"
     if mode == "paper" and all(isinstance(a, Var) and len(a.name) == 1 for a in atoms):
         return "".join(a.name for a in atoms)
-    return "*".join(_atom_str(a) for a in atoms)
+    return "*".join(str(a) for a in atoms)
 
 
 def format_expr(expr: FtfExpr, mode: str = "raw") -> str:

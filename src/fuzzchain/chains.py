@@ -1,10 +1,12 @@
 """Chain enumeration and derived transmission functions.
 
 A chain is a simple input-to-output path through a system.  Enumeration
-is a depth-first walk that explores neighbors in edge-declaration order,
-which makes the derived transmission function list its terms in the
-same order the system's author wrote the edges — handy for stable
-output and for matching hand-written sum-of-products forms.
+is one iterative depth-first walk that explores neighbors in
+edge-declaration order, which makes the derived transmission function
+list its terms in the same order the system's author wrote the edges —
+handy for stable output and for matching hand-written sum-of-products
+forms.  The walk hands out each chain together with the edge atoms it
+crossed, in path order, so no caller looks an edge up again.
 
 Only simple paths matter: repeating a vertex can only extend the min
 over a walk's edges, never raise it, so every walk is dominated by the
@@ -13,51 +15,46 @@ simple path it shortcuts to.
 
 from __future__ import annotations
 
-from .algebra import FtfExpr, Term
-from .errors import FuzzchainError
+from .algebra import Atom, FtfExpr, Term
 from .systems import FuzzySystem
 
 __all__ = [
     "Chain",
     "enumerate_chains",
-    "chain_atoms",
     "derive_ftf",
 ]
 
 Chain = tuple[str, ...]
 
 
-def enumerate_chains(system: FuzzySystem) -> list[Chain]:
-    """All simple input->output paths, in deterministic traversal order."""
-    chains: list[Chain] = []
+def enumerate_chains(system: FuzzySystem) -> list[tuple[Chain, tuple[Atom, ...]]]:
+    """All simple input->output paths, in deterministic traversal order.
+
+    Each entry is a chain's vertices and its edge atoms in path order.
+    The walk keeps its own stack, so a path may be as long as the
+    system allows, whatever the interpreter's recursion limit.
+    """
+    chains: list[tuple[Chain, tuple[Atom, ...]]] = []
     goal = system.output_terminal
     path = [system.input_terminal]
+    atoms: list[Atom] = []
     on_path = {system.input_terminal}
-
-    def walk(vertex: str) -> None:
-        for neighbor, _atom in system.neighbors(vertex):
+    pending = [iter(system.neighbors(system.input_terminal))]
+    while pending:
+        for neighbor, atom in pending[-1]:
             if neighbor == goal:
-                chains.append(tuple(path) + (goal,))
+                chains.append((tuple(path) + (goal,), tuple(atoms) + (atom,)))
             elif neighbor not in on_path:
                 path.append(neighbor)
+                atoms.append(atom)
                 on_path.add(neighbor)
-                walk(neighbor)
-                on_path.remove(neighbor)
-                path.pop()
-
-    walk(system.input_terminal)
+                pending.append(iter(system.neighbors(neighbor)))
+                break
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
+            del atoms[-1:]
     return chains
-
-
-def chain_atoms(system: FuzzySystem, chain: Chain) -> tuple:
-    """The edge atoms along ``chain``, in path order."""
-    atoms = []
-    for u, v in zip(chain, chain[1:]):
-        atom = system.edge_atom(u, v)
-        if atom is None:
-            raise FuzzchainError(f"no edge {u!r}-{v!r} in system {system.name!r}")
-        atoms.append(atom)
-    return tuple(atoms)
 
 
 def derive_ftf(system: FuzzySystem) -> FtfExpr:
@@ -67,5 +64,4 @@ def derive_ftf(system: FuzzySystem) -> FtfExpr:
     displays can reproduce the authored form; canonicalize it for
     comparisons.
     """
-    return FtfExpr(tuple(Term(chain_atoms(system, c)) for c in enumerate_chains(system)))
-
+    return FtfExpr(tuple(Term(atoms) for _chain, atoms in enumerate_chains(system)))

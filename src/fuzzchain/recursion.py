@@ -11,7 +11,9 @@ dropped, contributing nothing to the max.  Budgets strictly decrease
 with depth, so evaluation always terminates, self-referential systems
 included.
 
-Two walkers over the same recursion live here:
+:func:`_live_chains` is the one place that applies that rule: it yields
+the chains of a system, each with its edge atoms, that survive a budget.
+Two walkers over the same recursion read them:
 
 * :func:`eval_system` / :func:`resolve_call` — numeric, memoized;
 * :func:`expansion_tree` — the call structure unrolled into one
@@ -29,13 +31,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .algebra import (
     Atom,
     Call,
     FtfExpr,
     Term,
+    Valuation,
     Var,
     assignment_valuation,
     check_grade,
@@ -44,8 +47,8 @@ from .algebra import (
     snorm_max,
     tnorm_min,
 )
-from .chains import Chain, chain_atoms, enumerate_chains
-from .systems import SystemRegistry, require_bindings
+from .chains import Chain, enumerate_chains
+from .systems import FuzzySystem, SystemRegistry, require_bindings
 
 __all__ = [
     "eval_system",
@@ -91,23 +94,20 @@ def stabilization_budget(registry: SystemRegistry) -> int:
     return 1 + registry.max_declared_count()
 
 
-def _chain_value(
-    atoms: tuple[Atom, ...],
-    budget: Budget,
-    valuation: Callable[[Var], float],
-    call_value: Callable[[str, int], float],
-) -> float | None:
-    """Min over one chain's atoms, or None when a dead call kills it."""
-    value = 1.0
-    for atom in atoms:
-        if isinstance(atom, Var):
-            value = tnorm_min(value, valuation(atom))
+def _live_chains(
+    system: FuzzySystem, budget: Budget
+) -> Iterator[tuple[Chain, tuple[Atom, ...]]]:
+    """The (chain, atoms) pairs of ``system`` that survive ``budget``.
+
+    This is the one place that applies the dead-call rule: a chain with
+    a call whose effective budget is below 1 is dropped.
+    """
+    for chain, atoms in enumerate_chains(system):
+        for atom in atoms:
+            if isinstance(atom, Call) and _effective(atom.count, budget) < 1:
+                break  # a dead call drops the chain
         else:
-            eff = _effective(atom.count, budget)
-            if eff < 1:
-                return None
-            value = tnorm_min(value, call_value(atom.target, eff))
-    return value
+            yield chain, atoms
 
 
 def resolve_call(
@@ -150,12 +150,15 @@ class _Evaluator:
             cached = self._memo.get((name, budget))
             if cached is not None:
                 return cached
-        system = self._registry[name]
         best = 0.0
-        for chain in enumerate_chains(system):
-            got = _chain_value(chain_atoms(system, chain), budget, self._valuation, self.value)
-            if got is not None:
-                best = snorm_max(best, got)
+        for _chain, atoms in _live_chains(self._registry[name], budget):
+            got = 1.0
+            for atom in atoms:
+                if isinstance(atom, Var):
+                    got = tnorm_min(got, self._valuation(atom))
+                else:
+                    got = tnorm_min(got, self.value(atom.target, _effective(atom.count, budget)))
+            best = snorm_max(best, got)
         if budget is not None:
             self._memo[(name, budget)] = best
         return best
@@ -233,36 +236,35 @@ class ExpansionNode:
 def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -> ExpansionNode:
     """Unroll ``name`` into nested call-free structure at the given budget.
 
-    This is the one place that applies the call-budget rule for the
-    symbolic views: a chain with a dead call is dropped, and each live
-    call becomes the node of its target at the effective budget.  Nodes
-    are built once per (system, budget).
+    Each live chain (see :func:`_live_chains`) becomes a branch, and each
+    of its calls becomes the node of its target at the effective budget.
+    Nodes are built once per (system, budget).
     """
     if budget is not None:
         _check_budget(budget)
-    nodes: dict[tuple[str, Budget], ExpansionNode] = {}
+    return _expansion_node(registry, {}, name, budget)
 
-    def node(system_name: str, budget: Budget) -> ExpansionNode:
-        key = (system_name, budget)
-        if key not in nodes:
-            nodes[key] = ExpansionNode(system_name, budget, branches(system_name, budget))
-        return nodes[key]
 
-    def branches(system_name: str, budget: Budget) -> tuple[ExpansionBranch, ...]:
-        system = registry[system_name]
-        out = []
-        for chain in enumerate_chains(system):
-            atoms = chain_atoms(system, chain)
-            if any(isinstance(a, Call) and _effective(a.count, budget) < 1 for a in atoms):
-                continue  # a dead call drops the chain
+def _expansion_node(
+    registry: SystemRegistry,
+    nodes: dict[tuple[str, Budget], ExpansionNode],
+    name: str,
+    budget: Budget,
+) -> ExpansionNode:
+    key = (name, budget)
+    node = nodes.get(key)
+    if node is None:
+        branches = []
+        for chain, atoms in _live_chains(registry[name], budget):
             segments = tuple(
-                node(a.target, _effective(a.count, budget)) if isinstance(a, Call) else a
+                _expansion_node(registry, nodes, a.target, _effective(a.count, budget))
+                if isinstance(a, Call)
+                else a
                 for a in atoms
             )
-            out.append(ExpansionBranch(chain, segments, atoms))
-        return tuple(out)
-
-    return node(name, budget)
+            branches.append(ExpansionBranch(chain, segments, atoms))
+        node = nodes[key] = ExpansionNode(name, budget, tuple(branches))
+    return node
 
 
 def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) -> FtfExpr:
@@ -409,51 +411,47 @@ def trace_eval(
     the chain's summary; chains with several calls get the summary only.
     """
     require_bindings(registry, name, assignment)
-    valuation = assignment_valuation(assignment)
     events: list[TraceEvent] = []
-
-    def eval_vars(atoms: Iterable[Atom]) -> float:
-        value = 1.0
-        for atom in atoms:
-            if isinstance(atom, Var):
-                value = tnorm_min(value, valuation(atom))
-        return value
-
-    def narrate(node: ExpansionNode) -> float:
-        events.append(Enter(node.system, node.budget))
-        best = 0.0
-        for branch in node.branches:
-            best = snorm_max(best, narrate_branch(branch))
-        events.append(Exit(node.system, best))
-        check_grade(best, "trace value")
-        return best
-
-    def narrate_branch(branch: ExpansionBranch) -> float:
-        atoms = branch.atoms
-        calls = [
-            (i, seg) for i, seg in enumerate(branch.segments) if isinstance(seg, ExpansionNode)
-        ]
-        value = 1.0
-        for i, child in calls:
-            label = _return_label(atoms[i + 1 :])
-            events.append(PushReturn(label))
-            value = tnorm_min(value, narrate(child))
-            events.append(PopReturn(label))
-        around = eval_vars(atoms)
-        value = tnorm_min(value, around)
-        cid = _chain_id(branch.chain)
-        pieces = _branch_pieces(branch, _flat_text)
-        summary = _compose(pieces)
-        if len(calls) == 1:
-            ((slot, child),) = calls
-            for sub in child.presentation_order():
-                sub_expr = FtfExpr(sub.flat_terms())
-                pieces[slot] = (False, "(" + format_expr(sub_expr, "paper") + ")")
-                sub_value = tnorm_min(around, eval_expr(sub_expr, valuation))
-                sub_id = _chain_id(sub.chain)
-                events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
-        events.append(BranchResult(cid, summary, value))
-        return value
-
-    value = narrate(expansion_tree(registry, name))
+    value = _narrate(expansion_tree(registry, name), assignment_valuation(assignment), events)
     return TraceResult(value, tuple(events))
+
+
+def _narrate(node: ExpansionNode, valuation: Valuation, events: list[TraceEvent]) -> float:
+    events.append(Enter(node.system, node.budget))
+    best = 0.0
+    for branch in node.branches:
+        best = snorm_max(best, _narrate_branch(branch, valuation, events))
+    events.append(Exit(node.system, best))
+    check_grade(best, "trace value")
+    return best
+
+
+def _narrate_branch(
+    branch: ExpansionBranch, valuation: Valuation, events: list[TraceEvent]
+) -> float:
+    atoms = branch.atoms
+    calls = [(i, seg) for i, seg in enumerate(branch.segments) if isinstance(seg, ExpansionNode)]
+    value = 1.0
+    for i, child in calls:
+        label = _return_label(atoms[i + 1 :])
+        events.append(PushReturn(label))
+        value = tnorm_min(value, _narrate(child, valuation, events))
+        events.append(PopReturn(label))
+    around = 1.0
+    for atom in atoms:
+        if isinstance(atom, Var):
+            around = tnorm_min(around, valuation(atom))
+    value = tnorm_min(value, around)
+    cid = _chain_id(branch.chain)
+    pieces = _branch_pieces(branch, _flat_text)
+    summary = _compose(pieces)
+    if len(calls) == 1:
+        ((slot, child),) = calls
+        for sub in child.presentation_order():
+            sub_expr = FtfExpr(sub.flat_terms())
+            pieces[slot] = (False, "(" + format_expr(sub_expr, "paper") + ")")
+            sub_value = tnorm_min(around, eval_expr(sub_expr, valuation))
+            sub_id = _chain_id(sub.chain)
+            events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
+    events.append(BranchResult(cid, summary, value))
+    return value

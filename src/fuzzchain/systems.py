@@ -272,9 +272,6 @@ class ConnectionMatrix:
     vertices: tuple[str, ...]
     cells: tuple[tuple[Cell, ...], ...]
 
-    def index(self, vertex: str) -> int:
-        return self.vertices.index(vertex)
-
 
 def connection_matrix(system: FuzzySystem) -> ConnectionMatrix:
     """The symbolic vertex-by-vertex matrix of a system, filled from its edges."""

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzchain.algebra import canonicalize, format_expr, parse_expr
-from fuzzchain.chains import chain_atoms, derive_ftf, enumerate_chains
-from fuzzchain.errors import FuzzchainError
+from fuzzchain.algebra import Term, Var, canonicalize, format_expr, parse_expr
+from fuzzchain.chains import derive_ftf, enumerate_chains
+from fuzzchain.recursion import eval_system
+from fuzzchain.systems import FuzzySystem, SystemRegistry
 
 # Sum-of-products transmission functions worked out by hand for the five
 # built-in diamonds (terminals A/B, inner vertices C/D), as a (display,
@@ -24,7 +25,7 @@ PHI_DERIVED = "psi2^1*psi4^1 + psi2^1*psi1^1*psi5^1 + psi3^1*psi1^1*psi4^1 + psi
 
 def test_enumerate_chains_orders(registry):
     def ids(name):
-        return ["-".join(c) for c in enumerate_chains(registry[name])]
+        return ["-".join(chain) for chain, _atoms in enumerate_chains(registry[name])]
 
     assert ids("psi1") == ["A-D-B", "A-D-C-B", "A-C-B", "A-C-D-B"]
     assert ids("phi") == ["A-C-B", "A-C-D-B", "A-D-C-B", "A-D-B"]
@@ -32,11 +33,21 @@ def test_enumerate_chains_orders(registry):
 
 
 def test_chain_atoms_in_path_order(registry):
-    psi1 = registry["psi1"]
-    atoms = chain_atoms(psi1, ("A", "D", "C", "B"))
-    assert [str(a) for a in atoms] == ["x", "xbar", "w"]
-    with pytest.raises(FuzzchainError, match="no edge 'A'-'B'"):
-        chain_atoms(psi1, ("A", "B"))
+    chains = dict(enumerate_chains(registry["psi1"]))
+    assert [str(a) for a in chains[("A", "D", "C", "B")]] == ["x", "xbar", "w"]
+
+
+def test_long_path_walks_without_recursion():
+    # 3 000 edges is far past the interpreter's default recursion limit.
+    n = 3000
+    edges = [(f"V{i}", f"V{i + 1}", Var("x")) for i in range(n)]
+    line = FuzzySystem.build("line", "V0", f"V{n}", edges)
+    ((chain, atoms),) = enumerate_chains(line)
+    assert len(chain) == n + 1 and atoms == (Var("x"),) * n
+    assert derive_ftf(line).terms == (Term(atoms),)
+    registry = SystemRegistry()
+    registry.add(line)
+    assert eval_system(registry, "line", {"x": 0.5}) == 0.5
 
 
 @pytest.mark.parametrize("name, expected", sorted(HAND_DERIVED.items()))

@@ -158,6 +158,16 @@ def test_fixtures_flag_accepts_a_file(run_cli, tmp_path):
     assert from_file == builtin == (0, "0.5\n", "")
 
 
+def test_long_path_file_runs_without_recursion_limit(run_cli, tmp_path):
+    n = 3000
+    edges = "".join(f"  edge V{i} V{i + 1} x\n" for i in range(n))
+    path = tmp_path / "line.fz"
+    path.write_text(f"system line {{\n  terminals V0 -> V{n}\n{edges}}}\n", encoding="utf-8")
+    common = ("--fixtures", str(path), "--system", "line")
+    assert run_cli("ftf", *common) == (0, "*".join(["x"] * n) + "\n", "")
+    assert run_cli("eval", *common, "--set", "x=0.5") == (0, "0.5\n", "")
+
+
 def test_set_overrides_fixture_assignment(run_cli):
     # with y lowered the C-side chains die and the x side of the diamond wins
     code, out, _ = run_cli("eval", "--system", "psi1", "--set", "y=0.1")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from fuzzchain.algebra import Call, Var, assignment_valuation, eval_expr, format_expr
+from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.closure import resolve_matrix, transmission
 from fuzzchain.errors import BindingError, UnknownSystemError
@@ -23,7 +26,13 @@ from fuzzchain.recursion import (
     trace_eval,
 )
 from fuzzchain.rng import SplitMix64
-from fuzzchain.systems import builtin_fixtures, parse_registry
+from fuzzchain.systems import (
+    FIXTURE_ASSIGNMENT,
+    FuzzySystem,
+    SystemRegistry,
+    builtin_fixtures,
+    parse_registry,
+)
 
 # One full unroll of psi1_rec at its declared self-call budget of 2: the
 # call-free chains first, then each call chain with its callee expanded
@@ -308,3 +317,49 @@ def test_budget_variation_sweeps_random_systems():
             assert lo <= hi
         assert values[-1] == values[ceiling]
         assert eval_system(registry, name, assignment) == values[ceiling]
+
+
+def _grid_case(k: int) -> tuple[SystemRegistry, str, dict[str, float]]:
+    """A k x k grid, terminals at opposite corners, one variable per edge."""
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < k and c2 < k:
+                    edges.append((f"G{r}_{c}", f"G{r2}_{c2}", Var(f"e{len(edges)}")))
+    registry = SystemRegistry()
+    registry.add(FuzzySystem.build("grid", "G0_0", f"G{k - 1}_{k - 1}", edges))
+    return registry, "grid", {f"e{i}": (i * 7 % 11) / 10 for i in range(len(edges))}
+
+
+ACYCLIC_CASES = {
+    "grid4": lambda: _grid_case(4),
+    "psi1_rec": lambda: (builtin_fixtures(rec_count=5), "psi1_rec", dict(FIXTURE_ASSIGNMENT)),
+}
+
+ACYCLIC_ROUTES = {
+    "enumerate_chains": lambda registry, name, assignment: enumerate_chains(registry[name]),
+    "derive_ftf": lambda registry, name, assignment: derive_ftf(registry[name]),
+    "eval_system": eval_system,
+    "resolve_call": ROUTES["resolve_call"],
+    "transmission": transmission,
+    "symbolic_expand": lambda registry, name, assignment: symbolic_expand(registry, name),
+    "trace_eval": trace_eval,
+}
+
+
+@pytest.mark.parametrize("route", sorted(ACYCLIC_ROUTES))
+@pytest.mark.parametrize("case", sorted(ACYCLIC_CASES))
+def test_routes_leave_no_reference_cycles(case, route):
+    # Everything a call allocates must be freed by reference counting
+    # alone; cyclic garbage would wait for the collector.
+    registry, name, assignment = ACYCLIC_CASES[case]()
+    call = ACYCLIC_ROUTES[route]
+    call(registry, name, assignment)  # fill the per-system caches first
+    gc.collect()
+    gc.disable()
+    try:
+        call(registry, name, assignment)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

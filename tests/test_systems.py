@@ -117,7 +117,6 @@ def test_connection_matrix_cells():
     ]
     assert matrix.cells[0][0] is ONE
     assert matrix.cells[0][1] is ZERO
-    assert matrix.index("C") == 2
 
 
 def _cell_by_lookup(system, u, v):
