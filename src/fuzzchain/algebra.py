@@ -47,6 +47,7 @@ __all__ = [
     "expr_power",
     "multinomial_coefficient",
     "multinomial_expand",
+    "parse_count",
     "parse_expr",
     "format_expr",
     "is_identifier",
@@ -329,6 +330,20 @@ def _tokenize_expr(text: str) -> list[_Token]:
     return tokens
 
 
+def parse_count(text: str, line: int, col: int) -> int:
+    """The call count spelled by ``text``, which both text formats share.
+
+    A count is a run of decimal digits; anything else, or more digits
+    than ``int`` converts, is a :class:`ParseError` at ``line``, ``col``.
+    """
+    if not text.isdecimal():
+        raise ParseError(f"count not a non-negative integer: {text!r}", line, col)
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's digit limit for int()
+        raise ParseError(f"count too large: {len(text)} digits", line, col) from None
+
+
 def parse_expr(text: str) -> FtfExpr:
     """Parse ``"x*z + psi1^2*w"`` style text into a raw expression.
 
@@ -369,12 +384,8 @@ def parse_expr(text: str) -> FtfExpr:
             raise fail(f"expected an atom, got {token.text!r}", token)
         if pos < len(tokens) and tokens[pos].text == "^":
             pos += 1
-            count_token = next_token()
-            if not count_token.text.isdigit():
-                raise fail(
-                    f"count not a non-negative integer: {count_token.text!r}", count_token
-                )
-            return Call(token.text, int(count_token.text))
+            count = next_token()
+            return Call(token.text, parse_count(count.text, count.line, count.col))
         return Var(token.text)
 
     def parse_term() -> Term:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .algebra import (
     canonicalize,
+    check_grade,
     expr_power,
     format_expr,
     format_term,
@@ -124,9 +125,7 @@ def _assignment(args: argparse.Namespace, base: dict[str, float]) -> dict[str, f
     if getattr(args, "assign", None):
         out = parse_assignment(Path(args.assign).read_text(encoding="utf-8"))
     for name, value in getattr(args, "set", []):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"grade for {name!r} out of range: {value!r}")
-        out[name] = value
+        out[name] = check_grade(value, f"binding for {name!r}")
     return out
 
 
@@ -210,16 +209,14 @@ def _cmd_trace(args) -> int:
 
 def _cmd_expand(args) -> int:
     registry, _ = _load_registry(args)
-    if args.mode == "raw":
+    if args.mode == "raw" and not args.simplify:
         text = render_expansion(expansion_tree(registry, args.system, args.budget))
-        if args.simplify:
-            expr = canonicalize(symbolic_expand(registry, args.system, args.budget), simplify=True)
-            text = format_expr(expr, "canonical")
     else:
         expr = symbolic_expand(registry, args.system, args.budget)
         if args.simplify:
             expr = canonicalize(expr, simplify=True)
-        text = format_expr(expr, args.mode)
+        # a simplified expression is flat, so raw mode prints it canonically
+        text = format_expr(expr, "canonical" if args.mode == "raw" else args.mode)
     _emit({"system": args.system, "mode": args.mode, "expr": text}, args.json, text)
     return 0
 

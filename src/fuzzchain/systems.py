@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .algebra import Atom, Call, Var, check_grade, is_identifier
+from .algebra import Atom, Call, Var, check_grade, is_identifier, parse_count
 from .errors import BindingError, ParseError, UnknownSystemError
 
 __all__ = [
@@ -62,6 +62,10 @@ class EdgeDef:
     v: str
     atom: Atom
 
+    def __post_init__(self) -> None:
+        if self.u == self.v:
+            raise ValueError(f"self-loop at {self.u!r}")
+
     def pair(self) -> frozenset[str]:
         return frozenset((self.u, self.v))
 
@@ -81,7 +85,7 @@ class FuzzySystem:
             if not is_identifier(ident):
                 raise ValueError(f"invalid identifier: {ident!r}")
         if self.input_terminal == self.output_terminal:
-            raise ValueError(f"system {self.name!r}: terminals must differ")
+            raise ValueError(f"system {self.name!r}: input and output terminals must differ")
         seen_vertices = set(self.vertices)
         if len(seen_vertices) != len(self.vertices):
             raise ValueError(f"system {self.name!r}: duplicate vertex in order")
@@ -90,8 +94,6 @@ class FuzzySystem:
                 raise ValueError(f"system {self.name!r}: terminal {terminal!r} not among vertices")
         pairs = set()
         for edge in self.edges:
-            if edge.u == edge.v:
-                raise ValueError(f"system {self.name!r}: self-loop at {edge.u!r}")
             if edge.u not in seen_vertices or edge.v not in seen_vertices:
                 raise ValueError(f"system {self.name!r}: edge endpoint not among vertices")
             if edge.pair() in pairs:
@@ -213,11 +215,11 @@ def require_bindings(
     """The binding contract every evaluation route checks on entry.
 
     Every variable of ``name``, and of every system reachable from it
-    through call edges (whatever their count), must be bound: a missing
-    one raises :class:`BindingError`, an unknown system
-    :class:`UnknownSystemError`.  Systems are visited breadth-first from
-    ``name`` and edges in declaration order, so every route reports the
-    same first problem.
+    through call edges (whatever their count), must be bound to a grade
+    in [0, 1]: a missing or out-of-range one raises :class:`BindingError`,
+    an unknown system :class:`UnknownSystemError`.  Systems are visited
+    breadth-first from ``name`` and edges in declaration order, so every
+    route reports the same first problem.
     """
     order = [name]
     for system_name in order:
@@ -228,6 +230,11 @@ def require_bindings(
                     order.append(atom.target)
             elif atom.name not in assignment:
                 raise BindingError(f"missing binding for variable {atom.name!r}")
+            else:
+                try:
+                    check_grade(assignment[atom.name], f"binding for {atom.name!r}")
+                except ValueError as exc:
+                    raise BindingError(str(exc)) from None
 
 
 # --- connection matrices --------------------------------------------------
@@ -316,8 +323,7 @@ def parse_registry(text: str) -> SystemRegistry:
     current: str | None = None
     opened_at = (0, 0)  # line and column of the current 'system' clause
     terminals: tuple[str, str] | None = None
-    edges: list[tuple[str, str, Atom]] = []
-    seen_pairs: set[frozenset[str]] = set()
+    edges: list[EdgeDef] = []
 
     def finish(line: int, col: int) -> None:
         nonlocal current, terminals
@@ -325,12 +331,10 @@ def parse_registry(text: str) -> SystemRegistry:
         if terminals is None:
             raise ParseError(f"system {current!r} has no terminals clause", line, col)
         try:
-            system = FuzzySystem.build(current, terminals[0], terminals[1], edges)
+            system = FuzzySystem.build(current, *terminals, [(e.u, e.v, e.atom) for e in edges])
+            registry.add(system)
         except ValueError as exc:
             raise ParseError(str(exc), line, col) from None
-        if current in registry:
-            raise ParseError(f"duplicate system name: {current!r}", line, col)
-        registry.add(system)
         current = None
         terminals = None
 
@@ -346,7 +350,6 @@ def parse_registry(text: str) -> SystemRegistry:
             current = words[1]
             opened_at = (line_no, col)
             edges = []
-            seen_pairs = set()
             continue
         if clause == "}":
             finish(line_no, col)
@@ -358,8 +361,6 @@ def parse_registry(text: str) -> SystemRegistry:
                 raise ParseError(f"system {current!r}: duplicate terminals clause", line_no, col)
             if not (is_identifier(words[1]) and is_identifier(words[3])):
                 raise ParseError("terminal names must be identifiers", line_no, col)
-            if words[1] == words[3]:
-                raise ParseError("input and output terminals must differ", line_no, col)
             terminals = (words[1], words[3])
             continue
         if words[0] == "edge":
@@ -372,28 +373,18 @@ def parse_registry(text: str) -> SystemRegistry:
             u, v = words[1], words[2]
             if not (is_identifier(u) and is_identifier(v)):
                 raise ParseError("edge endpoints must be identifiers", line_no, col)
-            if u == v:
-                raise ParseError(f"self-loop at {u!r}", line_no, col)
-            if frozenset((u, v)) in seen_pairs:
-                raise ParseError(f"duplicate edge {u!r}-{v!r}", line_no, col)
-            if len(words) == 4:
-                if words[3] == "call":
-                    raise ParseError("expected 'call <name> <count>' after endpoints", line_no, col)
-                if not is_identifier(words[3]):
-                    raise ParseError(f"invalid edge label: {words[3]!r}", line_no, col)
-                atom: Atom = Var(words[3])
-            else:
-                if words[3] != "call":
-                    raise ParseError(f"invalid edge label: {' '.join(words[3:])!r}", line_no, col)
-                if not is_identifier(words[4]):
-                    raise ParseError(f"invalid call target: {words[4]!r}", line_no, col)
-                if not words[5].isdigit():
-                    raise ParseError(
-                        f"count not a non-negative integer: {words[5]!r}", line_no, col
-                    )
-                atom = Call(words[4], int(words[5]))
-            seen_pairs.add(frozenset((u, v)))
-            edges.append((u, v, atom))
+            if len(words) == 4 and words[3] == "call":
+                raise ParseError("expected 'call <name> <count>' after endpoints", line_no, col)
+            if len(words) == 6 and words[3] != "call":
+                raise ParseError(f"invalid edge label: {' '.join(words[3:])!r}", line_no, col)
+            try:
+                if len(words) == 4:
+                    atom: Atom = Var(words[3])
+                else:
+                    atom = Call(words[4], parse_count(words[5], line_no, col))
+                edges.append(EdgeDef(u, v, atom))
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no, col) from None
             continue
         raise ParseError(f"unknown clause: {words[0]!r}", line_no, col)
 
@@ -497,22 +488,14 @@ def _diamond(name: str, labels: dict[str, Atom | str]) -> FuzzySystem:
     return FuzzySystem.build(name, "A", "B", edges)
 
 
-def builtin_fixtures(
-    phi_counts: dict[str, int] | None = None, rec_count: int = 2
-) -> SystemRegistry:
+def builtin_fixtures(rec_count: int = 2) -> SystemRegistry:
     """The built-in example registry.
 
     Five diamond systems (psi1..psi5) with variable labels, a composite
-    system ``phi`` whose five edges call them (counts configurable via
-    ``phi_counts``, default 1 each), and ``psi1_rec``: psi1 with its C-D
-    edge replaced by a self-call of count ``rec_count``.
+    system ``phi`` whose five edges call them with count 1, and
+    ``psi1_rec``: psi1 with its C-D edge replaced by a self-call of count
+    ``rec_count``.
     """
-    counts = {f"psi{i}": 1 for i in range(1, 6)}
-    if phi_counts:
-        unknown = set(phi_counts) - set(counts)
-        if unknown:
-            raise ValueError(f"unknown phi call target(s): {sorted(unknown)!r}")
-        counts.update(phi_counts)
     if rec_count < 0:
         raise ValueError("rec_count must be non-negative")
 
@@ -528,11 +511,11 @@ def builtin_fixtures(
             "A",
             "B",
             [
-                ("A", "C", Call("psi2", counts["psi2"])),
-                ("B", "C", Call("psi4", counts["psi4"])),
-                ("C", "D", Call("psi1", counts["psi1"])),
-                ("A", "D", Call("psi3", counts["psi3"])),
-                ("B", "D", Call("psi5", counts["psi5"])),
+                ("A", "C", Call("psi2", 1)),
+                ("B", "C", Call("psi4", 1)),
+                ("C", "D", Call("psi1", 1)),
+                ("A", "D", Call("psi3", 1)),
+                ("B", "D", Call("psi5", 1)),
             ],
         )
     )

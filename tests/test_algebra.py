@@ -116,6 +116,12 @@ def test_parse_expr_shapes():
         ("+ x", "expected an atom, got '+'"),
         ("x y", "expected '+' between terms, got 'y'"),
         ("x^y", "count not a non-negative integer: 'y'"),
+        ("x^\u00b2", "line 1, col 3: count not a non-negative integer: '\u00b2'"),
+        pytest.param(
+            "x + y^" + "9" * 5000,
+            "line 1, col 7: count too large: 5000 digits",
+            id="count-of-5000-digits",
+        ),
         ("x * * y", "expected an atom, got '*'"),
         ("1 + x", "expected an atom, got '1'"),
         ("x ^", "unexpected end of expression"),

@@ -80,6 +80,23 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
         assert "Traceback" not in err
 
 
+def test_bad_count_and_grade_fail_cleanly(run_cli, tmp_path):
+    # a digit that is not a decimal digit is a positioned parse error
+    assert run_cli("power", "x^\u00b2", "2") == (
+        2, "", "parse error: line 1, col 3: count not a non-negative integer: '\u00b2'\n"
+    )
+    bad = tmp_path / "bad.fz"
+    text = "system s {\n  terminals A -> B\n  edge A B call s \u00b2\n}\n"
+    bad.write_text(text, encoding="utf-8")
+    assert run_cli("ftf", "--fixtures", str(bad), "--system", "s") == (
+        2, "", "parse error: line 3, col 3: count not a non-negative integer: '\u00b2'\n"
+    )
+    # an out-of-range grade is refused even for a variable no system uses
+    assert run_cli("eval", "--set", "q=1.5") == (
+        3, "", "error: binding for 'q' out of range [0, 1]: 1.5\n"
+    )
+
+
 def test_missing_file_exits_1(run_cli, tmp_path):
     assert run_cli("ftf", "--fixtures", str(tmp_path / "nope.fz"))[0] == 1
 

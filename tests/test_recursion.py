@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import re
 
 import pytest
 
@@ -117,6 +118,19 @@ def test_every_route_rejects_an_unknown_call_target(route):
     )
     with pytest.raises(UnknownSystemError, match="'ghost'"):
         ROUTES[route](registry, "s", {"x": 0.4})
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("grade", [1.5, -0.1, float("nan")])
+def test_every_route_rejects_an_out_of_range_grade(route, grade):
+    registry = parse_registry("system s {\n terminals A -> B\n edge A B x\n}\n")
+    message = re.escape(f"binding for 'x' out of range [0, 1]: {grade!r}")
+    with pytest.raises(BindingError, match=f"^{message}$"):
+        ROUTES[route](registry, "s", {"x": grade})
+    # an unused variable, or one behind a count-0 call, is held to the range too
+    for text, name in BINDING_CASES.values():
+        with pytest.raises(BindingError, match=r"^binding for 'q' out of range"):
+            ROUTES[route](parse_registry(text), name, {"x": 0.4, "q": grade})
 
 
 def test_stabilization_budget(registry, variant_registry):

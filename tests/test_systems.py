@@ -91,12 +91,8 @@ def test_builtin_fixture_shape():
 
 
 def test_builtin_fixture_knobs():
-    registry = builtin_fixtures(phi_counts={"psi1": 3}, rec_count=0)
-    assert registry["phi"].edge_atom("C", "D") == Call("psi1", 3)
-    assert registry["phi"].edge_atom("A", "C") == Call("psi2", 1)
+    registry = builtin_fixtures(rec_count=0)
     assert registry["psi1_rec"].edge_atom("C", "D") == Call("psi1_rec", 0)
-    with pytest.raises(ValueError):
-        builtin_fixtures(phi_counts={"psi9": 1})
     with pytest.raises(ValueError):
         builtin_fixtures(rec_count=-1)
 
@@ -190,6 +186,15 @@ def test_parse_registry_minimal():
         ("system s {\nterminals A -> B\nedge A B call\n}", "expected 'call <name> <count>'"),
         ("system s {\nterminals A -> B\nedge A B x y z\n}", "invalid edge label"),
         ("system s {\nterminals A -> B\nedge A B call t x\n}", "count not a non-negative"),
+        (
+            "system s {\nterminals A -> B\nedge A B call t \u00b2\n}",
+            "line 3, col 1: count not a non-negative integer: '\u00b2'",
+        ),
+        pytest.param(
+            "system s {\nterminals A -> B\nedge A B call t " + "9" * 5000 + "\n}",
+            "line 3, col 1: count too large: 5000 digits",
+            id="count-of-5000-digits",
+        ),
         ("system s {\nterminals A -> B\nedge A B call 9t 1\n}", "invalid call target: '9t'"),
         ("system s {\nterminals A -> B\nwhatever\n}", "unknown clause: 'whatever'"),
         ("system s {\nterminals A -> B\n", "unterminated system 's'"),
