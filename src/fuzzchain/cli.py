@@ -35,6 +35,7 @@ from .closure import (
     render_numeric_matrix,
     render_symbolic_matrix,
     resolve_matrix,
+    terminal_cell,
     warshall_closure,
 )
 from .errors import BindingError, ParseError, UnknownSystemError
@@ -185,7 +186,7 @@ def _cmd_closure(args) -> int:
     vertices, grid = resolve_matrix(registry, args.system, assignment)
     closed = warshall_closure(grid)
     system = registry[args.system]
-    value = closed[vertices.index(system.input_terminal)][vertices.index(system.output_terminal)]
+    value = terminal_cell(system, vertices, closed)
     payload = {
         "system": args.system,
         "vertices": list(vertices),

@@ -9,10 +9,19 @@ k + 1 vertices — running every pivot therefore yields the best value
 over all simple paths.  Because max and min only select their inputs,
 every entry of every result is an entry of the input matrix (or 0/1),
 and exact equality holds throughout.
+
+:func:`warshall_closure` certifies its sweep.  A symmetric grade matrix
+(every connection matrix is one: edges are undirected) is checked
+against a maximum spanning forest: the best max-min path between two
+vertices is the path joining them in that forest (Pollack 1960, Hu 1961,
+"The maximum capacity route problem"), so the certificate needs no
+relaxation and shares no code with the sweep.  Any other input is
+checked by a second sweep.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
 from .algebra import Call, assignment_valuation
@@ -34,6 +43,7 @@ __all__ = [
     "warshall_steps",
     "warshall_closure",
     "resolve_matrix",
+    "terminal_cell",
     "transmission",
     "render_numeric_matrix",
     "render_symbolic_matrix",
@@ -123,21 +133,90 @@ def warshall_steps(m: Matrix) -> Iterator[tuple[int, Matrix]]:
 def warshall_closure(m: Matrix) -> Matrix:
     """Max-min transitive closure of ``m``.
 
-    One relaxation sweep reaches the fixpoint; a second sweep, on a
-    copy, asserts idempotence on every call (it turns any future
-    ordering bug into a loud failure rather than a silently weaker
-    closure).
+    One relaxation sweep reaches the fixpoint, and every call checks it
+    (so an ordering or kernel bug fails loudly rather than returning a
+    weaker closure).  When every cell is a grade in [0, 1] and ``m`` is
+    symmetric, the check is the spanning-forest closure of
+    :func:`_forest_closure`, compared cell by cell; otherwise it is a
+    second sweep on a copy, which must change nothing.
     """
     n = _check_square(m)
     out = [row[:] for row in m]
     for k in range(n):
         _relax_pivot(out, k)
+    if _is_symmetric_grade_matrix(m):
+        _certify(out, _forest_closure(m))
+        return out
     again = [row[:] for row in out]
     for k in range(n):
         _relax_pivot(again, k)
     if again != out:
         raise AssertionError("closure failed to reach a fixpoint in one sweep")
     return out
+
+
+def _is_symmetric_grade_matrix(m: Matrix) -> bool:
+    """Every cell in [0, 1] (so no nan) and ``m[i][j] == m[j][i]``."""
+    return all(0.0 <= x <= 1.0 for row in m for x in row) and all(
+        row == list(column) for row, column in zip(m, zip(*m))
+    )
+
+
+def _forest_closure(m: Matrix) -> Matrix:
+    """Max-min closure of a symmetric grade matrix, from a maximum spanning forest.
+
+    Kruskal, with union-find, keeps each positive off-diagonal cell that
+    joins two trees, best grade first.  Off the diagonal, the closure is
+    then the smallest grade on the forest path between the two vertices,
+    or 0 when no path joins them; one walk per vertex, with an explicit
+    stack, carries that running min.  A cycle through ``i`` is no better
+    than its first edge, so the diagonal is the largest cell of row ``i``.
+    """
+    n = len(m)
+    edges = sorted(
+        ((x, i, j) for i, row in enumerate(m) for j, x in enumerate(row[:i]) if x > 0.0),
+        key=itemgetter(0),
+        reverse=True,
+    )
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    forest: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for grade, i, j in edges:
+        root_i, root_j = find(i), find(j)
+        if root_i != root_j:
+            parent[root_i] = root_j
+            forest[i].append((j, grade))
+            forest[j].append((i, grade))
+    out = []
+    for s in range(n):
+        row = [0.0] * n
+        stack = [(t, s, grade) for t, grade in forest[s]]
+        while stack:
+            v, came_from, width = stack.pop()
+            row[v] = width
+            for t, grade in forest[v]:
+                if t != came_from:
+                    stack.append((t, v, grade if grade < width else width))
+        row[s] = max(m[s])
+        out.append(row)
+    return out
+
+
+def _certify(closed: Matrix, expected: Matrix) -> None:
+    """Raise ``AssertionError`` at the first cell where the two closures differ."""
+    for i, (row, want) in enumerate(zip(closed, expected)):
+        if row != want:
+            j = next(j for j, (x, y) in enumerate(zip(row, want)) if x != y)
+            raise AssertionError(
+                f"closure disagrees with the spanning-forest certificate at ({i}, {j}): "
+                f"sweep {row[j]!r}, forest {want[j]!r}"
+            )
 
 
 def resolve_matrix(
@@ -170,12 +249,15 @@ def resolve_matrix(
     return symbolic.vertices, grid
 
 
+def terminal_cell(system: FuzzySystem, vertices: tuple[str, ...], grid: Matrix) -> float:
+    """The input-to-output cell of a grid whose rows follow ``vertices``."""
+    return grid[vertices.index(system.input_terminal)][vertices.index(system.output_terminal)]
+
+
 def transmission(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
     """Input-to-output grade: closure of the resolved connection matrix."""
-    system = registry[name]
     vertices, grid = resolve_matrix(registry, name, assignment)
-    closed = warshall_closure(grid)
-    return closed[vertices.index(system.input_terminal)][vertices.index(system.output_terminal)]
+    return terminal_cell(registry[name], vertices, warshall_closure(grid))
 
 
 # --- rendering --------------------------------------------------------------

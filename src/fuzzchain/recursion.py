@@ -22,6 +22,10 @@ Two walkers over the same recursion read them:
   (:func:`symbolic_expand`), and :func:`trace_eval` narrates it,
   unmemoized, as a stream of enter/push/branch/pop/exit events.
 
+Those outputs grow exponentially with the call depth, so each is sized
+on the DAG first (:func:`_sizes`) and refused with ``ValueError`` when
+the size passes :data:`MAX_EXPANSION`, before any of it is built.
+
 Every entry point that takes an assignment checks it first with
 :func:`~fuzzchain.systems.require_bindings`.
 """
@@ -31,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .algebra import (
     Atom,
@@ -51,6 +55,7 @@ from .chains import Chain, enumerate_chains
 from .systems import FuzzySystem, SystemRegistry, require_bindings
 
 __all__ = [
+    "MAX_EXPANSION",
     "eval_system",
     "resolve_call",
     "stabilization_budget",
@@ -71,6 +76,9 @@ __all__ = [
 ]
 
 Budget = Union[int, None]  # None marks the top level
+
+MAX_EXPANSION = 2**20
+"""Most flat terms, nested node occurrences or trace events an output may hold."""
 
 
 def _effective(declared: int, budget: Budget) -> int:
@@ -273,7 +281,66 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
     Raw form: term order follows the expansion tree and duplicates are
     kept, so evaluating it reproduces :func:`eval_system` exactly.
     """
-    return FtfExpr(expansion_tree(registry, name, budget).flat_terms())
+    root = expansion_tree(registry, name, budget)
+    _check_size(_sizes(root)[id(root)].terms, "flat terms")
+    return FtfExpr(root.flat_terms())
+
+
+class _Size(NamedTuple):
+    """Output sizes of one expansion node, each saturating at MAX_EXPANSION + 1."""
+
+    terms: int  # flat terms, as symbolic_expand lists them
+    nodes: int  # node occurrences in the nested rendering
+    events: int  # trace events, as trace_eval narrates the node
+
+
+def _sizes(root: ExpansionNode) -> dict[int, _Size]:
+    """The :class:`_Size` of every node reachable from ``root``, by ``id``.
+
+    A post-order walk with an explicit stack, so the DAG's depth costs no
+    Python recursion and a shared node is sized once.  A node's flat
+    terms are the sum over its branches of the product of the children's
+    terms; its nested occurrences are itself plus its children's; its
+    events are ENTER and EXIT plus, per branch, a PUSH, POP and the
+    child's events for each call, one ``sub=`` line per child branch when
+    the branch has exactly one call, and the branch summary.  Counts stop
+    growing just past the cap, so a DAG that doubles its output per level
+    costs no more to size than one that does not.
+    """
+    over = MAX_EXPANSION + 1
+    sizes: dict[int, _Size] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in sizes:
+            stack.pop()
+            continue
+        calls_by_branch = [
+            [seg for seg in branch.segments if isinstance(seg, ExpansionNode)]
+            for branch in node.branches
+        ]
+        pending = [c for calls in calls_by_branch for c in calls if id(c) not in sizes]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        terms, nodes, events = 0, 1, 2
+        for calls in calls_by_branch:
+            product = 1
+            for child in calls:
+                size = sizes[id(child)]
+                product = min(product * size.terms, over)
+                nodes += size.nodes
+                events += 2 + size.events
+            terms += product
+            events += 1 + (len(calls[0].branches) if len(calls) == 1 else 0)
+        sizes[id(node)] = _Size(min(terms, over), min(nodes, over), min(events, over))
+    return sizes
+
+
+def _check_size(count: int, what: str) -> None:
+    if count > MAX_EXPANSION:
+        raise ValueError(f"expansion too large: over the cap of {MAX_EXPANSION} {what}")
 
 
 def _compose(pieces: Iterable[tuple[bool, str]]) -> str:
@@ -303,10 +370,15 @@ def _branch_pieces(
 
 def render_expansion(node: ExpansionNode) -> str:
     """Nested rendering: one alternative per branch, children in parens."""
+    _check_size(_sizes(node)[id(node)].nodes, "nested nodes")
+    return _render_nested(node)
+
+
+def _render_nested(node: ExpansionNode) -> str:
     if not node.branches:
         return "0"
     rendered = [
-        _compose(_branch_pieces(branch, render_expansion))
+        _compose(_branch_pieces(branch, _render_nested))
         for branch in node.presentation_order()
     ]
     return " + ".join(rendered)
@@ -411,8 +483,13 @@ def trace_eval(
     the chain's summary; chains with several calls get the summary only.
     """
     require_bindings(registry, name, assignment)
+    root = expansion_tree(registry, name)
+    sizes = _sizes(root)
+    _check_size(sizes.pop(id(root)).events, "trace events")
+    # every other node is flattened into the trace's expr= text
+    _check_size(max((size.terms for size in sizes.values()), default=0), "flat terms in one call")
     events: list[TraceEvent] = []
-    value = _narrate(expansion_tree(registry, name), assignment_valuation(assignment), events)
+    value = _narrate(root, assignment_valuation(assignment), events)
     return TraceResult(value, tuple(events))
 
 

@@ -136,16 +136,20 @@ def test_golden_outputs_are_stable(name):
     assert first[1] == read_golden(name)
 
 
+def _child_pythonpath() -> str:
+    # A relative PYTHONPATH entry (such as `src`) breaks under cwd=tmp_path, so
+    # put the directory holding the imported package first: the child runs the
+    # code this suite tests.
+    package_root = str(Path(fuzzchain.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+
+
 def test_console_script_is_deterministic(tmp_path):
     # The installed console script when there is one, else the same main() as
     # a module: the test suite runs from PYTHONPATH without an install.
     exe = shutil.which("fuzzchain")
     argv = [exe, "trace"] if exe else [sys.executable, "-m", "fuzzchain.cli", "trace"]
-    # A relative PYTHONPATH entry (such as `src`) breaks under cwd=tmp_path, so
-    # put the directory holding the imported package first: the child runs the
-    # code this suite tests.
-    package_root = str(Path(fuzzchain.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    pythonpath = _child_pythonpath()
     runs = []
     for hash_seed in ("0", "1"):  # distinct str hashing: set/dict order may differ
         env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed}
@@ -157,6 +161,29 @@ def test_console_script_is_deterministic(tmp_path):
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
     assert runs[0].decode("utf-8") == read_golden("trace_psi1_rec.txt")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (("expand", "--rec-count", "250"), "nested nodes"),
+        (("trace", "--rec-count", "340"), "trace events"),
+    ],
+)
+def test_oversized_expansion_is_refused_before_any_output(tmp_path, argv, what):
+    # about 2^250 nested nodes and 2^342 events: sized on the DAG, never built
+    env = {**os.environ, "PYTHONPATH": _child_pythonpath()}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzchain.cli", *argv],
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.decode("utf-8") == (
+        f"error: expansion too large: over the cap of 1048576 {what}\n"
+    )
 
 
 # --- flag behavior ----------------------------------------------------------

@@ -84,6 +84,26 @@ def _seeded_matrices(seed):
             yield from (dense, sparse, symmetric, hollow)
 
 
+def _symmetric_matrices(seed, sizes=range(1, 13)):
+    """Symmetric grade matrices, three per draw: unit, zero and random diagonal.
+
+    Half the off-diagonal cells are 0 and grades come from a 20-point
+    grid, so disconnected vertices and tied grades are common.
+    """
+    rng = SplitMix64(seed)
+    for n in sizes:
+        for _ in range(3):
+            base = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i):
+                    base[i][j] = base[j][i] = 0.0 if rng.chance(1, 2) else rng.grade()
+            for diagonal in ([1.0] * n, [0.0] * n, [rng.grade() for _ in range(n)]):
+                yield [
+                    [diagonal[i] if i == j else x for j, x in enumerate(row)]
+                    for i, row in enumerate(base)
+                ]
+
+
 def test_matmul_equals_definition_on_seeded_matrices():
     left, right = list(_seeded_matrices(11)), list(_seeded_matrices(12))
     for a, b in zip(left, right):
@@ -111,9 +131,90 @@ def test_closure_raises_when_the_first_sweep_misses_a_pivot(monkeypatch):
         relax_pivot(work, k)
 
     monkeypatch.setattr(closure, "_relax_pivot", skip_first_pivot_zero)
+    with pytest.raises(
+        AssertionError,
+        match=r"closure disagrees with the spanning-forest certificate at \(1, 2\): "
+        r"sweep 0\.0, forest 0\.4",
+    ):
+        warshall_closure(path)
+    assert skipped == [0]
+
+
+def test_closure_of_asymmetric_input_raises_when_the_first_sweep_misses_a_pivot(monkeypatch):
+    # as above, with 1 -> 0 graded apart from 0 -> 1: the second sweep checks it
+    path = [[1.0, 0.5, 0.4], [0.6, 1.0, 0.0], [0.4, 0.0, 1.0]]
+    relax_pivot = closure._relax_pivot
+    skipped = []
+
+    def skip_first_pivot_zero(work, k):
+        if k == 0 and not skipped:
+            skipped.append(k)
+            return
+        relax_pivot(work, k)
+
+    monkeypatch.setattr(closure, "_relax_pivot", skip_first_pivot_zero)
     with pytest.raises(AssertionError, match="closure failed to reach a fixpoint in one sweep"):
         warshall_closure(path)
     assert skipped == [0]
+
+
+def test_forest_closure_equals_definition_on_symmetric_matrices():
+    for m in _symmetric_matrices(17):
+        assert closure._forest_closure(m) == _closure_by_definition(m)
+
+
+def test_certificate_catches_a_kernel_that_skips_the_last_column(monkeypatch):
+    relax_row = closure._relax_row
+
+    def skip_last_column(row, through, other):
+        last = row[-1]
+        relax_row(row, through, other)
+        row[-1] = last
+
+    monkeypatch.setattr(closure, "_relax_row", skip_last_column)
+    wrong = missed_by_a_repeat_sweep = 0
+    for m in _symmetric_matrices(23, range(3, 13)):
+        expected = _closure_by_definition(m)
+        swept = list(warshall_steps(m))[-1][1]
+        if swept == expected:
+            assert warshall_closure(m) == expected
+            continue
+        wrong += 1
+        with pytest.raises(AssertionError, match="spanning-forest certificate"):
+            warshall_closure(m)
+        again = [row[:] for row in swept]
+        for k in range(len(m)):
+            closure._relax_pivot(again, k)
+        missed_by_a_repeat_sweep += again == swept
+    assert wrong > 0
+    assert missed_by_a_repeat_sweep > 0  # the old idempotence check passes these
+
+
+def test_closure_sweeps_once_on_symmetric_grades_and_twice_otherwise(monkeypatch):
+    relax_pivot = closure._relax_pivot
+    pivots = []
+
+    def counted(work, k):
+        pivots.append(k)
+        relax_pivot(work, k)
+
+    monkeypatch.setattr(closure, "_relax_pivot", counted)
+    for m in [PSI1_RESOLVED, *_symmetric_matrices(29, range(1, 9))]:
+        pivots.clear()
+        warshall_closure(m)
+        assert len(pivots) == len(m)
+    nan = float("nan")
+    for m in (
+        [[0.2, 0.7], [0.3, 1.0]],  # asymmetric
+        [[1.0, 1.5], [1.5, 1.0]],  # a cell above 1
+        [[-0.5, 0.2], [0.2, 1.0]],  # a cell below 0
+        [[1.0, nan], [nan, 1.0]],
+        A,
+        B,
+    ):
+        pivots.clear()
+        warshall_closure(m)
+        assert len(pivots) == 2 * len(m)
 
 
 def test_matmul_by_hand():

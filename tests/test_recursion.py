@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from fuzzchain import recursion
 from fuzzchain.algebra import Call, Var, assignment_valuation, eval_expr, format_expr
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
@@ -206,6 +207,64 @@ def test_expansion_dag_has_one_node_per_budget():
     assert {node.budget for node in nodes.values()} == {None, *range(1, 9)}
     # flattening stays exponential: T(b) = 2 + 2 T(b - 1), T(1) = 2
     assert len(symbolic_expand(registry, "psi1_rec").terms) == 2 ** (8 + 2) - 2
+
+
+def test_sizes_predict_every_output_of_the_expansion(fixture_assignment):
+    seen = {}
+    for count in range(9):
+        registry = builtin_fixtures(rec_count=count)
+        root = expansion_tree(registry, "psi1_rec")
+        size = recursion._sizes(root)[id(root)]
+        terms = len(symbolic_expand(registry, "psi1_rec").terms)
+        events = len(trace_eval(registry, "psi1_rec", fixture_assignment).events)
+        nested = render_expansion(root)
+        assert (size.terms, size.events) == (terms, events)
+        assert size.nodes == 1 + nested.count("(")  # each child occurrence is one group
+        seen[count] = (terms, events)
+    assert (seen[3], seen[5], seen[8]) == ((30, 142), (126, 622), (1022, 5102))
+
+
+def test_expansion_past_the_cap_is_refused(monkeypatch, fixture_assignment):
+    registry = builtin_fixtures(rec_count=3)  # 30 terms, 15 nested nodes, 142 events
+    routes = [
+        (30, "flat terms", lambda: symbolic_expand(registry, "psi1_rec")),
+        (15, "nested nodes", lambda: render_expansion(expansion_tree(registry, "psi1_rec"))),
+        (142, "trace events", lambda: trace_eval(registry, "psi1_rec", fixture_assignment)),
+    ]
+    for size, what, route in routes:
+        monkeypatch.setattr(recursion, "MAX_EXPANSION", size)
+        route()  # at the cap is allowed
+        monkeypatch.setattr(recursion, "MAX_EXPANSION", size - 1)
+        refusal = f"expansion too large: over the cap of {size - 1} {what}"
+        with pytest.raises(ValueError, match=refusal):
+            route()
+
+
+def test_doubly_exponential_expansion_is_sized_without_blowing_up(fixture_assignment):
+    def squaring(count):
+        # two self-calls on one chain square the flat-term count at each level
+        return parse_registry(
+            f"""
+            system s {{
+              terminals A -> B
+              edge A B x
+              edge A C call s {count}
+              edge C B call s {count}
+            }}
+            """
+        )
+
+    deep = expansion_tree(squaring(60), "s")
+    assert recursion._sizes(deep)[id(deep)].terms == recursion.MAX_EXPANSION + 1
+    # at count 7 the trace tells a short story, but each call's expr= text
+    # would list the callee's 2 * 10^11 flat terms
+    registry = squaring(7)
+    root = expansion_tree(registry, "s")
+    assert recursion._sizes(root)[id(root)].events == 1400
+    with pytest.raises(ValueError, match="over the cap of 1048576 flat terms in one call"):
+        trace_eval(registry, "s", fixture_assignment)
+    with pytest.raises(ValueError, match="over the cap of 1048576 flat terms$"):
+        symbolic_expand(registry, "s")
 
 
 def test_render_expansion_nested_and_flat(registry):
