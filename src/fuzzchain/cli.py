@@ -30,7 +30,6 @@ from .algebra import (
     parse_expr,
 )
 from .chains import derive_ftf
-from .checks import run_all
 from .closure import (
     render_numeric_matrix,
     render_symbolic_matrix,
@@ -43,6 +42,7 @@ from .recursion import (
     eval_system,
     expansion_tree,
     render_expansion,
+    render_trace,
     resolve_call,
     symbolic_expand,
     trace_eval,
@@ -90,6 +90,16 @@ def _set_pair(text: str) -> tuple[str, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grade in {text!r}") from None
     return name, value
+
+
+def _trial_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 _BUILTIN = object()  # `--fixtures` with no path means the built-in registry
@@ -203,8 +213,11 @@ def _cmd_closure(args) -> int:
 def _cmd_trace(args) -> int:
     registry, base = _load_registry(args)
     result = trace_eval(registry, args.system, _assignment(args, base))
-    payload = {"system": args.system, "value": result.value, "events": result.lines()}
-    _emit(payload, args.json, "\n".join(result.lines()))
+    if args.json:
+        payload = {"system": args.system, "value": result.value, "events": result.lines()}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(render_trace(result.events))
     return 0
 
 
@@ -243,6 +256,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_all  # only this command pays for the suites and oracles
+
     results = run_all(args.seed, args.trials)
     ok = all(r.passed for r in results)
     payload = {
@@ -348,7 +363,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("check", help="run the differential check suites")
     sub.add_argument("--seed", type=int, default=_default_seed())
-    sub.add_argument("--trials", type=int, default=500)
+    sub.add_argument("--trials", type=_trial_count, default=500)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_check)
 

@@ -19,8 +19,10 @@ Two walkers over the same recursion read them:
 * :func:`expansion_tree` — the call structure unrolled into one
   expansion DAG with a node per (system, budget).  ``expand`` renders
   it nested (:func:`render_expansion`) or flattened
-  (:func:`symbolic_expand`), and :func:`trace_eval` narrates it,
-  unmemoized, as a stream of enter/push/branch/pop/exit events.
+  (:func:`symbolic_expand`), and :func:`trace_eval` narrates it as a
+  stream of enter/push/branch/pop/exit events.  The story repeats per
+  call, but the work runs once per node: a shared node is narrated at
+  its first call and its events are replayed at every later one.
 
 Those outputs grow exponentially with the call depth, so each is sized
 on the DAG first (:func:`_sizes`) and refused with ``ValueError`` when
@@ -196,6 +198,11 @@ class ExpansionBranch:
         return self._flat_terms
 
     @cached_property
+    def paper_text(self) -> str:
+        """The flat terms in ``paper`` form, as a trace's ``sub=`` line shows them."""
+        return format_expr(FtfExpr(self._flat_terms), "paper")
+
+    @cached_property
     def _flat_terms(self) -> tuple[Term, ...]:
         factor_lists: list[tuple[tuple[Atom, ...], ...]] = []
         for seg in self.segments:
@@ -232,6 +239,12 @@ class ExpansionNode:
 
     def flat_terms(self) -> tuple[Term, ...]:
         return self._flat_terms
+
+    @cached_property
+    def paper_text(self) -> str:
+        """The flat terms in ``paper`` form: the branches' texts joined."""
+        texts = [b.paper_text for b in self.presentation_order() if b.flat_terms()]
+        return " + ".join(texts) if texts else "0"
 
     @cached_property
     def _flat_terms(self) -> tuple[Term, ...]:
@@ -384,10 +397,6 @@ def _render_nested(node: ExpansionNode) -> str:
     return " + ".join(rendered)
 
 
-def _flat_text(node: ExpansionNode) -> str:
-    return format_expr(FtfExpr(node.flat_terms()), "paper")
-
-
 # --------------------------------------------------------------------------
 # Tracing
 
@@ -475,12 +484,14 @@ def trace_eval(
 ) -> TraceResult:
     """Evaluate like :func:`eval_system` while narrating every step.
 
-    Narrates the :func:`expansion_tree` of ``name``, deliberately
-    unmemoized: a node shared by several calls is descended into once
-    per call, because each descent is part of the story the trace
-    tells.  Dead chains are silent.  A chain with exactly one live call
-    also reports each callee alternative on its own ``sub=`` line before
-    the chain's summary; chains with several calls get the summary only.
+    Narrates the :func:`expansion_tree` of ``name``.  The story repeats
+    per call: a node shared by several calls is told in full at each of
+    them, because each descent is part of the story.  The work runs once
+    per node: its first call narrates it, and every later call appends
+    the same recorded events again and returns the recorded value.
+    Dead chains are silent.  A chain with exactly one live call also
+    reports each callee alternative on its own ``sub=`` line before the
+    chain's summary; chains with several calls get the summary only.
     """
     require_bindings(registry, name, assignment)
     root = expansion_tree(registry, name)
@@ -488,47 +499,68 @@ def trace_eval(
     _check_size(sizes.pop(id(root)).events, "trace events")
     # every other node is flattened into the trace's expr= text
     _check_size(max((size.terms for size in sizes.values()), default=0), "flat terms in one call")
-    events: list[TraceEvent] = []
-    value = _narrate(root, assignment_valuation(assignment), events)
-    return TraceResult(value, tuple(events))
+    narration = _Narration(assignment_valuation(assignment))
+    value = narration.node(root)
+    return TraceResult(value, tuple(narration.events))
 
 
-def _narrate(node: ExpansionNode, valuation: Valuation, events: list[TraceEvent]) -> float:
-    events.append(Enter(node.system, node.budget))
-    best = 0.0
-    for branch in node.branches:
-        best = snorm_max(best, _narrate_branch(branch, valuation, events))
-    events.append(Exit(node.system, best))
-    check_grade(best, "trace value")
-    return best
+class _Narration:
+    """One trace: its events so far, and what each node and callee
+    alternative came to the first time it was reached."""
 
+    def __init__(self, valuation: Valuation):
+        self.valuation = valuation
+        self.events: list[TraceEvent] = []
+        self._told: dict[int, tuple[int, int, float]] = {}  # id(node) -> span, value
+        self._alternatives: dict[int, float] = {}  # id(branch) -> value of its flat terms
 
-def _narrate_branch(
-    branch: ExpansionBranch, valuation: Valuation, events: list[TraceEvent]
-) -> float:
-    atoms = branch.atoms
-    calls = [(i, seg) for i, seg in enumerate(branch.segments) if isinstance(seg, ExpansionNode)]
-    value = 1.0
-    for i, child in calls:
-        label = _return_label(atoms[i + 1 :])
-        events.append(PushReturn(label))
-        value = tnorm_min(value, _narrate(child, valuation, events))
-        events.append(PopReturn(label))
-    around = 1.0
-    for atom in atoms:
-        if isinstance(atom, Var):
-            around = tnorm_min(around, valuation(atom))
-    value = tnorm_min(value, around)
-    cid = _chain_id(branch.chain)
-    pieces = _branch_pieces(branch, _flat_text)
-    summary = _compose(pieces)
-    if len(calls) == 1:
-        ((slot, child),) = calls
-        for sub in child.presentation_order():
-            sub_expr = FtfExpr(sub.flat_terms())
-            pieces[slot] = (False, "(" + format_expr(sub_expr, "paper") + ")")
-            sub_value = tnorm_min(around, eval_expr(sub_expr, valuation))
-            sub_id = _chain_id(sub.chain)
-            events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
-    events.append(BranchResult(cid, summary, value))
-    return value
+    def node(self, node: ExpansionNode) -> float:
+        events = self.events
+        told = self._told.get(id(node))
+        if told is not None:
+            start, stop, value = told
+            events.extend(events[start:stop])
+            return value
+        start = len(events)
+        events.append(Enter(node.system, node.budget))
+        best = 0.0
+        for branch in node.branches:
+            best = snorm_max(best, self.branch(branch))
+        events.append(Exit(node.system, best))
+        check_grade(best, "trace value")
+        self._told[id(node)] = (start, len(events), best)
+        return best
+
+    def branch(self, branch: ExpansionBranch) -> float:
+        events, atoms = self.events, branch.atoms
+        calls = [(i, seg) for i, seg in enumerate(branch.segments) if isinstance(seg, ExpansionNode)]
+        value = 1.0
+        for i, child in calls:
+            label = _return_label(atoms[i + 1 :])
+            events.append(PushReturn(label))
+            value = tnorm_min(value, self.node(child))
+            events.append(PopReturn(label))
+        around = 1.0
+        for atom in atoms:
+            if isinstance(atom, Var):
+                around = tnorm_min(around, self.valuation(atom))
+        value = tnorm_min(value, around)
+        cid = _chain_id(branch.chain)
+        pieces = _branch_pieces(branch, lambda node: node.paper_text)
+        summary = _compose(pieces)
+        if len(calls) == 1:
+            ((slot, child),) = calls
+            for sub in child.presentation_order():
+                pieces[slot] = (False, "(" + sub.paper_text + ")")
+                sub_value = tnorm_min(around, self._alternative(sub))
+                sub_id = _chain_id(sub.chain)
+                events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
+        events.append(BranchResult(cid, summary, value))
+        return value
+
+    def _alternative(self, sub: ExpansionBranch) -> float:
+        value = self._alternatives.get(id(sub))
+        if value is None:
+            value = eval_expr(FtfExpr(sub.flat_terms()), self.valuation)
+            self._alternatives[id(sub)] = value
+        return value

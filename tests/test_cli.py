@@ -97,6 +97,15 @@ def test_bad_count_and_grade_fail_cleanly(run_cli, tmp_path):
     )
 
 
+def test_check_rejects_fewer_than_one_trial(run_cli):
+    for bad in ("0", "-1"):
+        code, out, err = run_cli("check", "--trials", bad)
+        assert (code, out) == (1, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"fuzzchain check: error: argument --trials: must be >= 1, got {bad}"
+        ]
+
+
 def test_missing_file_exits_1(run_cli, tmp_path):
     assert run_cli("ftf", "--fixtures", str(tmp_path / "nope.fz"))[0] == 1
 
@@ -161,6 +170,16 @@ def test_console_script_is_deterministic(tmp_path):
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
     assert runs[0].decode("utf-8") == read_golden("trace_psi1_rec.txt")
+
+
+def test_cli_import_leaves_the_check_suites_unloaded():
+    # only `check` needs them, so no other command compiles them
+    probe = "import sys, fuzzchain.cli; print([m for m in sys.modules if m in %r])" % (
+        ("fuzzchain.checks", "fuzzchain.oracles"),
+    )
+    env = {**os.environ, "PYTHONPATH": _child_pythonpath()}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
 
 
 @pytest.mark.parametrize(

@@ -189,10 +189,10 @@ def test_expansion_tree_structure(registry):
     assert len(grandchild.branches) == 2  # deeper calls are dead
 
 
-def test_expansion_dag_has_one_node_per_budget():
-    registry = builtin_fixtures(rec_count=8)
+def _dag_nodes(root: ExpansionNode) -> dict[int, ExpansionNode]:
+    """Every distinct node reachable from ``root``, by ``id``."""
     nodes = {}
-    pending = [expansion_tree(registry, "psi1_rec")]
+    pending = [root]
     while pending:
         node = pending.pop()
         if id(node) not in nodes:
@@ -203,6 +203,12 @@ def test_expansion_dag_has_one_node_per_budget():
                 for seg in branch.segments
                 if isinstance(seg, ExpansionNode)
             )
+    return nodes
+
+
+def test_expansion_dag_has_one_node_per_budget():
+    registry = builtin_fixtures(rec_count=8)
+    nodes = _dag_nodes(expansion_tree(registry, "psi1_rec"))
     assert len(nodes) == 9
     assert {node.budget for node in nodes.values()} == {None, *range(1, 9)}
     # flattening stays exponential: T(b) = 2 + 2 T(b - 1), T(1) = 2
@@ -361,6 +367,57 @@ def test_trace_is_not_memoized(registry, deep_assignment):
     # 1 top entry, 2 full budget-2 descents, each holding 2 budget-1 descents
     assert len(enters) == len(exits) == 7
     assert [e.budget for e in enters] == [None, 2, 1, 1, 2, 1, 1]
+
+
+def test_trace_narrates_each_branch_once(monkeypatch, fixture_assignment):
+    registry = builtin_fixtures(rec_count=8)
+    narrated = []
+    branch = recursion._Narration.branch
+
+    def counting(self, node_branch):
+        narrated.append(node_branch)
+        return branch(self, node_branch)
+
+    monkeypatch.setattr(recursion._Narration, "branch", counting)
+    result = trace_eval(registry, "psi1_rec", fixture_assignment)
+    nodes = _dag_nodes(expansion_tree(registry, "psi1_rec")).values()
+    # the parent walked 1 532 branches; the DAG holds 34
+    assert len(narrated) == sum(len(node.branches) for node in nodes) == 34
+    assert len({id(b) for b in narrated}) == 34
+    assert len(result.events) == 5102  # every call is still told in full
+
+
+def _calls(branch) -> int:
+    return sum(isinstance(seg, ExpansionNode) for seg in branch.segments)
+
+
+def test_replayed_trace_matches_its_size_and_the_evaluator(fixture_assignment):
+    def agrees(registry, name, assignment):
+        root = expansion_tree(registry, name)
+        result = trace_eval(registry, name, assignment)
+        assert len(result.events) == recursion._sizes(root)[id(root)].events
+        assert result.value == eval_system(registry, name, assignment)
+
+    for count in range(9):
+        agrees(builtin_fixtures(rec_count=count), "psi1_rec", fixture_assignment)
+    rng = SplitMix64(1618)
+    checked = shared = 0
+    while checked < 200:
+        registry = random_registry(rng, n_systems=3, max_count=3, call_chance=(1, 2))
+        name = registry.names()[-1]
+        nodes = _dag_nodes(expansion_tree(registry, name)).values()
+        if not any(_calls(b) > 1 for node in nodes for b in node.branches):
+            continue  # want chains that call more than once
+        parents: dict[int, set[int]] = {}
+        for node in nodes:
+            for b in node.branches:
+                for seg in b.segments:
+                    if isinstance(seg, ExpansionNode):
+                        parents.setdefault(id(seg), set()).add(id(node))
+        shared += any(len(p) > 1 for p in parents.values())
+        agrees(registry, name, random_assignment(rng))
+        checked += 1
+    assert shared >= 50  # many instances reach one node from different parents
 
 
 def test_trace_value_always_matches_eval():
