@@ -422,10 +422,11 @@ SUITES: dict[str, Callable[[int, int], CheckResult]] = {
 
 def run_all(seed: int, trials: int) -> list[CheckResult]:
     """Run every suite from one seed; heavyweight suites scale down."""
-    light = max(1, trials)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     results = []
     for i, (name, suite) in enumerate(SUITES.items()):
-        budget = light
+        budget = trials
         if name == "pivot-invariant":
             budget = max(1, trials // 10)
         elif name in ("budget-laws", "expansion-agree"):

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -71,14 +72,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("FUZZCHAIN_SEED", "42")
-    try:
-        return int(raw)
-    except ValueError:
-        return 42
 
 
 def _set_pair(text: str) -> tuple[str, float]:
@@ -264,16 +257,9 @@ def _cmd_check(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "passed": ok,
-        "results": [
-            {"name": r.name, "trials": r.trials, "failures": r.failures, "detail": r.detail}
-            for r in results
-        ],
+        "results": [asdict(r) for r in results],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(r.summary())
+    _emit(payload, args.json, "\n".join(r.summary() for r in results))
     return 0 if ok else CHECK_FAILED
 
 
@@ -293,18 +279,10 @@ def _cmd_validate(args) -> int:
     diagnostics = validate_registry(registry)
     payload = {
         "systems": list(registry.names()),
-        "diagnostics": [
-            {"system": d.system, "severity": d.severity, "message": d.message}
-            for d in diagnostics
-        ],
+        "diagnostics": [asdict(d) for d in diagnostics],
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif diagnostics:
-        for d in diagnostics:
-            print(f"{d.severity}: {d.system}: {d.message}")
-    else:
-        print(f"ok: {len(registry)} systems")
+    plain = "\n".join(f"{d.severity}: {d.system}: {d.message}" for d in diagnostics)
+    _emit(payload, args.json, plain or f"ok: {len(registry)} systems")
     if any(d.severity == "error" for d in diagnostics):
         return VALIDATION_ERROR
     return 0
@@ -362,7 +340,9 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=_cmd_power)
 
     sub = subs.add_parser("check", help="run the differential check suites")
-    sub.add_argument("--seed", type=int, default=_default_seed())
+    # argparse converts a string default only when it is used, so a bad
+    # FUZZCHAIN_SEED is a usage error for `check` without --seed alone
+    sub.add_argument("--seed", type=int, default=os.environ.get("FUZZCHAIN_SEED", "42"))
     sub.add_argument("--trials", type=_trial_count, default=500)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_check)
@@ -388,10 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (BindingError, UnknownSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VALIDATION_ERROR
-    except ValueError as exc:
+    except (BindingError, UnknownSystemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
     except (RecursionError, MemoryError) as exc:

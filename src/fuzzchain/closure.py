@@ -24,8 +24,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator
 
-from .algebra import Call, assignment_valuation
-from .recursion import _Evaluator
+from .algebra import Call
+from .recursion import call_layers
 from .systems import (
     ONE,
     ZERO,
@@ -34,7 +34,6 @@ from .systems import (
     SystemRegistry,
     cell_text,
     connection_matrix,
-    require_bindings,
 )
 
 __all__ = [
@@ -229,10 +228,9 @@ def resolve_matrix(
     it (0 when the declared count is 0 — a call that may never run
     transmits nothing).  Returns the vertex order alongside the grid.
     """
-    require_bindings(registry, name, assignment)
+    layers = call_layers(registry, name, assignment)
+    top = len(layers) - 1
     symbolic = connection_matrix(registry[name])
-    valuation = assignment_valuation(assignment)
-    calls = _Evaluator(registry, assignment)
     grid: Matrix = []
     for row in symbolic.cells:
         out_row = []
@@ -242,9 +240,9 @@ def resolve_matrix(
             elif cell is ZERO:
                 out_row.append(0.0)
             elif isinstance(cell, Call):
-                out_row.append(0.0 if cell.count < 1 else calls.value(cell.target, cell.count))
+                out_row.append(0.0 if cell.count < 1 else layers[min(cell.count, top)][cell.target])
             else:
-                out_row.append(valuation(cell))
+                out_row.append(assignment[cell.name])
         grid.append(out_row)
     return symbolic.vertices, grid
 

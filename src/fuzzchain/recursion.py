@@ -15,7 +15,9 @@ included.
 the chains of a system, each with its edge atoms, that survive a budget.
 Two walkers over the same recursion read them:
 
-* :func:`eval_system` / :func:`resolve_call` — numeric, memoized;
+* :func:`eval_system` / :func:`resolve_call` — numeric, read from one
+  bottom-up table of budget layers (:func:`call_layers`), without Python
+  recursion;
 * :func:`expansion_tree` — the call structure unrolled into one
   expansion DAG with a node per (system, budget).  ``expand`` renders
   it nested (:func:`render_expansion`) or flattened
@@ -60,6 +62,7 @@ __all__ = [
     "MAX_EXPANSION",
     "eval_system",
     "resolve_call",
+    "call_layers",
     "stabilization_budget",
     "ExpansionNode",
     "ExpansionBranch",
@@ -133,8 +136,8 @@ def resolve_call(
     the value stops changing.
     """
     _check_budget(budget)
-    require_bindings(registry, name, assignment)
-    return _Evaluator(registry, assignment).value(name, budget)
+    layers = call_layers(registry, name, assignment, budget)
+    return _grade(registry[name], budget, assignment_valuation(assignment), layers)
 
 
 def eval_system(
@@ -143,35 +146,59 @@ def eval_system(
     assignment: Mapping[str, float],
 ) -> float:
     """Top-level transmission grade: every call runs at its declared count."""
-    require_bindings(registry, name, assignment)
-    return _Evaluator(registry, assignment).value(name, None)
+    layers = call_layers(registry, name, assignment)
+    return _grade(registry[name], None, assignment_valuation(assignment), layers)
 
 
-class _Evaluator:
-    """Memoizes (system, budget) pairs for one evaluation run."""
+def call_layers(
+    registry: SystemRegistry, name: str, assignment: Mapping[str, float], budget: Budget = None
+) -> list[dict[str, float]]:
+    """The value of every system ``name`` calls, at each budget it can read.
 
-    def __init__(self, registry: SystemRegistry, assignment: Mapping[str, float]):
-        self._registry = registry
-        self._valuation = assignment_valuation(assignment)
-        self._memo: dict[tuple[str, int], float] = {}
+    ``layers[b][s]`` is ``resolve_call(registry, s, b, assignment)`` for
+    each system ``s`` reached through a call edge, filled bottom-up from
+    b = 0 without Python recursion; layer 1 is layer 0.  Filling stops at
+    the last budget ``name`` grants a call (its largest declared count at
+    the top level, ``budget - 1`` below it), or at the first b >= 2 whose
+    layer equals layer b - 1.  Every later layer is that one, so a call
+    granted budget b reads ``layers[min(b, len(layers) - 1)]``.
+    """
+    walked = require_bindings(registry, name, assignment)
+    valuation = assignment_valuation(assignment)
+    calls = {s: registry[s].call_atoms() for s in walked}
+    called = {call.target for atoms in calls.values() for call in atoms}
+    root_counts = [call.count for call in calls[name]]
+    last = max(root_counts, default=0) if budget is None else budget - 1
+    callees = [registry[s] for s in walked if s in called]
+    calling = [s for s in callees if calls[s.name]]
+    call_free = {s.name: _grade(s, 0, valuation, []) for s in callees if not calls[s.name]}
+    layers: list[dict[str, float]] = []
+    while len(layers) <= last:
+        b = len(layers)
+        layer = call_free | {s.name: _grade(s, b, valuation, layers) for s in calling}
+        if b >= 2 and layer == layers[-1]:
+            break
+        layers.append(layer)
+        if b == 0:
+            layers.append(layer)  # layer 1: every call is dead below budget 2
+    return layers
 
-    def value(self, name: str, budget: Budget) -> float:
-        if budget is not None:
-            cached = self._memo.get((name, budget))
-            if cached is not None:
-                return cached
-        best = 0.0
-        for _chain, atoms in _live_chains(self._registry[name], budget):
-            got = 1.0
-            for atom in atoms:
-                if isinstance(atom, Var):
-                    got = tnorm_min(got, self._valuation(atom))
-                else:
-                    got = tnorm_min(got, self.value(atom.target, _effective(atom.count, budget)))
-            best = snorm_max(best, got)
-        if budget is not None:
-            self._memo[(name, budget)] = best
-        return best
+
+def _grade(
+    system: FuzzySystem, budget: Budget, valuation: Valuation, layers: list[dict[str, float]]
+) -> float:
+    """Max over the live chains of ``system`` of the min over each chain's atoms."""
+    top = len(layers) - 1
+    best = 0.0
+    for _chain, atoms in _live_chains(system, budget):
+        got = 1.0
+        for atom in atoms:
+            if isinstance(atom, Var):
+                got = tnorm_min(got, valuation(atom))
+            else:
+                got = tnorm_min(got, layers[min(_effective(atom.count, budget), top)][atom.target])
+        best = snorm_max(best, got)
+    return best
 
 
 # --------------------------------------------------------------------------
@@ -193,23 +220,20 @@ class ExpansionBranch:
     def has_calls(self) -> bool:
         return any(isinstance(seg, ExpansionNode) for seg in self.segments)
 
-    def flat_terms(self) -> tuple[Term, ...]:
-        """Distribute child alternatives over this chain, in order."""
-        return self._flat_terms
-
     @cached_property
     def paper_text(self) -> str:
         """The flat terms in ``paper`` form, as a trace's ``sub=`` line shows them."""
-        return format_expr(FtfExpr(self._flat_terms), "paper")
+        return format_expr(FtfExpr(self.flat_terms), "paper")
 
     @cached_property
-    def _flat_terms(self) -> tuple[Term, ...]:
+    def flat_terms(self) -> tuple[Term, ...]:
+        """Distribute child alternatives over this chain, in order."""
         factor_lists: list[tuple[tuple[Atom, ...], ...]] = []
         for seg in self.segments:
             if isinstance(seg, Var):
                 factor_lists.append(((seg,),))
             else:
-                factor_lists.append(tuple(t.atoms for t in seg.flat_terms()))
+                factor_lists.append(tuple(t.atoms for t in seg.flat_terms))
         out = []
         for pick in itertools.product(*factor_lists):
             atoms: tuple[Atom, ...] = ()
@@ -237,20 +261,18 @@ class ExpansionNode:
         plain = tuple(b for b in self.branches if not b.has_calls())
         return plain + tuple(b for b in self.branches if b.has_calls())
 
-    def flat_terms(self) -> tuple[Term, ...]:
-        return self._flat_terms
-
     @cached_property
     def paper_text(self) -> str:
         """The flat terms in ``paper`` form: the branches' texts joined."""
-        texts = [b.paper_text for b in self.presentation_order() if b.flat_terms()]
+        texts = [b.paper_text for b in self.presentation_order() if b.flat_terms]
         return " + ".join(texts) if texts else "0"
 
     @cached_property
-    def _flat_terms(self) -> tuple[Term, ...]:
+    def flat_terms(self) -> tuple[Term, ...]:
+        """Every branch's flat terms, in presentation order."""
         out: list[Term] = []
         for branch in self.presentation_order():
-            out.extend(branch.flat_terms())
+            out.extend(branch.flat_terms)
         return tuple(out)
 
 
@@ -296,7 +318,7 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
     """
     root = expansion_tree(registry, name, budget)
     _check_size(_sizes(root)[id(root)].terms, "flat terms")
-    return FtfExpr(root.flat_terms())
+    return FtfExpr(root.flat_terms)
 
 
 class _Size(NamedTuple):
@@ -561,6 +583,6 @@ class _Narration:
     def _alternative(self, sub: ExpansionBranch) -> float:
         value = self._alternatives.get(id(sub))
         if value is None:
-            value = eval_expr(FtfExpr(sub.flat_terms()), self.valuation)
+            value = eval_expr(FtfExpr(sub.flat_terms), self.valuation)
             self._alternatives[id(sub)] = value
         return value

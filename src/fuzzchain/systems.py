@@ -211,7 +211,7 @@ def validate_registry(registry: SystemRegistry) -> list[Diagnostic]:
 
 def require_bindings(
     registry: SystemRegistry, name: str, assignment: Mapping[str, float]
-) -> None:
+) -> list[str]:
     """The binding contract every evaluation route checks on entry.
 
     Every variable of ``name``, and of every system reachable from it
@@ -219,7 +219,8 @@ def require_bindings(
     in [0, 1]: a missing or out-of-range one raises :class:`BindingError`,
     an unknown system :class:`UnknownSystemError`.  Systems are visited
     breadth-first from ``name`` and edges in declaration order, so every
-    route reports the same first problem.
+    route reports the same first problem.  Returns the names visited,
+    ``name`` first, in that order.
     """
     order = [name]
     for system_name in order:
@@ -235,6 +236,7 @@ def require_bindings(
                     check_grade(assignment[atom.name], f"binding for {atom.name!r}")
                 except ValueError as exc:
                     raise BindingError(str(exc)) from None
+    return order
 
 
 # --- connection matrices --------------------------------------------------

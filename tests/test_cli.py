@@ -70,7 +70,6 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
 
     # too deep for the recursion limit: one error line, no traceback
     for argv in (
-        ("eval", "--system", "psi1_rec", "--rec-count", "3000"),
         ("trace", "--rec-count", "3000"),
         ("expand", "--rec-count", "3000"),
     ):
@@ -104,6 +103,24 @@ def test_check_rejects_fewer_than_one_trial(run_cli):
         assert [line for line in err.splitlines() if "error:" in line] == [
             f"fuzzchain check: error: argument --trials: must be >= 1, got {bad}"
         ]
+
+
+def test_bad_seed_variable_is_a_usage_error_for_check_alone(run_cli, monkeypatch):
+    monkeypatch.setenv("FUZZCHAIN_SEED", "abc")
+    code, out, err = run_cli("check", "--trials", "1")
+    assert (code, out) == (1, "")
+    assert "argument --seed: invalid int value: 'abc'" in err
+    # an explicit --seed never reads the variable, and no other command has one
+    assert run_cli("check", "--seed", "5", "--trials", "1")[0] == 0
+    assert run_cli("eval", "--system", "phi") == (0, "0.5\n", "")
+
+
+def test_seed_variable_sets_the_check_seed(run_cli, monkeypatch):
+    monkeypatch.setenv("FUZZCHAIN_SEED", "7")
+    code, out, _ = run_cli("check", "--trials", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
+    assert out == run_cli("check", "--seed", "7", "--trials", "2", "--json")[1]
 
 
 def test_missing_file_exits_1(run_cli, tmp_path):
@@ -229,6 +246,20 @@ def test_long_path_file_runs_without_recursion_limit(run_cli, tmp_path):
     common = ("--fixtures", str(path), "--system", "line")
     assert run_cli("ftf", *common) == (0, "*".join(["x"] * n) + "\n", "")
     assert run_cli("eval", *common, "--set", "x=0.5") == (0, "0.5\n", "")
+
+
+def test_numeric_routes_answer_at_any_self_call_count(run_cli):
+    # the value stops changing at budget layer 2, so no count is too deep
+    for argv in (
+        ("eval", "--system", "psi1_rec"),
+        ("closure", "--system", "psi1_rec"),
+        ("matrix", "--system", "psi1_rec", "--resolve"),
+    ):
+        shallow = run_cli(*argv, "--rec-count", "2")
+        assert shallow[0] == 0 and shallow[1], argv
+        for count in ("3000", "1000000"):
+            assert run_cli(*argv, "--rec-count", count) == shallow, (argv, count)
+    assert run_cli("eval", "--system", "psi1_rec", "--rec-count", "1000000")[1] == "0.6\n"
 
 
 def test_set_overrides_fixture_assignment(run_cli):

@@ -148,6 +148,22 @@ def test_budget_staircase_on_variant(variant_registry, deep_assignment):
     assert eval_system(variant_registry, "psi1", assignment) == 0.8
 
 
+def test_a_callee_whose_own_call_needs_budget_two():
+    # t's call is dead at budgets 0 and 1, so its layers 0 and 1 agree; a
+    # table that stopped there would give r the weak value 0.2 at the top
+    registry = parse_registry(
+        "system u {; terminals A -> B; edge A B x; }\n"
+        "system t {; terminals A -> B; edge A B y; edge A C call u 1; edge C B x; }\n"
+        "system r {; terminals A -> B; edge A B call t 3; }\n"
+    )
+    assignment = {"x": 0.9, "y": 0.2}
+    values = [resolve_call(registry, "r", k, assignment) for k in range(7)]
+    assert values == [0.0, 0.0, 0.2, 0.9, 0.9, 0.9, 0.9]
+    assert values == [oracle_unroll_eval(registry, "r", assignment, budget=k) for k in range(7)]
+    assert eval_system(registry, "r", assignment) == 0.9
+    assert resolve_matrix(registry, "r", assignment)[1] == [[1.0, 0.9], [0.9, 1.0]]
+
+
 def test_self_call_budget_is_irrelevant(registry, fixture_assignment, deep_assignment):
     # a system whose only call targets itself evaluates as if the call
     # edge were deleted, at every budget
@@ -443,10 +459,28 @@ def test_budget_variation_sweeps_random_systems():
         values = [
             resolve_call(registry, name, k, assignment) for k in range(ceiling + 3)
         ]
+        for k, value in enumerate(values):
+            assert value == oracle_unroll_eval(registry, name, assignment, budget=k)
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi
         assert values[-1] == values[ceiling]
         assert eval_system(registry, name, assignment) == values[ceiling]
+
+
+@pytest.mark.parametrize("rec_count", [2, 20, 10**6])
+def test_eval_enumerates_chains_a_fixed_number_of_times(monkeypatch, fixture_assignment, rec_count):
+    registry = builtin_fixtures(rec_count=rec_count)
+    enumerated = []
+
+    def counting(system):
+        enumerated.append(system.name)
+        return enumerate_chains(system)
+
+    monkeypatch.setattr(recursion, "enumerate_chains", counting)
+    value = eval_system(registry, "psi1_rec", fixture_assignment)
+    # layers 0 and 2, then the top level, whatever the count
+    assert len(enumerated) <= 4
+    assert value == eval_system(builtin_fixtures(rec_count=2), "psi1_rec", fixture_assignment)
 
 
 def _grid_case(k: int) -> tuple[SystemRegistry, str, dict[str, float]]:
