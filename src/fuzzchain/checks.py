@@ -318,23 +318,29 @@ def check_power_collapse(seed: int, trials: int) -> CheckResult:
 
 
 def check_budget_laws(seed: int, trials: int, self_only: bool | None = None) -> CheckResult:
-    """Budgeted values grow with the budget, stop growing at the
-    stabilization point, match the top level there, and match the naive
-    unroll interpreter everywhere.  Self-only systems collapse to their
-    budget-zero value outright.
+    """Budgeted values match the naive unroll interpreter at every budget
+    and at the top level, grow with the budget, stop growing at the
+    stabilization point and match the top level there.  Self-only
+    systems collapse to their budget-zero value outright.
 
     ``self_only`` pins the registry shape; the default alternates
-    between self-recursive and layered call graphs.
+    between a self-recursive system and three strictly layered ones,
+    whose callees' own calls need a budget of 2 or more.
     """
 
     def one(rng: SplitMix64, i: int) -> str | None:
         recursive = self_only if self_only is not None else i % 2 == 0
-        registry = random_registry(rng, n_systems=2, self_only=recursive)
+        layered = {} if recursive else dict(n_systems=3, allow_self=False, call_chance=(1, 2))
+        registry = random_registry(rng, self_only=recursive, **layered)
         name = registry.names()[-1]
         assignment = random_assignment(rng)
         ceiling = stabilization_budget(registry)
         top_k = max(6, ceiling + 1)
         values = [resolve_call(registry, name, k, assignment) for k in range(top_k + 1)]
+        for k, value in enumerate(values):
+            naive = oracle_unroll_eval(registry, name, assignment, budget=k)
+            if naive != value:
+                return f"{name}: budget {k}: naive={naive!r} layered={value!r}"
         for lo, hi in zip(values, values[1:]):
             if lo > hi:
                 return f"{name}: budget sequence not monotone: {values!r}"

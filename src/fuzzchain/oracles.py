@@ -3,32 +3,23 @@
 Everything here is written straight from the definitions, with its own
 path walking and its own interpreter loop — deliberately sharing nothing
 with the production engines beyond the scalar max/min and the parsed
-data model.  Instance sizes are capped (one knob record below) because
+data model.  Instance sizes are capped (the constants below) because
 these run in exponential time and exist only to cross-examine the fast
 code on small cases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import Call, FtfExpr, Var, snorm_max, tnorm_min
 from .errors import BindingError
 from .systems import SystemRegistry
 
-__all__ = ["OracleLimits", "LIMITS", "oracle_path_enum", "oracle_unroll_eval", "oracle_power_eval"]
+__all__ = ["oracle_path_enum", "oracle_unroll_eval", "oracle_power_eval"]
 
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Size caps for oracle inputs; exceeding one is a usage bug."""
-
-    max_vertices: int = 8
-    max_power_k: int = 3
-    max_expr_terms: int = 4
-
-
-LIMITS = OracleLimits()
+# Size caps for oracle inputs; exceeding one is a usage bug.
+MAX_VERTICES = 8
+MAX_POWER_K = 3
+MAX_EXPR_TERMS = 4
 
 
 def oracle_path_enum(
@@ -45,8 +36,8 @@ def oracle_path_enum(
     vertices may appear strictly inside a path.  ``start == goal`` is
     the empty path with value 1.
     """
-    if len(vertices) > LIMITS.max_vertices:
-        raise ValueError(f"oracle_path_enum capped at {LIMITS.max_vertices} vertices")
+    if len(vertices) > MAX_VERTICES:
+        raise ValueError(f"oracle_path_enum capped at {MAX_VERTICES} vertices")
     if start == goal:
         return 1.0
 
@@ -92,8 +83,8 @@ def oracle_unroll_eval(
     stack machinery — just the recursion.
     """
     system = registry[name]
-    if len(system.vertices) > LIMITS.max_vertices:
-        raise ValueError(f"oracle_unroll_eval capped at {LIMITS.max_vertices} vertices")
+    if len(system.vertices) > MAX_VERTICES:
+        raise ValueError(f"oracle_unroll_eval capped at {MAX_VERTICES} vertices")
     goal = system.output_terminal
     best = 0.0
 
@@ -132,10 +123,10 @@ def oracle_power_eval(expr: FtfExpr, k: int, assignment: dict[str, float]) -> fl
     max.  Agrees with evaluating the expression once, since min and max
     are idempotent.
     """
-    if not (1 <= k <= LIMITS.max_power_k):
-        raise ValueError(f"oracle_power_eval capped at k in 1..{LIMITS.max_power_k}")
-    if len(expr.terms) > LIMITS.max_expr_terms:
-        raise ValueError(f"oracle_power_eval capped at {LIMITS.max_expr_terms} terms")
+    if not (1 <= k <= MAX_POWER_K):
+        raise ValueError(f"oracle_power_eval capped at k in 1..{MAX_POWER_K}")
+    if len(expr.terms) > MAX_EXPR_TERMS:
+        raise ValueError(f"oracle_power_eval capped at {MAX_EXPR_TERMS} terms")
 
     term_values = []
     for term in expr.terms:

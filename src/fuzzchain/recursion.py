@@ -13,22 +13,22 @@ included.
 
 :func:`_live_chains` is the one place that applies that rule: it yields
 the chains of a system, each with its edge atoms, that survive a budget.
-Two walkers over the same recursion read them:
+One walker, :func:`_layers`, fills a table of budget layers bottom-up,
+without Python recursion, from a per-system grade: :func:`_grade`
+values a system for :func:`eval_system`, :func:`resolve_call` and the
+closure routes, and :func:`_size` counts what it unrolls to.
 
-* :func:`eval_system` / :func:`resolve_call` — numeric, read from one
-  bottom-up table of budget layers (:func:`call_layers`), without Python
-  recursion;
-* :func:`expansion_tree` — the call structure unrolled into one
-  expansion DAG with a node per (system, budget).  ``expand`` renders
-  it nested (:func:`render_expansion`) or flattened
-  (:func:`symbolic_expand`), and :func:`trace_eval` narrates it as a
-  stream of enter/push/branch/pop/exit events.  The story repeats per
-  call, but the work runs once per node: a shared node is narrated at
-  its first call and its events are replayed at every later one.
-
-Those outputs grow exponentially with the call depth, so each is sized
-on the DAG first (:func:`_sizes`) and refused with ``ValueError`` when
-the size passes :data:`MAX_EXPANSION`, before any of it is built.
+The symbolic outputs unroll the call structure into one expansion DAG
+with a node per (system, budget) (:func:`expansion_tree`): ``expand``
+renders it nested (:func:`render_expansion`) or flattened
+(:func:`symbolic_expand`), and :func:`trace_eval` narrates it as a
+stream of enter/push/branch/pop/exit events, telling a shared node once
+and replaying its events at every later call.  Those outputs grow
+exponentially with the call depth, so each is sized on the layer table
+and refused with ``ValueError`` past :data:`MAX_EXPANSION` before any
+node is built.  Building the DAG, flattening and narrating still
+recurse, so a narrow call chain deep enough can still exhaust the
+recursion limit.
 
 Every entry point that takes an assignment checks it first with
 :func:`~fuzzchain.systems.require_bindings`.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .algebra import (
     Atom,
@@ -50,7 +50,6 @@ from .algebra import (
     Var,
     assignment_valuation,
     check_grade,
-    eval_expr,
     format_expr,
     snorm_max,
     tnorm_min,
@@ -81,6 +80,8 @@ __all__ = [
 ]
 
 Budget = Union[int, None]  # None marks the top level
+Size = tuple[int, int, int, int]  # flat terms, nested node occurrences, trace events, live chains
+T = TypeVar("T")
 
 MAX_EXPANSION = 2**20
 """Most flat terms, nested node occurrences or trace events an output may hold."""
@@ -156,26 +157,41 @@ def call_layers(
     """The value of every system ``name`` calls, at each budget it can read.
 
     ``layers[b][s]`` is ``resolve_call(registry, s, b, assignment)`` for
-    each system ``s`` reached through a call edge, filled bottom-up from
-    b = 0 without Python recursion; layer 1 is layer 0.  Filling stops at
-    the last budget ``name`` grants a call (its largest declared count at
-    the top level, ``budget - 1`` below it), or at the first b >= 2 whose
-    layer equals layer b - 1.  Every later layer is that one, so a call
-    granted budget b reads ``layers[min(b, len(layers) - 1)]``.
+    each system ``s`` reached through a call edge (see :func:`_layers`);
+    a call granted budget b reads ``layers[min(b, len(layers) - 1)]``.
     """
     walked = require_bindings(registry, name, assignment)
     valuation = assignment_valuation(assignment)
+    return _layers(registry, walked, budget, lambda s, b, layers: _grade(s, b, valuation, layers))
+
+
+def _layers(
+    registry: SystemRegistry,
+    walked: list[str],
+    budget: Budget,
+    grade: Callable[[FuzzySystem, int, list[dict[str, T]]], T],
+) -> list[dict[str, T]]:
+    """``grade`` of every system that the root ``walked[0]`` reaches
+    through a call edge, at each budget the root can grant.
+
+    ``walked`` is as :func:`require_bindings` returns it.  Layer b is
+    ``grade(system, b, layers)`` over the layers below it; layer 1 is
+    layer 0, and call-free systems are graded once.  Filling stops at
+    the last budget the root grants a call (its largest declared count
+    at the top level, ``budget - 1`` below it), or at the first b >= 2
+    whose layer equals layer b - 1: every later layer is that one.
+    """
     calls = {s: registry[s].call_atoms() for s in walked}
     called = {call.target for atoms in calls.values() for call in atoms}
-    root_counts = [call.count for call in calls[name]]
+    root_counts = [call.count for call in calls[walked[0]]]
     last = max(root_counts, default=0) if budget is None else budget - 1
     callees = [registry[s] for s in walked if s in called]
     calling = [s for s in callees if calls[s.name]]
-    call_free = {s.name: _grade(s, 0, valuation, []) for s in callees if not calls[s.name]}
-    layers: list[dict[str, float]] = []
+    call_free = {s.name: grade(s, 0, []) for s in callees if not calls[s.name]}
+    layers: list[dict[str, T]] = []
     while len(layers) <= last:
         b = len(layers)
-        layer = call_free | {s.name: _grade(s, b, valuation, layers) for s in calling}
+        layer = call_free | {s.name: grade(s, b, layers) for s in calling}
         if b >= 2 and layer == layers[-1]:
             break
         layers.append(layer)
@@ -199,6 +215,41 @@ def _grade(
                 got = tnorm_min(got, layers[min(_effective(atom.count, budget), top)][atom.target])
         best = snorm_max(best, got)
     return best
+
+
+def _size(system: FuzzySystem, budget: Budget, layers: list[dict[str, Size]]) -> Size:
+    """What ``system`` unrolls to at ``budget``: (flat terms, nested node
+    occurrences, trace events, live chains), each saturating past the cap.
+
+    A live chain has the product of its callees' terms.  It adds their
+    occurrences and events, a PUSH and a POP per call, a summary event
+    and, with exactly one call, one ``sub=`` event per callee chain.  The
+    system adds one occurrence, ENTER and EXIT.
+    """
+    over = MAX_EXPANSION + 1
+    top = len(layers) - 1
+    terms, nodes, events, chains = 0, 1, 2, 0
+    for _chain, atoms in _live_chains(system, budget):
+        product, calls, subs = 1, 0, 0
+        for atom in atoms:
+            if isinstance(atom, Call):
+                child = layers[min(_effective(atom.count, budget), top)][atom.target]
+                product = min(product * child[0], over)
+                nodes += child[1]
+                events += 2 + child[2]
+                calls, subs = calls + 1, child[3]
+        terms += product
+        events += 1 + (subs if calls == 1 else 0)
+        chains += 1
+    return min(terms, over), min(nodes, over), min(events, over), min(chains, over)
+
+
+def _output_size(registry: SystemRegistry, name: str, budget: Budget) -> Size:
+    """The :func:`_size` of ``name`` at ``budget``, for the routes that bind nothing."""
+    if budget is not None:
+        _check_budget(budget)
+    layers = _layers(registry, require_bindings(registry, name, None), budget, _size)
+    return _size(registry[name], budget, layers)
 
 
 # --------------------------------------------------------------------------
@@ -281,10 +332,10 @@ def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -
 
     Each live chain (see :func:`_live_chains`) becomes a branch, and each
     of its calls becomes the node of its target at the effective budget.
-    Nodes are built once per (system, budget).
+    Nodes are built once per (system, budget), and not at all when the
+    nested rendering would pass the cap.
     """
-    if budget is not None:
-        _check_budget(budget)
+    _check_size(_output_size(registry, name, budget)[1], "nested nodes")
     return _expansion_node(registry, {}, name, budget)
 
 
@@ -316,61 +367,8 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
     Raw form: term order follows the expansion tree and duplicates are
     kept, so evaluating it reproduces :func:`eval_system` exactly.
     """
-    root = expansion_tree(registry, name, budget)
-    _check_size(_sizes(root)[id(root)].terms, "flat terms")
-    return FtfExpr(root.flat_terms)
-
-
-class _Size(NamedTuple):
-    """Output sizes of one expansion node, each saturating at MAX_EXPANSION + 1."""
-
-    terms: int  # flat terms, as symbolic_expand lists them
-    nodes: int  # node occurrences in the nested rendering
-    events: int  # trace events, as trace_eval narrates the node
-
-
-def _sizes(root: ExpansionNode) -> dict[int, _Size]:
-    """The :class:`_Size` of every node reachable from ``root``, by ``id``.
-
-    A post-order walk with an explicit stack, so the DAG's depth costs no
-    Python recursion and a shared node is sized once.  A node's flat
-    terms are the sum over its branches of the product of the children's
-    terms; its nested occurrences are itself plus its children's; its
-    events are ENTER and EXIT plus, per branch, a PUSH, POP and the
-    child's events for each call, one ``sub=`` line per child branch when
-    the branch has exactly one call, and the branch summary.  Counts stop
-    growing just past the cap, so a DAG that doubles its output per level
-    costs no more to size than one that does not.
-    """
-    over = MAX_EXPANSION + 1
-    sizes: dict[int, _Size] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in sizes:
-            stack.pop()
-            continue
-        calls_by_branch = [
-            [seg for seg in branch.segments if isinstance(seg, ExpansionNode)]
-            for branch in node.branches
-        ]
-        pending = [c for calls in calls_by_branch for c in calls if id(c) not in sizes]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        terms, nodes, events = 0, 1, 2
-        for calls in calls_by_branch:
-            product = 1
-            for child in calls:
-                size = sizes[id(child)]
-                product = min(product * size.terms, over)
-                nodes += size.nodes
-                events += 2 + size.events
-            terms += product
-            events += 1 + (len(calls[0].branches) if len(calls) == 1 else 0)
-        sizes[id(node)] = _Size(min(terms, over), min(nodes, over), min(events, over))
-    return sizes
+    _check_size(_output_size(registry, name, budget)[0], "flat terms")
+    return FtfExpr(_expansion_node(registry, {}, name, budget).flat_terms)
 
 
 def _check_size(count: int, what: str) -> None:
@@ -405,15 +403,10 @@ def _branch_pieces(
 
 def render_expansion(node: ExpansionNode) -> str:
     """Nested rendering: one alternative per branch, children in parens."""
-    _check_size(_sizes(node)[id(node)].nodes, "nested nodes")
-    return _render_nested(node)
-
-
-def _render_nested(node: ExpansionNode) -> str:
     if not node.branches:
         return "0"
     rendered = [
-        _compose(_branch_pieces(branch, _render_nested))
+        _compose(_branch_pieces(branch, render_expansion))
         for branch in node.presentation_order()
     ]
     return " + ".join(rendered)
@@ -515,26 +508,28 @@ def trace_eval(
     reports each callee alternative on its own ``sub=`` line before the
     chain's summary; chains with several calls get the summary only.
     """
-    require_bindings(registry, name, assignment)
-    root = expansion_tree(registry, name)
-    sizes = _sizes(root)
-    _check_size(sizes.pop(id(root)).events, "trace events")
+    layers = _layers(registry, require_bindings(registry, name, assignment), None, _size)
+    _check_size(_size(registry[name], None, layers)[2], "trace events")
+    nodes: dict[tuple[str, Budget], ExpansionNode] = {}
+    root = _expansion_node(registry, nodes, name, None)
     # every other node is flattened into the trace's expr= text
-    _check_size(max((size.terms for size in sizes.values()), default=0), "flat terms in one call")
+    top = len(layers) - 1
+    widest = max((layers[min(b, top)][s][0] for s, b in nodes if b is not None), default=0)
+    _check_size(widest, "flat terms in one call")
     narration = _Narration(assignment_valuation(assignment))
     value = narration.node(root)
     return TraceResult(value, tuple(narration.events))
 
 
 class _Narration:
-    """One trace: its events so far, and what each node and callee
-    alternative came to the first time it was reached."""
+    """One trace: its events so far, and what each node and branch came
+    to the first time it was narrated."""
 
     def __init__(self, valuation: Valuation):
         self.valuation = valuation
         self.events: list[TraceEvent] = []
         self._told: dict[int, tuple[int, int, float]] = {}  # id(node) -> span, value
-        self._alternatives: dict[int, float] = {}  # id(branch) -> value of its flat terms
+        self._values: dict[int, float] = {}  # id(branch) -> value
 
     def node(self, node: ExpansionNode) -> float:
         events = self.events
@@ -566,7 +561,7 @@ class _Narration:
         for atom in atoms:
             if isinstance(atom, Var):
                 around = tnorm_min(around, self.valuation(atom))
-        value = tnorm_min(value, around)
+        value = self._values[id(branch)] = tnorm_min(value, around)
         cid = _chain_id(branch.chain)
         pieces = _branch_pieces(branch, lambda node: node.paper_text)
         summary = _compose(pieces)
@@ -574,15 +569,9 @@ class _Narration:
             ((slot, child),) = calls
             for sub in child.presentation_order():
                 pieces[slot] = (False, "(" + sub.paper_text + ")")
-                sub_value = tnorm_min(around, self._alternative(sub))
+                # snorm_max keeps a zero unsigned, as evaluating the flat terms does
+                sub_value = tnorm_min(around, snorm_max(0.0, self._values[id(sub)]))
                 sub_id = _chain_id(sub.chain)
                 events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
         events.append(BranchResult(cid, summary, value))
-        return value
-
-    def _alternative(self, sub: ExpansionBranch) -> float:
-        value = self._alternatives.get(id(sub))
-        if value is None:
-            value = eval_expr(FtfExpr(sub.flat_terms), self.valuation)
-            self._alternatives[id(sub)] = value
         return value

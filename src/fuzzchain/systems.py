@@ -210,7 +210,7 @@ def validate_registry(registry: SystemRegistry) -> list[Diagnostic]:
 
 
 def require_bindings(
-    registry: SystemRegistry, name: str, assignment: Mapping[str, float]
+    registry: SystemRegistry, name: str, assignment: Mapping[str, float] | None
 ) -> list[str]:
     """The binding contract every evaluation route checks on entry.
 
@@ -220,7 +220,8 @@ def require_bindings(
     an unknown system :class:`UnknownSystemError`.  Systems are visited
     breadth-first from ``name`` and edges in declaration order, so every
     route reports the same first problem.  Returns the names visited,
-    ``name`` first, in that order.
+    ``name`` first, in that order.  With ``assignment=None``, for the
+    symbolic routes that bind nothing, only the systems are checked.
     """
     order = [name]
     for system_name in order:
@@ -229,6 +230,8 @@ def require_bindings(
             if isinstance(atom, Call):
                 if atom.target not in order:
                     order.append(atom.target)
+            elif assignment is None:
+                continue
             elif atom.name not in assignment:
                 raise BindingError(f"missing binding for variable {atom.name!r}")
             else:

@@ -2,10 +2,20 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzchain.checks import run_all
+from fuzzchain import recursion
+from fuzzchain.checks import check_budget_laws, run_all
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_run_all_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
         run_all(42, trials)
+
+
+def test_budget_laws_catch_a_table_that_stops_at_layer_one(monkeypatch):
+    # a layer table cut after layer 1 leaves every callee's own calls dead;
+    # seed 45 is the budget-laws seed of `check --seed 42`
+    assert check_budget_laws(45, 100).passed
+    real = recursion.call_layers
+    monkeypatch.setattr(recursion, "call_layers", lambda *args: real(*args)[:2])
+    assert check_budget_laws(45, 100).failures > 0

@@ -68,15 +68,36 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
         )
         assert (code, out, err) == (3, "", "error: missing binding for variable 'q'\n")
 
-    # too deep for the recursion limit: one error line, no traceback
-    for argv in (
-        ("trace", "--rec-count", "3000"),
-        ("expand", "--rec-count", "3000"),
+    # an unknown call target fails every route, even behind a dead call
+    ghost = tmp_path / "ghost.fz"
+    ghost.write_text(
+        "system s {\n  terminals A -> B\n  edge A B x\n  edge A C call ghost 0\n}\n",
+        encoding="utf-8",
+    )
+    for argv in (("expand",), ("expand", "--mode", "paper"), ("eval", "--set", "x=0.5")):
+        assert run_cli(*argv, "--fixtures", str(ghost), "--system", "s") == (
+            3, "", "error: unknown system: 'ghost'\n"
+        ), argv
+
+    # a deep self-call is sized on the layer table and refused
+    for argv, what in (
+        (("trace", "--rec-count", "3000"), "trace events"),
+        (("expand", "--rec-count", "3000"), "nested nodes"),
     ):
-        code, out, err = run_cli(*argv)
-        assert (code, out) == (3, ""), argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert "Traceback" not in err
+        refusal = f"error: expansion too large: over the cap of 1048576 {what}\n"
+        assert run_cli(*argv) == (3, "", refusal), argv
+
+    # a narrow self-call 3000 deep passes the size check, but is too deep
+    # for the recursion limit: one error line, no traceback
+    narrow = tmp_path / "narrow.fz"
+    narrow.write_text(
+        "system s {\n  terminals A -> B\n  edge A C x\n  edge C B call s 3000\n}\n",
+        encoding="utf-8",
+    )
+    for argv in (("expand",), ("trace", "--set", "x=0.5")):
+        assert run_cli(*argv, "--fixtures", str(narrow), "--system", "s") == (
+            3, "", "error: input too deep or too large to evaluate (RecursionError)\n"
+        ), argv
 
 
 def test_bad_count_and_grade_fail_cleanly(run_cli, tmp_path):
@@ -204,10 +225,15 @@ def test_cli_import_leaves_the_check_suites_unloaded():
     [
         (("expand", "--rec-count", "250"), "nested nodes"),
         (("trace", "--rec-count", "340"), "trace events"),
+        (("expand", "--rec-count", "1000000"), "nested nodes"),
+        (("expand", "--rec-count", "1000000", "--mode", "paper"), "flat terms"),
+        (("expand", "--rec-count", "1000000", "--simplify"), "flat terms"),
+        (("trace", "--rec-count", "1000000"), "trace events"),
     ],
 )
 def test_oversized_expansion_is_refused_before_any_output(tmp_path, argv, what):
-    # about 2^250 nested nodes and 2^342 events: sized on the DAG, never built
+    # about 2^250 nested nodes and 2^342 events: sized on the layer table,
+    # never built, whatever the depth
     env = {**os.environ, "PYTHONPATH": _child_pythonpath()}
     proc = subprocess.run(
         [sys.executable, "-m", "fuzzchain.cli", *argv],

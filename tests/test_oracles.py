@@ -5,7 +5,8 @@ import pytest
 from fuzzchain.algebra import Var, assignment_valuation, eval_expr, parse_expr
 from fuzzchain.errors import BindingError
 from fuzzchain.oracles import (
-    LIMITS,
+    MAX_POWER_K,
+    MAX_VERTICES,
     oracle_path_enum,
     oracle_power_eval,
     oracle_unroll_eval,
@@ -31,7 +32,7 @@ def test_path_enum_respects_allowed_intermediates():
 
 
 def test_path_enum_vertex_cap():
-    vertices = tuple(f"v{i}" for i in range(LIMITS.max_vertices + 1))
+    vertices = tuple(f"v{i}" for i in range(MAX_VERTICES + 1))
     with pytest.raises(ValueError, match="capped"):
         oracle_path_enum(vertices, {}, "v0", "v1")
 
@@ -68,7 +69,7 @@ def test_unroll_eval_missing_binding(registry):
 
 
 def test_unroll_eval_vertex_cap():
-    n = LIMITS.max_vertices + 1
+    n = MAX_VERTICES + 1
     vertices = [f"v{i}" for i in range(n)]
     edges = [(vertices[i], vertices[i + 1], Var("x")) for i in range(n - 1)]
     registry = SystemRegistry()
@@ -89,7 +90,7 @@ def test_power_eval_equals_plain_evaluation():
 def test_power_eval_caps_and_requirements():
     expr = parse_expr("a + b")
     with pytest.raises(ValueError, match="capped at k"):
-        oracle_power_eval(expr, LIMITS.max_power_k + 1, {"a": 0.1, "b": 0.2})
+        oracle_power_eval(expr, MAX_POWER_K + 1, {"a": 0.1, "b": 0.2})
     wide = parse_expr("a + b + c + d + e")
     with pytest.raises(ValueError, match="terms"):
         oracle_power_eval(wide, 2, {})

@@ -6,13 +6,22 @@ import re
 import pytest
 
 from fuzzchain import recursion
-from fuzzchain.algebra import Call, Var, assignment_valuation, eval_expr, format_expr
+from fuzzchain.algebra import (
+    Call,
+    FtfExpr,
+    Var,
+    assignment_valuation,
+    eval_expr,
+    format_expr,
+    tnorm_min,
+)
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.closure import resolve_matrix, transmission
 from fuzzchain.errors import BindingError, UnknownSystemError
 from fuzzchain.oracles import oracle_unroll_eval
 from fuzzchain.recursion import (
+    BranchResult,
     Enter,
     ExpansionNode,
     Exit,
@@ -112,13 +121,26 @@ def test_every_route_requires_every_reachable_binding(route, case):
         assert getattr(got, "value", got) == 0.4
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
+# ROUTES, and the symbolic routes, which take no assignment.
+TARGET_ROUTES = {
+    **ROUTES,
+    "symbolic_expand": lambda registry, name, assignment: symbolic_expand(registry, name),
+    "expansion_tree": lambda registry, name, assignment: expansion_tree(registry, name),
+}
+
+
+@pytest.mark.parametrize("route", sorted(TARGET_ROUTES))
 def test_every_route_rejects_an_unknown_call_target(route):
+    # the unknown target sits only behind a dead call
     registry = parse_registry(
         "system s {\n terminals A -> B\n edge A B x\n edge A C call ghost 0\n}\n"
     )
     with pytest.raises(UnknownSystemError, match="'ghost'"):
-        ROUTES[route](registry, "s", {"x": 0.4})
+        TARGET_ROUTES[route](registry, "s", {"x": 0.4})
+    # an unbound variable of the root is still reported first
+    if route in ROUTES:
+        with pytest.raises(BindingError, match=r"^missing binding for variable 'x'$"):
+            ROUTES[route](registry, "s", {})
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -231,19 +253,61 @@ def test_expansion_dag_has_one_node_per_budget():
     assert len(symbolic_expand(registry, "psi1_rec").terms) == 2 ** (8 + 2) - 2
 
 
+def _outputs(registry, name, budget, assignment):
+    """What the layered size predicts, counted on the outputs themselves."""
+    terms = len(symbolic_expand(registry, name, budget).terms)
+    # each child occurrence is one parenthesized group
+    nested = 1 + render_expansion(expansion_tree(registry, name, budget)).count("(")
+    if budget is not None:
+        return terms, nested
+    return terms, nested, len(trace_eval(registry, name, assignment).events)
+
+
 def test_sizes_predict_every_output_of_the_expansion(fixture_assignment):
     seen = {}
     for count in range(9):
         registry = builtin_fixtures(rec_count=count)
-        root = expansion_tree(registry, "psi1_rec")
-        size = recursion._sizes(root)[id(root)]
-        terms = len(symbolic_expand(registry, "psi1_rec").terms)
-        events = len(trace_eval(registry, "psi1_rec", fixture_assignment).events)
-        nested = render_expansion(root)
-        assert (size.terms, size.events) == (terms, events)
-        assert size.nodes == 1 + nested.count("(")  # each child occurrence is one group
-        seen[count] = (terms, events)
+        size = recursion._output_size(registry, "psi1_rec", None)
+        assert size[:3] == _outputs(registry, "psi1_rec", None, fixture_assignment)
+        seen[count] = (size[0], size[2])
     assert (seen[3], seen[5], seen[8]) == ((30, 142), (126, 622), (1022, 5102))
+
+
+def test_layered_size_matches_the_outputs_of_random_registries():
+    rng = SplitMix64(5772)
+    cases = nested = 0
+    while cases < 1000:
+        registry = random_registry(rng, n_systems=rng.randint(1, 3), max_vertices=5, max_count=4)
+        assignment = random_assignment(rng)
+        for name in registry.names():
+            budget = rng.choice([None, None, 0, 1, 2, 3, 4])
+            size = recursion._output_size(registry, name, budget)
+            if size[0] > 5000:
+                continue  # keep the flattening cheap
+            assert size[: 3 if budget is None else 2] == _outputs(
+                registry, name, budget, assignment
+            ), (name, budget)
+            cases += 1
+            nested += size[0] > 0 and size[1] > 1
+    assert nested >= 100  # many cases expand a live call
+
+
+def test_deep_self_call_is_refused_before_any_node_is_built(monkeypatch, fixture_assignment):
+    registry = builtin_fixtures(rec_count=10**6)
+
+    def no_nodes(*args):
+        raise AssertionError("an expansion node was built")
+
+    monkeypatch.setattr(recursion, "_expansion_node", no_nodes)
+    cap = "expansion too large: over the cap of 1048576"
+    routes = [
+        ("flat terms", lambda: symbolic_expand(registry, "psi1_rec")),
+        ("nested nodes", lambda: expansion_tree(registry, "psi1_rec")),
+        ("trace events", lambda: trace_eval(registry, "psi1_rec", fixture_assignment)),
+    ]
+    for what, route in routes:
+        with pytest.raises(ValueError, match=f"^{cap} {what}$"):
+            route()
 
 
 def test_expansion_past_the_cap_is_refused(monkeypatch, fixture_assignment):
@@ -276,13 +340,11 @@ def test_doubly_exponential_expansion_is_sized_without_blowing_up(fixture_assign
             """
         )
 
-    deep = expansion_tree(squaring(60), "s")
-    assert recursion._sizes(deep)[id(deep)].terms == recursion.MAX_EXPANSION + 1
+    assert recursion._output_size(squaring(60), "s", None)[0] == recursion.MAX_EXPANSION + 1
     # at count 7 the trace tells a short story, but each call's expr= text
     # would list the callee's 2 * 10^11 flat terms
     registry = squaring(7)
-    root = expansion_tree(registry, "s")
-    assert recursion._sizes(root)[id(root)].events == 1400
+    assert recursion._output_size(registry, "s", None)[2] == 1400
     with pytest.raises(ValueError, match="over the cap of 1048576 flat terms in one call"):
         trace_eval(registry, "s", fixture_assignment)
     with pytest.raises(ValueError, match="over the cap of 1048576 flat terms$"):
@@ -403,15 +465,56 @@ def test_trace_narrates_each_branch_once(monkeypatch, fixture_assignment):
     assert len(result.events) == 5102  # every call is still told in full
 
 
+def test_trace_sub_values_follow_the_flat_terms_under_signed_zeros():
+    # a sub= line's value is min(around, value of the callee alternative's
+    # flat terms); evaluating flat terms never gives -0.0
+    rng = SplitMix64(2029)
+    checked = signed = 0
+    while checked < 300:
+        registry = random_registry(rng, n_systems=2, max_vertices=5, max_count=3, call_chance=(1, 2))
+        name = registry.names()[-1]
+        assignment = random_assignment(rng)
+        for var in assignment:
+            if rng.chance(1, 3):
+                assignment[var] = rng.choice([0.0, -0.0])
+        valuation = assignment_valuation(assignment)
+        want = {}
+        for node in _dag_nodes(expansion_tree(registry, name)).values():
+            for branch in node.branches:
+                if _calls(branch) != 1:
+                    continue
+                around = 1.0
+                for atom in branch.atoms:
+                    if isinstance(atom, Var):
+                        around = tnorm_min(around, valuation(atom))
+                (child,) = [seg for seg in branch.segments if isinstance(seg, ExpansionNode)]
+                for sub in child.presentation_order():
+                    value = tnorm_min(around, eval_expr(FtfExpr(sub.flat_terms), valuation))
+                    want[node.system, node.budget, branch.chain, sub.chain] = value
+        stack, told = [], set()
+        for event in trace_eval(registry, name, assignment).events:
+            if isinstance(event, Enter):
+                stack.append((event.system, event.budget))
+            elif isinstance(event, Exit):
+                stack.pop()
+            elif isinstance(event, BranchResult) and event.sub is not None:
+                key = (*stack[-1], tuple(event.chain.split("-")), tuple(event.sub.split("-")))
+                assert repr(event.value) == repr(want[key]), key
+                told.add(key)
+                signed += event.value == 0.0
+        assert told == set(want)  # every sub= line was told
+        checked += 1
+    assert signed >= 50
+
+
 def _calls(branch) -> int:
     return sum(isinstance(seg, ExpansionNode) for seg in branch.segments)
 
 
 def test_replayed_trace_matches_its_size_and_the_evaluator(fixture_assignment):
     def agrees(registry, name, assignment):
-        root = expansion_tree(registry, name)
         result = trace_eval(registry, name, assignment)
-        assert len(result.events) == recursion._sizes(root)[id(root)].events
+        assert len(result.events) == recursion._output_size(registry, name, None)[2]
         assert result.value == eval_system(registry, name, assignment)
 
     for count in range(9):
