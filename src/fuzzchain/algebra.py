@@ -261,16 +261,32 @@ def multinomial_coefficient(k: int, parts: Iterable[int]) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every way to split ``total >= 0`` into ``parts`` parts >= 0, in
+    descending lexicographic order: ``(total, 0, ..)`` first, ``(.., 0, total)`` last.
+
+    The step from one composition to the next moves one unit out of the
+    rightmost non-zero part before the last, onto the part after it,
+    together with everything the last part held.  So a composition of
+    any number of parts is one loop, whatever the recursion limit.
+    """
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
+    if total < 0:
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    current = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(current)
+        i = parts - 2
+        while i >= 0 and current[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        tail = current[-1]
+        current[-1] = 0
+        current[i] -= 1
+        current[i + 1] = tail + 1
 
 
 @dataclass(frozen=True)

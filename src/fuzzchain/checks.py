@@ -212,10 +212,11 @@ def _outcome(route: Callable[..., float], *args) -> float | tuple[str, str]:
 
 
 def check_eval_closure(seed: int, trials: int) -> CheckResult:
-    """Chain DFS, matrix closure, and brute-force path search must agree,
-    with and without call edges in the graph.  A third of the trials
-    leave one variable unbound: then chains and closure must either both
-    raise the same error or both give the value."""
+    """Chain DFS, the connection-matrix route (:func:`transmission`, one
+    matrix row relaxed to a fixpoint) and brute-force path search must
+    agree, with and without call edges in the graph.  A third of the
+    trials leave one variable unbound: then chains and matrix must either
+    both raise the same error or both give the value."""
 
     def one(rng: SplitMix64, _: int) -> str | None:
         registry = random_registry(

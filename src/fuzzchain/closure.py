@@ -1,4 +1,4 @@
-"""Max-min matrix algebra: products, powers, and transitive closure.
+"""Max-min matrix algebra: products, powers, transitive closure and transmission.
 
 Matrices here are plain ``list[list[float]]`` of membership grades.
 The product substitutes max for addition and min for multiplication;
@@ -17,6 +17,11 @@ vertices is the path joining them in that forest (Pollack 1960, Hu 1961,
 "The maximum capacity route problem"), so the certificate needs no
 relaxation and shares no code with the sweep.  Any other input is
 checked by a second sweep.
+
+:func:`transmission` reads one cell, so it does not close the matrix.
+It runs the same row kernel on the input terminal's row alone, as
+max-min row-by-matrix products taken to a fixpoint, and it ends only on
+a pass that changes nothing.
 """
 
 from __future__ import annotations
@@ -253,9 +258,30 @@ def terminal_cell(system: FuzzySystem, vertices: tuple[str, ...], grid: Matrix) 
 
 
 def transmission(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
-    """Input-to-output grade: closure of the resolved connection matrix."""
+    """Input-to-output grade: the input terminal's row of the resolved
+    connection matrix, relaxed to a fixpoint.
+
+    A pass relaxes the row in place through every vertex k in turn, as
+    :func:`_relax_pivot` relaxes one row, reading row k of the resolved
+    grid.  Every cell stays the grade of some walk from the input, and a
+    pass that changes nothing leaves no edge that could improve a cell,
+    so the row is then the input terminal's row of the closure, and its
+    output cell equals the one :func:`warshall_closure` gives.  A path
+    that runs against the vertex order gains one vertex per pass, so the
+    worst case is n passes, O(n³) like the sweep; sparse systems settle
+    in a few.
+    """
+    system = registry[name]
     vertices, grid = resolve_matrix(registry, name, assignment)
-    return terminal_cell(registry[name], vertices, warshall_closure(grid))
+    row = grid[vertices.index(system.input_terminal)][:]
+    while True:
+        before = row[:]
+        for k, other in enumerate(grid):
+            through = row[k]
+            if through != 0.0:
+                _relax_row(row, through, other)
+        if row == before:
+            return row[vertices.index(system.output_terminal)]
 
 
 # --- rendering --------------------------------------------------------------

@@ -16,7 +16,9 @@ the chains of a system, each with its edge atoms, that survive a budget.
 One walker, :func:`_layers`, fills a table of budget layers bottom-up,
 without Python recursion, from a per-system grade: :func:`_grade`
 values a system for :func:`eval_system`, :func:`resolve_call` and the
-closure routes, and :func:`_size` counts what it unrolls to.
+closure routes, and :func:`_size` counts what it unrolls to.  Each call
+enumerates a system's chains once (:class:`_Chains`), and every layer,
+and the expansion DAG, reads them from there.
 
 The symbolic outputs unroll the call structure into one expansion DAG
 with a node per (system, budget) (:func:`expansion_tree`): ``expand``
@@ -55,7 +57,7 @@ from .algebra import (
     tnorm_min,
 )
 from .chains import Chain, enumerate_chains
-from .systems import FuzzySystem, SystemRegistry, require_bindings
+from .systems import SystemRegistry, require_bindings
 
 __all__ = [
     "MAX_EXPANSION",
@@ -80,6 +82,7 @@ __all__ = [
 ]
 
 Budget = Union[int, None]  # None marks the top level
+ChainList = list[tuple[Chain, tuple[Atom, ...]]]
 Size = tuple[int, int, int, int]  # flat terms, nested node occurrences, trace events, live chains
 T = TypeVar("T")
 
@@ -108,15 +111,26 @@ def stabilization_budget(registry: SystemRegistry) -> int:
     return 1 + registry.max_declared_count()
 
 
-def _live_chains(
-    system: FuzzySystem, budget: Budget
-) -> Iterator[tuple[Chain, tuple[Atom, ...]]]:
-    """The (chain, atoms) pairs of ``system`` that survive ``budget``.
+class _Chains(dict[str, ChainList]):
+    """Each system's chains, as :func:`enumerate_chains` gives them,
+    enumerated the first time one call reads them."""
+
+    def __init__(self, registry: SystemRegistry):
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, name: str) -> ChainList:
+        chains = self[name] = enumerate_chains(self.registry[name])
+        return chains
+
+
+def _live_chains(chains: ChainList, budget: Budget) -> Iterator[tuple[Chain, tuple[Atom, ...]]]:
+    """The (chain, atoms) pairs among a system's ``chains`` that survive ``budget``.
 
     This is the one place that applies the dead-call rule: a chain with
     a call whose effective budget is below 1 is dropped.
     """
-    for chain, atoms in enumerate_chains(system):
+    for chain, atoms in chains:
         for atom in atoms:
             if isinstance(atom, Call) and _effective(atom.count, budget) < 1:
                 break  # a dead call drops the chain
@@ -137,8 +151,9 @@ def resolve_call(
     the value stops changing.
     """
     _check_budget(budget)
-    layers = call_layers(registry, name, assignment, budget)
-    return _grade(registry[name], budget, assignment_valuation(assignment), layers)
+    chains = _Chains(registry)
+    layers = call_layers(registry, name, assignment, budget, chains)
+    return _grade(chains[name], budget, assignment_valuation(assignment), layers)
 
 
 def eval_system(
@@ -147,29 +162,39 @@ def eval_system(
     assignment: Mapping[str, float],
 ) -> float:
     """Top-level transmission grade: every call runs at its declared count."""
-    layers = call_layers(registry, name, assignment)
-    return _grade(registry[name], None, assignment_valuation(assignment), layers)
+    chains = _Chains(registry)
+    layers = call_layers(registry, name, assignment, None, chains)
+    return _grade(chains[name], None, assignment_valuation(assignment), layers)
 
 
 def call_layers(
-    registry: SystemRegistry, name: str, assignment: Mapping[str, float], budget: Budget = None
+    registry: SystemRegistry,
+    name: str,
+    assignment: Mapping[str, float],
+    budget: Budget = None,
+    chains: Mapping[str, ChainList] | None = None,
 ) -> list[dict[str, float]]:
     """The value of every system ``name`` calls, at each budget it can read.
 
     ``layers[b][s]`` is ``resolve_call(registry, s, b, assignment)`` for
     each system ``s`` reached through a call edge (see :func:`_layers`);
     a call granted budget b reads ``layers[min(b, len(layers) - 1)]``.
+    A caller that grades more systems itself passes the ``chains`` the
+    table was graded from, so no system's chains are enumerated twice.
     """
     walked = require_bindings(registry, name, assignment)
     valuation = assignment_valuation(assignment)
-    return _layers(registry, walked, budget, lambda s, b, layers: _grade(s, b, valuation, layers))
+    chains = _Chains(registry) if chains is None else chains
+    return _layers(
+        registry, walked, budget, lambda s, b, layers: _grade(chains[s], b, valuation, layers)
+    )
 
 
 def _layers(
     registry: SystemRegistry,
     walked: list[str],
     budget: Budget,
-    grade: Callable[[FuzzySystem, int, list[dict[str, T]]], T],
+    grade: Callable[[str, int, list[dict[str, T]]], T],
 ) -> list[dict[str, T]]:
     """``grade`` of every system that the root ``walked[0]`` reaches
     through a call edge, at each budget the root can grant.
@@ -185,13 +210,13 @@ def _layers(
     called = {call.target for atoms in calls.values() for call in atoms}
     root_counts = [call.count for call in calls[walked[0]]]
     last = max(root_counts, default=0) if budget is None else budget - 1
-    callees = [registry[s] for s in walked if s in called]
-    calling = [s for s in callees if calls[s.name]]
-    call_free = {s.name: grade(s, 0, []) for s in callees if not calls[s.name]}
+    callees = [s for s in walked if s in called]
+    calling = [s for s in callees if calls[s]]
+    call_free = {s: grade(s, 0, []) for s in callees if not calls[s]}
     layers: list[dict[str, T]] = []
     while len(layers) <= last:
         b = len(layers)
-        layer = call_free | {s.name: grade(s, b, layers) for s in calling}
+        layer = call_free | {s: grade(s, b, layers) for s in calling}
         if b >= 2 and layer == layers[-1]:
             break
         layers.append(layer)
@@ -201,12 +226,12 @@ def _layers(
 
 
 def _grade(
-    system: FuzzySystem, budget: Budget, valuation: Valuation, layers: list[dict[str, float]]
+    chains: ChainList, budget: Budget, valuation: Valuation, layers: list[dict[str, float]]
 ) -> float:
-    """Max over the live chains of ``system`` of the min over each chain's atoms."""
+    """Max over the live ``chains`` of a system of the min over each chain's atoms."""
     top = len(layers) - 1
     best = 0.0
-    for _chain, atoms in _live_chains(system, budget):
+    for _chain, atoms in _live_chains(chains, budget):
         got = 1.0
         for atom in atoms:
             if isinstance(atom, Var):
@@ -217,9 +242,10 @@ def _grade(
     return best
 
 
-def _size(system: FuzzySystem, budget: Budget, layers: list[dict[str, Size]]) -> Size:
-    """What ``system`` unrolls to at ``budget``: (flat terms, nested node
-    occurrences, trace events, live chains), each saturating past the cap.
+def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> Size:
+    """What the system with these ``chains`` unrolls to at ``budget``: (flat
+    terms, nested node occurrences, trace events, live chains), each
+    saturating past the cap.
 
     A live chain has the product of its callees' terms.  It adds their
     occurrences and events, a PUSH and a POP per call, a summary event
@@ -228,8 +254,8 @@ def _size(system: FuzzySystem, budget: Budget, layers: list[dict[str, Size]]) ->
     """
     over = MAX_EXPANSION + 1
     top = len(layers) - 1
-    terms, nodes, events, chains = 0, 1, 2, 0
-    for _chain, atoms in _live_chains(system, budget):
+    terms, nodes, events, live = 0, 1, 2, 0
+    for _chain, atoms in _live_chains(chains, budget):
         product, calls, subs = 1, 0, 0
         for atom in atoms:
             if isinstance(atom, Call):
@@ -240,16 +266,23 @@ def _size(system: FuzzySystem, budget: Budget, layers: list[dict[str, Size]]) ->
                 calls, subs = calls + 1, child[3]
         terms += product
         events += 1 + (subs if calls == 1 else 0)
-        chains += 1
-    return min(terms, over), min(nodes, over), min(events, over), min(chains, over)
+        live += 1
+    return min(terms, over), min(nodes, over), min(events, over), min(live, over)
 
 
-def _output_size(registry: SystemRegistry, name: str, budget: Budget) -> Size:
+def _output_size(
+    registry: SystemRegistry, name: str, budget: Budget, chains: _Chains | None = None
+) -> Size:
     """The :func:`_size` of ``name`` at ``budget``, for the routes that bind nothing."""
     if budget is not None:
         _check_budget(budget)
-    layers = _layers(registry, require_bindings(registry, name, None), budget, _size)
-    return _size(registry[name], budget, layers)
+    chains = _Chains(registry) if chains is None else chains
+    layers = _size_layers(chains, require_bindings(registry, name, None), budget)
+    return _size(chains[name], budget, layers)
+
+
+def _size_layers(chains: _Chains, walked: list[str], budget: Budget) -> list[dict[str, Size]]:
+    return _layers(chains.registry, walked, budget, lambda s, b, layers: _size(chains[s], b, layers))
 
 
 # --------------------------------------------------------------------------
@@ -335,12 +368,13 @@ def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -
     Nodes are built once per (system, budget), and not at all when the
     nested rendering would pass the cap.
     """
-    _check_size(_output_size(registry, name, budget)[1], "nested nodes")
-    return _expansion_node(registry, {}, name, budget)
+    chains = _Chains(registry)
+    _check_size(_output_size(registry, name, budget, chains)[1], "nested nodes")
+    return _expansion_node(chains, {}, name, budget)
 
 
 def _expansion_node(
-    registry: SystemRegistry,
+    chains: _Chains,
     nodes: dict[tuple[str, Budget], ExpansionNode],
     name: str,
     budget: Budget,
@@ -349,9 +383,9 @@ def _expansion_node(
     node = nodes.get(key)
     if node is None:
         branches = []
-        for chain, atoms in _live_chains(registry[name], budget):
+        for chain, atoms in _live_chains(chains[name], budget):
             segments = tuple(
-                _expansion_node(registry, nodes, a.target, _effective(a.count, budget))
+                _expansion_node(chains, nodes, a.target, _effective(a.count, budget))
                 if isinstance(a, Call)
                 else a
                 for a in atoms
@@ -367,8 +401,9 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
     Raw form: term order follows the expansion tree and duplicates are
     kept, so evaluating it reproduces :func:`eval_system` exactly.
     """
-    _check_size(_output_size(registry, name, budget)[0], "flat terms")
-    return FtfExpr(_expansion_node(registry, {}, name, budget).flat_terms)
+    chains = _Chains(registry)
+    _check_size(_output_size(registry, name, budget, chains)[0], "flat terms")
+    return FtfExpr(_expansion_node(chains, {}, name, budget).flat_terms)
 
 
 def _check_size(count: int, what: str) -> None:
@@ -508,10 +543,11 @@ def trace_eval(
     reports each callee alternative on its own ``sub=`` line before the
     chain's summary; chains with several calls get the summary only.
     """
-    layers = _layers(registry, require_bindings(registry, name, assignment), None, _size)
-    _check_size(_size(registry[name], None, layers)[2], "trace events")
+    chains = _Chains(registry)
+    layers = _size_layers(chains, require_bindings(registry, name, assignment), None)
+    _check_size(_size(chains[name], None, layers)[2], "trace events")
     nodes: dict[tuple[str, Budget], ExpansionNode] = {}
-    root = _expansion_node(registry, nodes, name, None)
+    root = _expansion_node(chains, nodes, name, None)
     # every other node is flattened into the trace's expr= text
     top = len(layers) - 1
     widest = max((layers[min(b, top)][s][0] for s, b in nodes if b is not None), default=0)

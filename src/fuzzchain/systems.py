@@ -136,13 +136,6 @@ class FuzzySystem:
         """(neighbor, atom) pairs in edge-declaration order."""
         return self._adjacency[vertex]
 
-    @cached_property
-    def _edge_lookup(self) -> dict[frozenset[str], Atom]:
-        return {edge.pair(): edge.atom for edge in self.edges}
-
-    def edge_atom(self, u: str, v: str) -> Atom | None:
-        return self._edge_lookup.get(frozenset((u, v)))
-
     def call_atoms(self) -> tuple[Call, ...]:
         return tuple(e.atom for e in self.edges if isinstance(e.atom, Call))
 

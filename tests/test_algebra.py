@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from fuzzchain.algebra import (
+    _compositions,
     Call,
     FtfExpr,
     Term,
@@ -229,6 +232,33 @@ def test_multinomial_expand_cube_ordering():
     assert sum(e.coefficient for e in entries) == 3**3
     with pytest.raises(ValueError, match="undefined power"):
         multinomial_expand(parse_expr("a + b"), 0)
+
+
+def _recursive_compositions(total, parts):
+    """The reference order: leading part descending, then the rest likewise."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    if parts == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(total, -1, -1)
+        for rest in _recursive_compositions(total - first, parts - 1)
+    ]
+
+
+def test_compositions_keep_the_recursive_order():
+    for parts in range(6):
+        for total in range(6):
+            assert list(_compositions(total, parts)) == _recursive_compositions(total, parts)
+
+
+def test_compositions_of_many_parts_need_no_recursion():
+    parts = 2 * sys.getrecursionlimit()
+    count = 0
+    for count, composition in enumerate(_compositions(1, parts), start=1):
+        assert composition[count - 1] == 1 and sum(composition) == 1
+    assert count == parts
 
 
 def test_multinomial_terms_evaluate_like_the_power():

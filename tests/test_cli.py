@@ -274,6 +274,15 @@ def test_long_path_file_runs_without_recursion_limit(run_cli, tmp_path):
     assert run_cli("eval", *common, "--set", "x=0.5") == (0, "0.5\n", "")
 
 
+def test_power_of_a_long_sum_runs_without_recursion_limit(run_cli):
+    terms = [f"v{i}" for i in range(1200)]
+    code, out, err = run_cli("power", " + ".join(terms), "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + len(terms)  # the power, then one table row per term
+    assert lines[1] == "1 * (1" + ",0" * 1199 + ") -> v0"
+
+
 def test_numeric_routes_answer_at_any_self_call_count(run_cli):
     # the value stops changing at budget layer 2, so no count is too deep
     for argv in (

@@ -3,19 +3,29 @@ from __future__ import annotations
 import pytest
 
 from fuzzchain import closure
+from fuzzchain.algebra import Call, Var
+from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.closure import (
     matrix_power,
     maxmin_matmul,
     render_numeric_matrix,
     render_symbolic_matrix,
     resolve_matrix,
+    terminal_cell,
     transmission,
     warshall_closure,
     warshall_steps,
 )
 from fuzzchain.recursion import eval_system
 from fuzzchain.rng import SplitMix64
-from fuzzchain.systems import builtin_fixtures, connection_matrix, parse_registry
+from fuzzchain.systems import (
+    FIXTURE_ASSIGNMENT,
+    EdgeDef,
+    FuzzySystem,
+    builtin_fixtures,
+    connection_matrix,
+    parse_registry,
+)
 
 A = [[0.5, 0.2], [0.9, 0.4]]
 B = [[0.3, 0.8], [0.6, 0.1]]
@@ -309,6 +319,97 @@ def test_transmission_agrees_with_chain_evaluation(registry, fixture_assignment)
         assert transmission(registry, name, fixture_assignment) == eval_system(
             registry, name, fixture_assignment
         )
+
+
+def _closure_cell(registry, name, assignment):
+    vertices, grid = resolve_matrix(registry, name, assignment)
+    return terminal_cell(registry[name], vertices, warshall_closure(grid))
+
+
+def _signed_zero_assignment(rng):
+    """A random assignment with about a third of its bindings 0.0 or -0.0."""
+    assignment = random_assignment(rng)
+    for var in assignment:
+        if rng.chance(1, 3):
+            assignment[var] = 0.0 if rng.chance(1, 2) else -0.0
+    return assignment
+
+
+def _sparse_registry(rng, n):
+    """The fixtures plus a connected n-vertex system ``big`` with about 1.5n
+    edges, a few of them calls into the fixtures; returns it and the
+    variables of ``big``."""
+    edges = {}
+    for v in range(1, n):
+        edges.setdefault(frozenset((v, rng.below(v))), None)
+    while len(edges) < 3 * n // 2:
+        u, v = rng.below(n), rng.below(n)
+        if u != v:
+            edges.setdefault(frozenset((u, v)), None)
+    named = []
+    for idx, pair in enumerate(edges):
+        u, v = sorted(pair)
+        if rng.chance(1, 20):
+            atom = Call(rng.choice(("psi1", "phi", "psi1_rec")), rng.below(4))
+        else:
+            atom = Var(f"e{idx}")
+        named.append((f"N{u}", f"N{v}", atom))
+    registry = builtin_fixtures()
+    registry.add(FuzzySystem.build("big", "N0", f"N{n - 1}", named))
+    return registry, [atom.name for _u, _v, atom in named if isinstance(atom, Var)]
+
+
+def test_transmission_reads_the_closure_cell_on_random_registries():
+    answers = []
+    for seed in range(2000):
+        rng = SplitMix64(seed)
+        registry = random_registry(rng, n_systems=2 + seed % 2, max_vertices=5 + seed % 4, max_edges=12)
+        assignment = _signed_zero_assignment(rng)
+        for name in registry.names():
+            got = transmission(registry, name, assignment)
+            assert repr(got) == repr(_closure_cell(registry, name, assignment)), (seed, name)
+            answers.append(repr(got))
+    assert "-0.0" in answers and "0.0" in answers  # both signs of zero were answered
+
+
+def test_transmission_reads_the_closure_cell_on_large_sparse_systems():
+    rng = SplitMix64(11)
+    answers = []
+    for n in range(40, 121, 8):
+        registry, names = _sparse_registry(rng, n)
+        assignment = dict(FIXTURE_ASSIGNMENT)
+        for var in names:
+            assignment[var] = rng.choice((0.0, -0.0)) if rng.chance(1, 5) else rng.grade()
+        got = transmission(registry, "big", assignment)
+        assert repr(got) == repr(_closure_cell(registry, "big", assignment)), n
+        answers.append(got)
+    assert len(set(answers)) > 3  # the systems answer with several grades
+
+
+def test_transmission_never_runs_the_closure_sweep(monkeypatch):
+    def refuse(_m):
+        raise AssertionError("transmission ran the whole closure")
+
+    monkeypatch.setattr(closure, "warshall_closure", refuse)
+    registry = builtin_fixtures(rec_count=8)
+    for name in registry.names():
+        assert transmission(registry, name, FIXTURE_ASSIGNMENT) == eval_system(
+            registry, name, FIXTURE_ASSIGNMENT
+        )
+
+
+def test_transmission_follows_a_path_declared_against_the_pivot_order():
+    # IN - V59 - V58 - ... - V2 - OUT: each pass in ascending vertex order
+    # carries the row one step along the path, so it takes about 60 passes.
+    n = 60
+    vertices = ("IN", "OUT") + tuple(f"V{i}" for i in range(2, n))
+    path = ["IN"] + [f"V{i}" for i in range(n - 1, 1, -1)] + ["OUT"]
+    edges = tuple(EdgeDef(u, v, Var(f"e{i}")) for i, (u, v) in enumerate(zip(path, path[1:])))
+    registry = builtin_fixtures()
+    registry.add(FuzzySystem("path", "IN", "OUT", vertices, edges))
+    assignment = {f"e{i}": 1.0 - (i % 7) / 10 for i in range(len(edges))}
+    assignment["e40"] = 0.35
+    assert transmission(registry, "path", assignment) == 0.35
 
 
 def test_render_numeric_matrix():

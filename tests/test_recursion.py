@@ -581,9 +581,40 @@ def test_eval_enumerates_chains_a_fixed_number_of_times(monkeypatch, fixture_ass
 
     monkeypatch.setattr(recursion, "enumerate_chains", counting)
     value = eval_system(registry, "psi1_rec", fixture_assignment)
-    # layers 0 and 2, then the top level, whatever the count
-    assert len(enumerated) <= 4
+    # every layer and the top level read one enumeration, whatever the count
+    assert enumerated == ["psi1_rec"]
     assert value == eval_system(builtin_fixtures(rec_count=2), "psi1_rec", fixture_assignment)
+
+
+SYMBOLIC_ROUTES = {
+    "expansion_tree": lambda registry, name, assignment: expansion_tree(registry, name),
+    "symbolic_expand": lambda registry, name, assignment: symbolic_expand(registry, name),
+    "trace_eval": trace_eval,
+}
+
+
+@pytest.mark.parametrize("route", sorted(SYMBOLIC_ROUTES))
+@pytest.mark.parametrize("rec_count", [2, 8, 10**6])
+def test_symbolic_routes_enumerate_each_system_once(monkeypatch, fixture_assignment, rec_count, route):
+    enumerated = []
+
+    def counting(system):
+        enumerated.append(system.name)
+        return enumerate_chains(system)
+
+    monkeypatch.setattr(recursion, "enumerate_chains", counting)
+    call = SYMBOLIC_ROUTES[route]
+    registry = builtin_fixtures(rec_count=rec_count)
+    if rec_count > 8:
+        with pytest.raises(ValueError, match="expansion too large"):
+            call(registry, "psi1_rec", fixture_assignment)
+    else:
+        call(registry, "psi1_rec", fixture_assignment)
+    # the size layers, the refusal check and the DAG share one enumeration
+    assert enumerated == ["psi1_rec"]
+    enumerated.clear()
+    call(registry, "phi", fixture_assignment)
+    assert sorted(enumerated) == ["phi", "psi1", "psi2", "psi3", "psi4", "psi5"]
 
 
 def _grid_case(k: int) -> tuple[SystemRegistry, str, dict[str, float]]:
