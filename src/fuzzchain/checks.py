@@ -160,30 +160,6 @@ def random_assignment(rng: SplitMix64, names: Sequence[str] = _VAR_POOL) -> dict
     return {name: rng.grade() for name in names}
 
 
-def _edge_value_map(
-    registry: SystemRegistry, system: FuzzySystem, assignment: dict[str, float]
-) -> dict:
-    """Numeric edge map for the path oracle, resolving call edges through
-    the naive unroll oracle (never the production evaluator)."""
-    resolved: dict[tuple[str, int], float] = {}
-    table = {}
-    for edge in system.edges:
-        if isinstance(edge.atom, Call):
-            key = (edge.atom.target, edge.atom.count)
-            if key not in resolved:
-                resolved[key] = (
-                    0.0
-                    if edge.atom.count < 1
-                    else oracle_unroll_eval(registry, edge.atom.target, assignment, edge.atom.count)
-                )
-            value = resolved[key]
-        else:
-            value = assignment[edge.atom.name]
-        table[(edge.u, edge.v)] = value
-        table[(edge.v, edge.u)] = value
-    return table
-
-
 # --------------------------------------------------------------------------
 # Suites
 
@@ -213,10 +189,11 @@ def _outcome(route: Callable[..., float], *args) -> float | tuple[str, str]:
 
 def check_eval_closure(seed: int, trials: int) -> CheckResult:
     """Chain DFS, the connection-matrix route (:func:`transmission`, one
-    matrix row relaxed to a fixpoint) and brute-force path search must
-    agree, with and without call edges in the graph.  A third of the
-    trials leave one variable unbound: then chains and matrix must either
-    both raise the same error or both give the value."""
+    matrix row relaxed to a fixpoint) and the call-unrolling oracle
+    (:func:`oracle_unroll_eval`) must agree, with and without call edges
+    in the graph.  A third of the trials leave one variable unbound:
+    then chains and matrix must either both raise the same error or both
+    give the value."""
 
     def one(rng: SplitMix64, _: int) -> str | None:
         registry = random_registry(
@@ -238,12 +215,7 @@ def check_eval_closure(seed: int, trials: int) -> CheckResult:
                 if via_chains != via_closure:
                     return f"{name}: chains={via_chains!r} closure={via_closure!r}"
                 continue
-            via_oracle = oracle_path_enum(
-                system.vertices,
-                _edge_value_map(registry, system, assignment),
-                system.input_terminal,
-                system.output_terminal,
-            )
+            via_oracle = oracle_unroll_eval(registry, name, assignment)
             if not (via_chains == via_closure == via_oracle):
                 return (
                     f"{name}: chains={via_chains!r} closure={via_closure!r} "
@@ -278,7 +250,6 @@ def check_closure_power(seed: int, trials: int) -> CheckResult:
                 want = 1.0 if i == j else oracle_path_enum(
                     vertices, edge_value, vertices[i], vertices[j]
                 )
-                want = max(want, m[i][j])
                 if closed[i][j] != want:
                     return f"n={n} cell ({i},{j}): closure={closed[i][j]!r} oracle={want!r}"
         return None
@@ -406,7 +377,6 @@ def check_pivot_invariant(seed: int, trials: int) -> CheckResult:
                     want = oracle_path_enum(
                         vertices, edge_value, vertices[i], vertices[j], allowed
                     )
-                    want = max(want, m[i][j])
                     if snapshot[i][j] != want:
                         return (
                             f"n={n} pivot={pivot} cell ({i},{j}): "

@@ -8,6 +8,8 @@ Exit codes are part of the contract:
 * 3 — validation error (unknown system, missing binding, bad grade), or an
   input too deep or too large to evaluate (recursion limit, out of memory)
 * 4 — internal invariant breach (a check suite or engine/oracle disagreement)
+* 141 — stdout closed before the output was written (128 + SIGPIPE, as
+  a shell reports a command killed by a broken pipe)
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .closure import (
 )
 from .errors import BindingError, ParseError, UnknownSystemError
 from .recursion import (
-    eval_system,
     expansion_tree,
     render_expansion,
     render_trace,
@@ -51,6 +52,7 @@ from .recursion import (
 from .systems import (
     FIXTURE_ASSIGNMENT,
     builtin_fixtures,
+    cell_text,
     connection_matrix,
     format_assignment,
     format_registry,
@@ -63,6 +65,7 @@ USAGE_ERROR = 1
 PARSE_ERROR = 2
 VALIDATION_ERROR = 3
 CHECK_FAILED = 4
+BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +168,7 @@ def _cmd_matrix(args) -> int:
         payload = {
             "system": args.system,
             "vertices": list(matrix.vertices),
-            "cells": [[str(cell) for cell in row] for row in matrix.cells],
+            "cells": [[cell_text(cell) for cell in row] for row in matrix.cells],
         }
         _emit(payload, args.json, render_symbolic_matrix(matrix))
     return 0
@@ -174,10 +177,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_eval(args) -> int:
     registry, base = _load_registry(args)
     assignment = _assignment(args, base)
-    if args.budget is None:
-        value = eval_system(registry, args.system, assignment)
-    else:
-        value = resolve_call(registry, args.system, args.budget, assignment)
+    value = resolve_call(registry, args.system, args.budget, assignment)
     payload = {"system": args.system, "budget": args.budget, "value": value}
     _emit(payload, args.json, repr(value))
     return 0
@@ -364,7 +364,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
@@ -378,6 +380,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return CHECK_FAILED
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit
+        # has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

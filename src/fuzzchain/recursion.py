@@ -14,9 +14,10 @@ included.
 :func:`_live_chains` is the one place that applies that rule: it yields
 the chains of a system, each with its edge atoms, that survive a budget.
 One walker, :func:`_layers`, fills a table of budget layers bottom-up,
-without Python recursion, from a per-system grade: :func:`_grade`
-values a system for :func:`eval_system`, :func:`resolve_call` and the
-closure routes, and :func:`_size` counts what it unrolls to.  Each call
+without Python recursion, grading every callee at every budget in one
+loop: :func:`_grade` values a system for :func:`resolve_call` (whose
+top level is :func:`eval_system`) and the closure routes, and
+:func:`_size` counts what it unrolls to.  Each call
 enumerates a system's chains once (:class:`_Chains`), and every layer,
 and the expansion DAG, reads them from there.
 
@@ -33,7 +34,8 @@ recurse, so a narrow call chain deep enough can still exhaust the
 recursion limit.
 
 Every entry point that takes an assignment checks it first with
-:func:`~fuzzchain.systems.require_bindings`.
+:func:`~fuzzchain.systems.require_bindings`; the grading and the
+narration then read each binding straight from the assignment.
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ from .algebra import (
     Call,
     FtfExpr,
     Term,
-    Valuation,
     Var,
-    assignment_valuation,
     check_grade,
     format_expr,
     snorm_max,
@@ -97,8 +97,8 @@ def _effective(declared: int, budget: Budget) -> int:
     return min(declared, budget - 1)
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
+def _check_budget(budget: Budget) -> None:
+    if budget is not None and budget < 0:
         raise ValueError(f"call budget must be >= 0, got {budget}")
 
 
@@ -141,19 +141,20 @@ def _live_chains(chains: ChainList, budget: Budget) -> Iterator[tuple[Chain, tup
 def resolve_call(
     registry: SystemRegistry,
     name: str,
-    budget: int,
+    budget: Budget,
     assignment: Mapping[str, float],
 ) -> float:
     """Transmission grade of ``name`` evaluated with remaining budget.
 
     ``budget=0`` admits only call-free chains; raising the budget admits
     deeper call nesting until :func:`stabilization_budget`, beyond which
-    the value stops changing.
+    the value stops changing.  ``budget=None`` is the top level, as in
+    :func:`eval_system`.
     """
     _check_budget(budget)
     chains = _Chains(registry)
     layers = call_layers(registry, name, assignment, budget, chains)
-    return _grade(chains[name], budget, assignment_valuation(assignment), layers)
+    return _grade(chains[name], budget, assignment, layers)
 
 
 def eval_system(
@@ -162,9 +163,7 @@ def eval_system(
     assignment: Mapping[str, float],
 ) -> float:
     """Top-level transmission grade: every call runs at its declared count."""
-    chains = _Chains(registry)
-    layers = call_layers(registry, name, assignment, None, chains)
-    return _grade(chains[name], None, assignment_valuation(assignment), layers)
+    return resolve_call(registry, name, None, assignment)
 
 
 def call_layers(
@@ -183,10 +182,9 @@ def call_layers(
     table was graded from, so no system's chains are enumerated twice.
     """
     walked = require_bindings(registry, name, assignment)
-    valuation = assignment_valuation(assignment)
     chains = _Chains(registry) if chains is None else chains
     return _layers(
-        registry, walked, budget, lambda s, b, layers: _grade(chains[s], b, valuation, layers)
+        registry, walked, budget, lambda s, b, layers: _grade(chains[s], b, assignment, layers)
     )
 
 
@@ -200,42 +198,45 @@ def _layers(
     through a call edge, at each budget the root can grant.
 
     ``walked`` is as :func:`require_bindings` returns it.  Layer b is
-    ``grade(system, b, layers)`` over the layers below it; layer 1 is
-    layer 0, and call-free systems are graded once.  Filling stops at
-    the last budget the root grants a call (its largest declared count
-    at the top level, ``budget - 1`` below it), or at the first b >= 2
-    whose layer equals layer b - 1: every later layer is that one.
+    ``grade(system, b, layers)`` of every callee over the layers below
+    it.  Filling stops at the last budget the root grants a call (its
+    largest declared count at the top level, ``budget - 1`` below it),
+    or at the first b >= 2 whose layer equals layer b - 1: every later
+    layer is that one.  (Layers 0 and 1 are always equal, since every
+    call is dead below budget 2, so the rule cannot start earlier.)
     """
     calls = {s: registry[s].call_atoms() for s in walked}
     called = {call.target for atoms in calls.values() for call in atoms}
     root_counts = [call.count for call in calls[walked[0]]]
     last = max(root_counts, default=0) if budget is None else budget - 1
     callees = [s for s in walked if s in called]
-    calling = [s for s in callees if calls[s]]
-    call_free = {s: grade(s, 0, []) for s in callees if not calls[s]}
     layers: list[dict[str, T]] = []
     while len(layers) <= last:
-        b = len(layers)
-        layer = call_free | {s: grade(s, b, layers) for s in calling}
-        if b >= 2 and layer == layers[-1]:
+        layer = {s: grade(s, len(layers), layers) for s in callees}
+        if len(layers) >= 2 and layer == layers[-1]:
             break
         layers.append(layer)
-        if b == 0:
-            layers.append(layer)  # layer 1: every call is dead below budget 2
     return layers
 
 
 def _grade(
-    chains: ChainList, budget: Budget, valuation: Valuation, layers: list[dict[str, float]]
+    chains: ChainList,
+    budget: Budget,
+    assignment: Mapping[str, float],
+    layers: list[dict[str, float]],
 ) -> float:
-    """Max over the live ``chains`` of a system of the min over each chain's atoms."""
+    """Max over the live ``chains`` of a system of the min over each chain's atoms.
+
+    A variable reads its grade from ``assignment``, which
+    :func:`require_bindings` has checked; a call reads its callee's layer.
+    """
     top = len(layers) - 1
     best = 0.0
     for _chain, atoms in _live_chains(chains, budget):
         got = 1.0
         for atom in atoms:
             if isinstance(atom, Var):
-                got = tnorm_min(got, valuation(atom))
+                got = tnorm_min(got, assignment[atom.name])
             else:
                 got = tnorm_min(got, layers[min(_effective(atom.count, budget), top)][atom.target])
         best = snorm_max(best, got)
@@ -274,8 +275,7 @@ def _output_size(
     registry: SystemRegistry, name: str, budget: Budget, chains: _Chains | None = None
 ) -> Size:
     """The :func:`_size` of ``name`` at ``budget``, for the routes that bind nothing."""
-    if budget is not None:
-        _check_budget(budget)
+    _check_budget(budget)
     chains = _Chains(registry) if chains is None else chains
     layers = _size_layers(chains, require_bindings(registry, name, None), budget)
     return _size(chains[name], budget, layers)
@@ -552,7 +552,7 @@ def trace_eval(
     top = len(layers) - 1
     widest = max((layers[min(b, top)][s][0] for s, b in nodes if b is not None), default=0)
     _check_size(widest, "flat terms in one call")
-    narration = _Narration(assignment_valuation(assignment))
+    narration = _Narration(assignment)
     value = narration.node(root)
     return TraceResult(value, tuple(narration.events))
 
@@ -561,8 +561,8 @@ class _Narration:
     """One trace: its events so far, and what each node and branch came
     to the first time it was narrated."""
 
-    def __init__(self, valuation: Valuation):
-        self.valuation = valuation
+    def __init__(self, assignment: Mapping[str, float]):
+        self.assignment = assignment  # checked by require_bindings
         self.events: list[TraceEvent] = []
         self._told: dict[int, tuple[int, int, float]] = {}  # id(node) -> span, value
         self._values: dict[int, float] = {}  # id(branch) -> value
@@ -596,7 +596,7 @@ class _Narration:
         around = 1.0
         for atom in atoms:
             if isinstance(atom, Var):
-                around = tnorm_min(around, self.valuation(atom))
+                around = tnorm_min(around, self.assignment[atom.name])
         value = self._values[id(branch)] = tnorm_min(value, around)
         cid = _chain_id(branch.chain)
         pieces = _branch_pieces(branch, lambda node: node.paper_text)

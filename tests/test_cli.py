@@ -248,6 +248,23 @@ def test_oversized_expansion_is_refused_before_any_output(tmp_path, argv, what):
     )
 
 
+def test_closed_stdout_exits_141_without_a_message(tmp_path):
+    # about 8 MB of trace: the reader takes one line and goes away
+    env = {**os.environ, "PYTHONPATH": _child_pythonpath()}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fuzzchain.cli", "trace", "--rec-count", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"ENTER system=psi1_rec budget=top\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 # --- flag behavior ----------------------------------------------------------
 
 
@@ -334,6 +351,12 @@ def test_json_payloads(run_cli):
     payload = json.loads(run_cli("matrix", "--system", "psi1", "--resolve", "--json")[1])
     assert payload["vertices"] == ["A", "B", "C", "D"]
     assert payload["cells"][0] == [1.0, 0.0, 0.7, 0.3]
+
+    # the symbolic cells read as the table prints them, not as sentinel names
+    payload = json.loads(run_cli("matrix", "--system", "psi1", "--json")[1])
+    assert payload["cells"][0] == ["1", "0", "y", "x"]
+    table = run_cli("matrix", "--system", "psi1")[1].strip().splitlines()[1:]
+    assert payload["cells"] == [line.split()[1:] for line in table]
 
     payload = json.loads(run_cli("trace", "--json")[1])
     assert payload["value"] == 0.6

@@ -1,0 +1,75 @@
+"""A fingerprint of every route's output on a fixed set of seeded cases.
+
+The digest is a SHA-256 over the ``repr`` of what each numeric and
+symbolic route returns, or of the class and message of the error it
+raises, on random registries with signed-zero and missing bindings and
+on the built-in fixtures.  A change to any evaluator kernel that keeps
+every output ``repr``-identical keeps the digest; one that moves a
+single value, sign of zero or error message changes it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from fuzzchain.checks import random_assignment, random_registry
+from fuzzchain.closure import transmission
+from fuzzchain.recursion import (
+    eval_system,
+    expansion_tree,
+    render_expansion,
+    resolve_call,
+    symbolic_expand,
+    trace_eval,
+)
+from fuzzchain.rng import SplitMix64
+from fuzzchain.systems import FIXTURE_ASSIGNMENT, builtin_fixtures
+
+SEED = 20240611
+RANDOM_CASES = 300
+DIGEST = "f14a3fc6f43f47d3dd7fe75497743316ed1a96efb3a52ce7869b0473c6cbf899"
+
+
+def _cases():
+    rng = SplitMix64(SEED)
+    for _ in range(RANDOM_CASES):
+        registry = random_registry(
+            rng, n_systems=rng.randint(1, 3), max_vertices=6, max_count=4
+        )
+        assignment = random_assignment(rng)
+        for var in assignment:
+            if rng.chance(1, 4):
+                assignment[var] = rng.choice((0.0, -0.0))
+        if rng.chance(1, 8):
+            del assignment[rng.choice(sorted(assignment))]
+        yield registry, assignment
+    for rec_count in range(9):
+        yield builtin_fixtures(rec_count=rec_count), dict(FIXTURE_ASSIGNMENT)
+
+
+def _routes(registry, name, assignment):
+    yield eval_system, registry, name, assignment
+    for budget in range(8):
+        yield resolve_call, registry, name, budget, assignment
+    yield transmission, registry, name, assignment
+    yield lambda *args: trace_eval(*args).lines(), registry, name, assignment
+    yield lambda *args: render_expansion(expansion_tree(*args)), registry, name
+    yield symbolic_expand, registry, name, 2
+
+
+def route_digest() -> str:
+    digest = hashlib.sha256()
+    for registry, assignment in _cases():
+        for name in registry.names():
+            for route, *args in _routes(registry, name, assignment):
+                try:
+                    out = route(*args)
+                except Exception as exc:  # noqa: BLE001 - errors are part of the output
+                    out = (type(exc).__name__, str(exc))
+                digest.update(repr(out).encode())
+                digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_every_route_gives_the_pinned_outputs():
+    assert route_digest() == DIGEST
