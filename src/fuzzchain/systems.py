@@ -125,6 +125,27 @@ class FuzzySystem:
         )
 
     @cached_property
+    def _walk_table(self) -> tuple[tuple[tuple[tuple[int, Atom], ...], ...], int, int]:
+        """The chain walk's view of the edges, on integer vertex ids.
+
+        Entry i lists vertex ``vertices[i]``'s (neighbor index, atom)
+        pairs in edge-declaration order; the input and output indices
+        follow.  Built once per system, apart from :attr:`_adjacency`,
+        which the call-unrolling oracle reads through :meth:`neighbors`.
+        """
+        index = {v: i for i, v in enumerate(self.vertices)}
+        table: list[list[tuple[int, Atom]]] = [[] for _ in self.vertices]
+        for edge in self.edges:
+            u, v = index[edge.u], index[edge.v]
+            table[u].append((v, edge.atom))
+            table[v].append((u, edge.atom))
+        return (
+            tuple(map(tuple, table)),
+            index[self.input_terminal],
+            index[self.output_terminal],
+        )
+
+    @cached_property
     def _adjacency(self) -> dict[str, tuple[tuple[str, Atom], ...]]:
         adjacency: dict[str, list[tuple[str, Atom]]] = {v: [] for v in self.vertices}
         for edge in self.edges:

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from fuzzchain.algebra import Var
 from fuzzchain.cli import main as cli_main
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
+    FuzzySystem,
     builtin_fixtures,
     format_registry,
     parse_registry,
@@ -76,6 +78,17 @@ def invoke_cli(*argv: str) -> tuple[int, str, str]:
 
 def read_golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def grid_system(k: int) -> FuzzySystem:
+    """A k x k grid, terminals at opposite corners, one variable per edge."""
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < k and c2 < k:
+                    edges.append((f"G{r}_{c}", f"G{r2}_{c2}", Var(f"e{len(edges)}")))
+    return FuzzySystem.build("grid", "G0_0", f"G{k - 1}_{k - 1}", edges)
 
 
 @pytest.fixture

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import grid_system
+
 from fuzzchain.algebra import Term, Var, canonicalize, format_expr, parse_expr
 from fuzzchain.chains import derive_ftf, enumerate_chains
+from fuzzchain.oracles import oracle_unroll_eval
 from fuzzchain.recursion import eval_system
-from fuzzchain.systems import FuzzySystem, SystemRegistry
+from fuzzchain.systems import EdgeDef, FuzzySystem, SystemRegistry, builtin_fixtures
+
+# Simple corner-to-corner paths in a k x k grid graph (OEIS A007764).
+GRID_CHAIN_COUNTS = {2: 2, 3: 12, 4: 184, 5: 8512}
 
 # Sum-of-products transmission functions worked out by hand for the five
 # built-in diamonds (terminals A/B, inner vertices C/D), as a (display,
@@ -65,3 +71,60 @@ def test_derive_ftf_composite(registry):
     assert format_expr(derived, "raw") == PHI_DERIVED
     assert canonicalize(derived) == canonicalize(parse_expr(PHI_DERIVED))
 
+
+@pytest.mark.parametrize("k, count", sorted(GRID_CHAIN_COUNTS.items()))
+def test_grid_chains_are_the_simple_corner_paths(k, count):
+    system = grid_system(k)
+    chains = enumerate_chains(system)
+    assert len(chains) == count
+    edge_atoms = {edge.pair(): edge.atom for edge in system.edges}
+    for chain, atoms in chains:
+        assert chain[0] == system.input_terminal
+        assert chain[-1] == system.output_terminal
+        assert len(set(chain)) == len(chain)
+        assert atoms == tuple(
+            edge_atoms[frozenset(step)] for step in zip(chain, chain[1:])
+        )
+    assert len({chain for chain, _atoms in chains}) == count
+
+
+@pytest.mark.parametrize("name", ["grid4", "psi1", "phi"])
+def test_isolated_vertices_and_edge_orientation_leave_the_chains(registry, name):
+    system = grid_system(4) if name == "grid4" else registry[name]
+    vertices = system.vertices
+    # an edgeless vertex shifts every later vertex id, and reversing the
+    # vertex order and one edge's orientation changes no neighbor list
+    edges = list(system.edges)
+    edges[1] = EdgeDef(edges[1].v, edges[1].u, edges[1].atom)
+    variants = [
+        FuzzySystem(system.name, system.input_terminal, system.output_terminal,
+                    (vertices[0], "Lonely", *vertices[1:]), system.edges),
+        FuzzySystem(system.name, system.input_terminal, system.output_terminal,
+                    vertices[::-1], tuple(edges)),
+    ]
+    want = enumerate_chains(system)
+    for variant in variants:
+        assert enumerate_chains(variant) == want
+
+
+def test_walk_and_unroll_oracle_read_separate_adjacency(monkeypatch, registry, fixture_assignment):
+    want = (
+        enumerate_chains(registry["psi1"]),
+        derive_ftf(registry["phi"]),
+        eval_system(registry, "phi", fixture_assignment),
+        oracle_unroll_eval(registry, "phi", fixture_assignment),
+    )
+
+    def unavailable(*args):
+        raise AssertionError("adjacency read by the wrong route")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FuzzySystem, "neighbors", unavailable)
+        fresh = builtin_fixtures()
+        assert enumerate_chains(fresh["psi1"]) == want[0]
+        assert derive_ftf(fresh["phi"]) == want[1]
+        assert eval_system(fresh, "phi", fixture_assignment) == want[2]
+    with monkeypatch.context() as patch:
+        patch.setattr(FuzzySystem, "_walk_table", property(unavailable))
+        fresh = builtin_fixtures()
+        assert oracle_unroll_eval(fresh, "phi", fixture_assignment) == want[3]

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+from conftest import grid_system
+
 from fuzzchain import recursion
 from fuzzchain.algebra import (
     Call,
@@ -39,7 +41,6 @@ from fuzzchain.recursion import (
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
-    FuzzySystem,
     SystemRegistry,
     builtin_fixtures,
     parse_registry,
@@ -618,16 +619,11 @@ def test_symbolic_routes_enumerate_each_system_once(monkeypatch, fixture_assignm
 
 
 def _grid_case(k: int) -> tuple[SystemRegistry, str, dict[str, float]]:
-    """A k x k grid, terminals at opposite corners, one variable per edge."""
-    edges = []
-    for r in range(k):
-        for c in range(k):
-            for r2, c2 in ((r, c + 1), (r + 1, c)):
-                if r2 < k and c2 < k:
-                    edges.append((f"G{r}_{c}", f"G{r2}_{c2}", Var(f"e{len(edges)}")))
+    """A k x k grid (see :func:`grid_system`) with one grade per edge."""
+    system = grid_system(k)
     registry = SystemRegistry()
-    registry.add(FuzzySystem.build("grid", "G0_0", f"G{k - 1}_{k - 1}", edges))
-    return registry, "grid", {f"e{i}": (i * 7 % 11) / 10 for i in range(len(edges))}
+    registry.add(system)
+    return registry, "grid", {f"e{i}": (i * 7 % 11) / 10 for i in range(len(system.edges))}
 
 
 ACYCLIC_CASES = {

@@ -3,15 +3,21 @@
 The digest is a SHA-256 over the ``repr`` of what each numeric and
 symbolic route returns, or of the class and message of the error it
 raises, on random registries with signed-zero and missing bindings and
-on the built-in fixtures.  A change to any evaluator kernel that keeps
-every output ``repr``-identical keeps the digest; one that moves a
-single value, sign of zero or error message changes it.
+on the built-in fixtures.  The chain walk itself (``enumerate_chains``
+and ``derive_ftf``) is hashed on every system of those cases and on
+k x k grids for k = 2..5, so the order of chains is pinned directly.
+A change to any evaluator kernel that keeps every output
+``repr``-identical keeps the digest; one that moves a single value,
+sign of zero or error message changes it.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from conftest import grid_system
+
+from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.closure import transmission
 from fuzzchain.recursion import (
@@ -27,7 +33,8 @@ from fuzzchain.systems import FIXTURE_ASSIGNMENT, builtin_fixtures
 
 SEED = 20240611
 RANDOM_CASES = 300
-DIGEST = "f14a3fc6f43f47d3dd7fe75497743316ed1a96efb3a52ce7869b0473c6cbf899"
+GRID_SIZES = range(2, 6)
+DIGEST = "14ceb602a80263f81d1065522ddcea1a86a1d7c397128b307204b09dcbb5c2ca"
 
 
 def _cases():
@@ -47,7 +54,13 @@ def _cases():
         yield builtin_fixtures(rec_count=rec_count), dict(FIXTURE_ASSIGNMENT)
 
 
+def _walk_routes(system):
+    yield enumerate_chains, system
+    yield derive_ftf, system
+
+
 def _routes(registry, name, assignment):
+    yield from _walk_routes(registry[name])
     yield eval_system, registry, name, assignment
     for budget in range(8):
         yield resolve_call, registry, name, budget, assignment
@@ -57,17 +70,23 @@ def _routes(registry, name, assignment):
     yield symbolic_expand, registry, name, 2
 
 
-def route_digest() -> str:
-    digest = hashlib.sha256()
+def _all_routes():
     for registry, assignment in _cases():
         for name in registry.names():
-            for route, *args in _routes(registry, name, assignment):
-                try:
-                    out = route(*args)
-                except Exception as exc:  # noqa: BLE001 - errors are part of the output
-                    out = (type(exc).__name__, str(exc))
-                digest.update(repr(out).encode())
-                digest.update(b"\n")
+            yield from _routes(registry, name, assignment)
+    for k in GRID_SIZES:
+        yield from _walk_routes(grid_system(k))
+
+
+def route_digest() -> str:
+    digest = hashlib.sha256()
+    for route, *args in _all_routes():
+        try:
+            out = route(*args)
+        except Exception as exc:  # noqa: BLE001 - errors are part of the output
+            out = (type(exc).__name__, str(exc))
+        digest.update(repr(out).encode())
+        digest.update(b"\n")
     return digest.hexdigest()
 
 
