@@ -117,9 +117,17 @@ def _add_assignment_flags(sub: argparse.ArgumentParser) -> None:
                      metavar="VAR=VALUE", help="bind one variable (repeatable)")
 
 
+def _read_text(path: str) -> str:
+    """A definition file's text; bytes that are not UTF-8 are a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
+
+
 def _load_registry(args: argparse.Namespace):
     if args.fixtures is not _BUILTIN:
-        registry = parse_registry(Path(args.fixtures).read_text(encoding="utf-8"))
+        registry = parse_registry(_read_text(args.fixtures))
         base: dict[str, float] = {}
     else:
         registry = builtin_fixtures(rec_count=args.rec_count)
@@ -130,7 +138,7 @@ def _load_registry(args: argparse.Namespace):
 def _assignment(args: argparse.Namespace, base: dict[str, float]) -> dict[str, float]:
     out = dict(base)
     if getattr(args, "assign", None):
-        out = parse_assignment(Path(args.assign).read_text(encoding="utf-8"))
+        out = parse_assignment(_read_text(args.assign))
     for name, value in getattr(args, "set", []):
         out[name] = check_grade(value, f"binding for {name!r}")
     return out

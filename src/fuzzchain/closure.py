@@ -19,9 +19,11 @@ relaxation and shares no code with the sweep.  Any other input is
 checked by a second sweep.
 
 :func:`transmission` reads one cell, so it does not close the matrix.
-It runs the same row kernel on the input terminal's row alone, as
-max-min row-by-matrix products taken to a fixpoint, and it ends only on
-a pass that changes nothing.
+It runs the same row kernel on the input terminal's row alone, by
+label-setting: the largest unsettled cell is final, so each vertex is
+settled and relaxed once, and the walk ends when it settles the output
+terminal or runs out of cells above zero.  That is O(n²) at worst,
+against the sweep's O(n³).
 """
 
 from __future__ import annotations
@@ -66,11 +68,13 @@ def _check_square(m: Matrix, what: str = "matrix") -> int:
 def _relax_row(row: list[float], through: float, other: list[float]) -> None:
     """``row[j] = snorm_max(row[j], tnorm_min(through, other[j]))`` for every j.
 
-    The one max-min kernel behind the product and the closure, written
-    as inline comparisons.  ``x >= through`` or ``x >= y`` is exactly
-    the case where the s-norm keeps ``x``; otherwise the t-norm's pick
-    wins.  So each cell selects the same value, ties included, as the
-    two scalar ops would, and results compare ``==``.
+    The one max-min kernel behind the product, the closure and the
+    label-setting row of :func:`transmission`, written as inline
+    comparisons.  ``x >= through`` or ``x >= y`` is exactly the case
+    where the s-norm keeps ``x``; otherwise the t-norm's pick wins, so a
+    cell is replaced only by a strictly larger grade, and never by more
+    than ``through``.  Each cell selects the same value, ties included,
+    as the two scalar ops would, and results compare ``==``.
     """
     row[:] = [
         x if x >= through or x >= y else (through if through <= y else y)
@@ -259,29 +263,33 @@ def terminal_cell(system: FuzzySystem, vertices: tuple[str, ...], grid: Matrix) 
 
 def transmission(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
     """Input-to-output grade: the input terminal's row of the resolved
-    connection matrix, relaxed to a fixpoint.
+    connection matrix, settled one vertex at a time.
 
-    A pass relaxes the row in place through every vertex k in turn, as
-    :func:`_relax_pivot` relaxes one row, reading row k of the resolved
-    grid.  Every cell stays the grade of some walk from the input, and a
-    pass that changes nothing leaves no edge that could improve a cell,
-    so the row is then the input terminal's row of the closure, and its
-    output cell equals the one :func:`warshall_closure` gives.  A path
-    that runs against the vertex order gains one vertex per pass, so the
-    worst case is n passes, O(n³) like the sweep; sparse systems settle
-    in a few.
+    This is label-setting in the max-min semiring (Dijkstra 1959; Pollack
+    1960, "The maximum capacity through a network").  Every cell stays
+    the grade of some walk from the input, and relaxing through vertex k
+    raises a cell to at most ``row[k]``.  So the largest unsettled cell
+    can no longer rise: it is final, and vertex k is settled and relaxed
+    once, as :func:`_relax_pivot` relaxes one row, reading row k of the
+    resolved grid.  The walk stops when it settles the output terminal,
+    or when no unsettled cell is ``> 0.0`` (those cells keep their
+    starting grade, signed zeros included, as the sweep keeps them).  The
+    output cell then equals the one :func:`warshall_closure` gives.  Each
+    vertex costs one O(n) pick and at most one O(n) relaxation, so the
+    worst case is O(n²), the cost of reading the matrix.
     """
     system = registry[name]
     vertices, grid = resolve_matrix(registry, name, assignment)
     row = grid[vertices.index(system.input_terminal)][:]
+    output = vertices.index(system.output_terminal)
+    unsettled = list(range(len(row)))
     while True:
-        before = row[:]
-        for k, other in enumerate(grid):
-            through = row[k]
-            if through != 0.0:
-                _relax_row(row, through, other)
-        if row == before:
-            return row[vertices.index(system.output_terminal)]
+        k = max(unsettled, key=row.__getitem__)
+        through = row[k]
+        if k == output or not through > 0.0:
+            return row[output]
+        unsettled.remove(k)
+        _relax_row(row, through, grid[k])
 
 
 # --- rendering --------------------------------------------------------------

@@ -148,6 +148,16 @@ def test_missing_file_exits_1(run_cli, tmp_path):
     assert run_cli("ftf", "--fixtures", str(tmp_path / "nope.fz"))[0] == 1
 
 
+@pytest.mark.parametrize("flag", ["--fixtures", "--assign"])
+def test_file_that_is_not_utf8_is_a_parse_error_naming_the_byte(run_cli, tmp_path, flag):
+    bad = tmp_path / "latin.fz"
+    for prefix in (b"", b"system s {\n  terminals A -> B\n"):
+        bad.write_bytes(prefix + b"\xff(")
+        code, out, err = run_cli("eval", flag, str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: {bad}: not UTF-8 at byte {len(prefix)}: "), err
+
+
 def test_validate_reports_diagnostics(run_cli, tmp_path):
     broken = tmp_path / "broken.fz"
     broken.write_text(

@@ -398,18 +398,98 @@ def test_transmission_never_runs_the_closure_sweep(monkeypatch):
         )
 
 
-def test_transmission_follows_a_path_declared_against_the_pivot_order():
-    # IN - V59 - V58 - ... - V2 - OUT: each pass in ascending vertex order
-    # carries the row one step along the path, so it takes about 60 passes.
-    n = 60
+def _one_system(name, vertices, grades):
+    """The fixtures plus ``name`` (IN -> OUT) with one variable per edge."""
+    edges = tuple(EdgeDef(u, v, Var(f"e{i}")) for i, (u, v, _grade) in enumerate(grades))
+    registry = builtin_fixtures()
+    registry.add(FuzzySystem(name, "IN", "OUT", vertices, edges))
+    return registry, {f"e{i}": grade for i, (_u, _v, grade) in enumerate(grades)}
+
+
+def _reversed_path_registry(n):
+    """The fixtures plus ``path``: IN - V(n-1) - ... - V2 - OUT, with its
+    vertices declared IN, OUT, V2, ..., V(n-1), against the path's order."""
     vertices = ("IN", "OUT") + tuple(f"V{i}" for i in range(2, n))
     path = ["IN"] + [f"V{i}" for i in range(n - 1, 1, -1)] + ["OUT"]
-    edges = tuple(EdgeDef(u, v, Var(f"e{i}")) for i, (u, v) in enumerate(zip(path, path[1:])))
-    registry = builtin_fixtures()
-    registry.add(FuzzySystem("path", "IN", "OUT", vertices, edges))
-    assignment = {f"e{i}": 1.0 - (i % 7) / 10 for i in range(len(edges))}
+    grades = [(u, v, 1.0 - (i % 7) / 10) for i, (u, v) in enumerate(zip(path, path[1:]))]
+    return _one_system("path", vertices, grades)
+
+
+@pytest.fixture
+def relaxations(monkeypatch):
+    """The ``through`` grade of every row relaxation, in call order."""
+    calls = []
+    relax = closure._relax_row
+
+    def counted(row, through, other):
+        calls.append(through)
+        relax(row, through, other)
+
+    monkeypatch.setattr(closure, "_relax_row", counted)
+    return calls
+
+
+def test_transmission_follows_a_path_declared_against_the_pivot_order():
+    # Ascending vertex order meets this path backwards, so a pass over the
+    # vertices in that order would carry the row one step per pass.  The
+    # label-setting walk follows the largest cell, whatever the order.
+    registry, assignment = _reversed_path_registry(60)
     assignment["e40"] = 0.35
     assert transmission(registry, "path", assignment) == 0.35
+
+
+def test_transmission_relaxes_each_vertex_at_most_once(relaxations):
+    n = 400
+    registry, assignment = _reversed_path_registry(n)
+    assignment["e200"] = 0.35
+    got = transmission(registry, "path", assignment)
+    assert len(relaxations) <= n - 1  # a pass per path step would make n² / 2
+    assert relaxations == sorted(relaxations, reverse=True)  # settled best first
+    assert repr(got) == repr(_closure_cell(registry, "path", assignment)) == "0.35"
+
+
+@pytest.mark.parametrize(
+    "vertices, grades, relaxed, answer",
+    [
+        # the output's only edge is bound to -0.0: the walk settles IN, A and
+        # B, then stops at C, the first cell that is not > 0.0
+        (
+            ("IN", "A", "B", "C", "OUT"),
+            [("IN", "A", 0.7), ("A", "B", 0.5), ("IN", "OUT", -0.0), ("OUT", "C", 0.9)],
+            3,
+            "-0.0",
+        ),
+        # the output is in another component: it is picked with cell 0.0
+        (
+            ("IN", "OUT", "A", "B", "C"),
+            [("IN", "A", 0.7), ("A", "B", 0.5), ("OUT", "C", 0.9)],
+            3,
+            "0.0",
+        ),
+        # the output is settled third, before B and C, which the walk reaches
+        # but never relaxes
+        (
+            ("IN", "OUT", "A", "B", "C"),
+            [
+                ("IN", "A", 0.9),
+                ("A", "OUT", 0.8),
+                ("IN", "B", 0.6),
+                ("B", "C", 0.5),
+                ("C", "OUT", 0.7),
+            ],
+            2,
+            "0.8",
+        ),
+    ],
+    ids=["signed-zero-edge", "other-component", "early-exit"],
+)
+def test_transmission_stop_rules_read_the_closure_cell(
+    relaxations, vertices, grades, relaxed, answer
+):
+    registry, assignment = _one_system("s", vertices, grades)
+    got = transmission(registry, "s", assignment)
+    assert len(relaxations) == relaxed
+    assert repr(got) == repr(_closure_cell(registry, "s", assignment)) == answer
 
 
 def test_render_numeric_matrix():
