@@ -18,6 +18,10 @@ vertices is the path joining them in that forest (Pollack 1960, Hu 1961,
 relaxation and shares no code with the sweep.  Any other input is
 checked by a second sweep.
 
+:func:`resolve_matrix` fills the numeric matrix from the edges: an
+O(n²) zero allocation at C speed plus O(E) edge resolution, with no
+per-cell dispatch over the symbolic connection matrix.
+
 :func:`transmission` reads one cell, so it does not close the matrix.
 It runs the same row kernel on the input terminal's row alone, by
 label-setting: the largest unsettled cell is final, so each vertex is
@@ -33,15 +37,7 @@ from typing import Iterator
 
 from .algebra import Call
 from .recursion import call_layers
-from .systems import (
-    ONE,
-    ZERO,
-    ConnectionMatrix,
-    FuzzySystem,
-    SystemRegistry,
-    cell_text,
-    connection_matrix,
-)
+from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, cell_text
 
 __all__ = [
     "maxmin_matmul",
@@ -236,24 +232,30 @@ def resolve_matrix(
     system's value at the declared budget, as :func:`resolve_call` gives
     it (0 when the declared count is 0 — a call that may never run
     transmits nothing).  Returns the vertex order alongside the grid.
+
+    The grid is filled from the edges, not from the symbolic matrix: an
+    n×n block of ``0.0`` with ``1.0`` on the diagonal, then each edge's
+    atom resolved once and written to its two symmetric cells, at the
+    indices of ``system.vertices``.  That is an O(n²) allocation at C
+    speed plus O(E) resolution, with no per-cell dispatch.
     """
     layers = call_layers(registry, name, assignment)
     top = len(layers) - 1
-    symbolic = connection_matrix(registry[name])
-    grid: Matrix = []
-    for row in symbolic.cells:
-        out_row = []
-        for cell in row:
-            if cell is ONE:
-                out_row.append(1.0)
-            elif cell is ZERO:
-                out_row.append(0.0)
-            elif isinstance(cell, Call):
-                out_row.append(0.0 if cell.count < 1 else layers[min(cell.count, top)][cell.target])
-            else:
-                out_row.append(assignment[cell.name])
-        grid.append(out_row)
-    return symbolic.vertices, grid
+    system = registry[name]
+    vertices = system.vertices
+    index = {v: i for i, v in enumerate(vertices)}
+    grid: Matrix = [[0.0] * len(vertices) for _ in vertices]
+    for i, row in enumerate(grid):
+        row[i] = 1.0
+    for edge in system.edges:
+        atom = edge.atom
+        if isinstance(atom, Call):
+            grade = 0.0 if atom.count < 1 else layers[min(atom.count, top)][atom.target]
+        else:
+            grade = assignment[atom.name]
+        u, v = index[edge.u], index[edge.v]
+        grid[u][v] = grid[v][u] = grade
+    return vertices, grid
 
 
 def terminal_cell(system: FuzzySystem, vertices: tuple[str, ...], grid: Matrix) -> float:
@@ -276,7 +278,9 @@ def transmission(registry: SystemRegistry, name: str, assignment: dict[str, floa
     starting grade, signed zeros included, as the sweep keeps them).  The
     output cell then equals the one :func:`warshall_closure` gives.  Each
     vertex costs one O(n) pick and at most one O(n) relaxation, so the
-    worst case is O(n²), the cost of reading the matrix.
+    worst case is O(n²), the cost of reading the matrix; building it is a
+    zeroed n×n allocation plus O(E) for the edges (see
+    :func:`resolve_matrix`).
     """
     system = registry[name]
     vertices, grid = resolve_matrix(registry, name, assignment)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzchain import closure
+from fuzzchain import closure, systems
 from fuzzchain.algebra import Call, Var
 from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.closure import (
@@ -16,10 +16,12 @@ from fuzzchain.closure import (
     warshall_closure,
     warshall_steps,
 )
-from fuzzchain.recursion import eval_system
+from fuzzchain.recursion import call_layers, eval_system, resolve_call
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
+    ONE,
+    ZERO,
     EdgeDef,
     FuzzySystem,
     builtin_fixtures,
@@ -490,6 +492,131 @@ def test_transmission_stop_rules_read_the_closure_cell(
     got = transmission(registry, "s", assignment)
     assert len(relaxations) == relaxed
     assert repr(got) == repr(_closure_cell(registry, "s", assignment)) == answer
+
+
+def _resolve_by_cells(registry, name, assignment):
+    """The numeric matrix read cell by cell from the symbolic one: the unit
+    and zero cells, each variable's binding, and each call as
+    :func:`resolve_call` grades it at its declared count (0 below count 1)."""
+    symbolic = connection_matrix(registry[name])
+
+    def read(cell):
+        if cell is ONE:
+            return 1.0
+        if cell is ZERO:
+            return 0.0
+        if not isinstance(cell, Call):
+            return assignment[cell.name]
+        return 0.0 if cell.count < 1 else resolve_call(registry, cell.target, cell.count, assignment)
+
+    return symbolic.vertices, [[read(cell) for cell in row] for row in symbolic.cells]
+
+
+def _repr_matrix(vertices, grid):
+    return vertices, [[repr(x) for x in row] for row in grid]
+
+
+# mid grades 0.2 at budgets 0 and 1 and 0.9 from budget 2 on, under
+# _RISING; outer calls it at counts 0, 1, 3 and 50
+_CALL_COUNTS_TEXT = """
+system base {
+  terminals A -> B
+  edge A B x
+}
+system mid {
+  terminals A -> B
+  edge A B y
+  edge A C x
+  edge C B call base 1
+}
+system outer {
+  terminals A -> B
+  edge A C call mid 0
+  edge A D call mid 1
+  edge A E call mid 3
+  edge A F call mid 50
+  edge C B z
+  edge D B z
+  edge E B z
+  edge F B z
+}
+"""
+_RISING = dict(FIXTURE_ASSIGNMENT, x=0.9, y=0.2)
+
+
+def _matrix_cases():
+    """(registry, name, assignment) for every shape the fill must get right."""
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        registry = random_registry(rng, n_systems=2 + seed % 2, max_vertices=5 + seed % 4, max_edges=12)
+        assignment = _signed_zero_assignment(rng)
+        for name in registry.names():
+            yield registry, name, assignment
+    for rec_count in range(14):
+        registry = builtin_fixtures(rec_count=rec_count)
+        for assignment in (FIXTURE_ASSIGNMENT, dict(FIXTURE_ASSIGNMENT, x=-0.0, w=0.0)):
+            for name in registry.names():
+                yield registry, name, assignment
+    registry = parse_registry(_CALL_COUNTS_TEXT)
+    for assignment in (_RISING, dict(FIXTURE_ASSIGNMENT, x=-0.0, y=0.0)):
+        for name in registry.names():
+            yield registry, name, assignment
+    path, path_assignment = _reversed_path_registry(30)
+    yield path, "path", path_assignment
+
+
+def test_resolve_matrix_equals_the_cell_by_cell_reading():
+    # transmission and the closure cell both read resolve_matrix, so only a
+    # reference built another way can catch a wrong fill
+    cells = set()
+    for registry, name, assignment in _matrix_cases():
+        vertices, grid = resolve_matrix(registry, name, assignment)
+        assert _repr_matrix(vertices, grid) == _repr_matrix(
+            *_resolve_by_cells(registry, name, assignment)
+        ), name
+        cells.update(repr(x) for row in grid for x in row)
+    assert {"-0.0", "0.0", "1.0"} <= cells
+
+
+def test_resolve_matrix_reads_call_counts_against_the_layer_table():
+    registry = parse_registry(_CALL_COUNTS_TEXT)
+    layers = call_layers(registry, "outer", _RISING)
+    assert [layer["mid"] for layer in layers[:3]] == [0.2, 0.2, 0.9]
+    assert len(layers) - 1 < 50  # count 50 reads past the top of the table
+    vertices, grid = resolve_matrix(registry, "outer", _RISING)
+    a, c, d, e, f = (vertices.index(v) for v in "ACDEF")
+    assert [grid[a][c], grid[a][d], grid[a][e], grid[a][f]] == [0.0, 0.2, 0.9, 0.9]
+    assert [grid[c][a], grid[d][a], grid[e][a], grid[f][a]] == [0.0, 0.2, 0.9, 0.9]
+    assert resolve_call(registry, "mid", 50, _RISING) == 0.9
+
+
+def test_resolve_matrix_does_not_build_the_symbolic_matrix(monkeypatch):
+    rng = SplitMix64(5)
+    path, assignment = _reversed_path_registry(40)  # holds the fixtures at rec_count 2
+    assignment.update(FIXTURE_ASSIGNMENT, **random_assignment(rng))
+    registries = [
+        builtin_fixtures(rec_count=0),
+        builtin_fixtures(rec_count=13),
+        path,
+        random_registry(rng, n_systems=3, max_vertices=8, max_edges=12),
+    ]
+    cases = [(registry, name) for registry in registries for name in registry.names()]
+    expected = [
+        (
+            _repr_matrix(*_resolve_by_cells(registry, name, assignment)),
+            eval_system(registry, name, assignment),
+        )
+        for registry, name in cases
+    ]
+
+    def refuse(_system):
+        raise AssertionError("the numeric matrix was read from the symbolic one")
+
+    monkeypatch.setattr(systems, "connection_matrix", refuse)
+    monkeypatch.setattr(closure, "connection_matrix", refuse, raising=False)
+    for (registry, name), (matrix, value) in zip(cases, expected):
+        assert _repr_matrix(*resolve_matrix(registry, name, assignment)) == matrix, name
+        assert transmission(registry, name, assignment) == value, name
 
 
 def test_render_numeric_matrix():
