@@ -1,103 +1,76 @@
 """Max-min fuzzy systems: chains, transfer functions, closures, and
-budgeted calls between systems."""
+budgeted calls between systems.
 
-from .algebra import (
-    Call,
-    FtfExpr,
-    Term,
-    Var,
-    canonicalize,
-    eval_expr,
-    expr_concat,
-    expr_power,
-    expr_union,
-    format_expr,
-    format_term,
-    multinomial_coefficient,
-    multinomial_expand,
-    parse_expr,
-)
-from .chains import derive_ftf, enumerate_chains
-from .closure import (
-    matrix_power,
-    maxmin_matmul,
-    resolve_matrix,
-    transmission,
-    warshall_closure,
-    warshall_steps,
-)
-from .errors import BindingError, FuzzchainError, ParseError, UnknownSystemError
-from .recursion import (
-    eval_system,
-    render_expansion,
-    render_trace,
-    resolve_call,
-    stabilization_budget,
-    symbolic_expand,
-    trace_eval,
-)
-from .rng import SplitMix64
-from .systems import (
-    FIXTURE_ASSIGNMENT,
-    ConnectionMatrix,
-    FuzzySystem,
-    SystemRegistry,
-    builtin_fixtures,
-    connection_matrix,
-    format_assignment,
-    format_registry,
-    parse_assignment,
-    parse_registry,
-    validate_registry,
-)
+Every name in ``__all__`` is resolved from its defining module on first
+access (PEP 562), so ``import fuzzchain`` loads no submodule and a CLI
+command compiles only the modules it runs.  ``from fuzzchain import X``
+works as usual.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BindingError",
-    "Call",
-    "ConnectionMatrix",
-    "FIXTURE_ASSIGNMENT",
-    "FtfExpr",
-    "FuzzchainError",
-    "FuzzySystem",
-    "ParseError",
-    "SplitMix64",
-    "SystemRegistry",
-    "Term",
-    "UnknownSystemError",
-    "Var",
-    "builtin_fixtures",
-    "canonicalize",
-    "connection_matrix",
-    "derive_ftf",
-    "enumerate_chains",
-    "eval_expr",
-    "eval_system",
-    "expr_concat",
-    "expr_power",
-    "expr_union",
-    "format_assignment",
-    "format_expr",
-    "format_registry",
-    "format_term",
-    "matrix_power",
-    "maxmin_matmul",
-    "multinomial_coefficient",
-    "multinomial_expand",
-    "parse_assignment",
-    "parse_expr",
-    "parse_registry",
-    "render_expansion",
-    "render_trace",
-    "resolve_call",
-    "resolve_matrix",
-    "stabilization_budget",
-    "symbolic_expand",
-    "trace_eval",
-    "transmission",
-    "validate_registry",
-    "warshall_closure",
-    "warshall_steps",
-    "__version__",
-]
+# export -> the submodule that defines it
+_EXPORTS = {
+    "Call": "algebra",
+    "FtfExpr": "algebra",
+    "Term": "algebra",
+    "Var": "algebra",
+    "canonicalize": "algebra",
+    "eval_expr": "algebra",
+    "expr_concat": "algebra",
+    "expr_power": "algebra",
+    "format_expr": "algebra",
+    "format_term": "algebra",
+    "multinomial_coefficient": "algebra",
+    "multinomial_expand": "algebra",
+    "parse_expr": "algebra",
+    "derive_ftf": "chains",
+    "enumerate_chains": "chains",
+    "matrix_power": "closure",
+    "maxmin_matmul": "closure",
+    "resolve_matrix": "closure",
+    "transmission": "closure",
+    "warshall_closure": "closure",
+    "warshall_steps": "closure",
+    "BindingError": "errors",
+    "FuzzchainError": "errors",
+    "ParseError": "errors",
+    "UnknownSystemError": "errors",
+    "eval_system": "recursion",
+    "render_expansion": "recursion",
+    "render_trace": "recursion",
+    "resolve_call": "recursion",
+    "stabilization_budget": "recursion",
+    "symbolic_expand": "recursion",
+    "trace_eval": "recursion",
+    "SplitMix64": "rng",
+    "FIXTURE_ASSIGNMENT": "systems",
+    "ConnectionMatrix": "systems",
+    "FuzzySystem": "systems",
+    "SystemRegistry": "systems",
+    "builtin_fixtures": "systems",
+    "connection_matrix": "systems",
+    "format_assignment": "systems",
+    "format_registry": "systems",
+    "parse_assignment": "systems",
+    "parse_registry": "systems",
+    "validate_registry": "systems",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -41,7 +41,6 @@ __all__ = [
     "check_grade",
     "eval_expr",
     "assignment_valuation",
-    "expr_union",
     "expr_concat",
     "canonicalize",
     "expr_power",
@@ -198,11 +197,6 @@ def eval_expr(expr: FtfExpr, valuation: Valuation) -> float:
             value = tnorm_min(value, valuation(atom))
         best = snorm_max(best, value)
     return best
-
-
-def expr_union(a: FtfExpr, b: FtfExpr) -> FtfExpr:
-    """Term-multiset union; evaluates to max of the operands."""
-    return FtfExpr(a.terms + b.terms)
 
 
 def expr_concat(a: FtfExpr, b: FtfExpr) -> FtfExpr:

@@ -15,51 +15,15 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import (
-    canonicalize,
-    check_grade,
-    expr_power,
-    format_expr,
-    format_term,
-    is_identifier,
-    multinomial_expand,
-    parse_expr,
-)
-from .chains import derive_ftf
-from .closure import (
-    render_numeric_matrix,
-    render_symbolic_matrix,
-    resolve_matrix,
-    terminal_cell,
-    warshall_closure,
-)
+# Each handler imports the engine modules it calls, so a command compiles
+# only those (`power` never loads the recursion layer, only `check` the
+# suites and oracles).
 from .errors import BindingError, ParseError, UnknownSystemError
-from .recursion import (
-    expansion_tree,
-    render_expansion,
-    render_trace,
-    resolve_call,
-    symbolic_expand,
-    trace_eval,
-)
-from .systems import (
-    FIXTURE_ASSIGNMENT,
-    builtin_fixtures,
-    cell_text,
-    connection_matrix,
-    format_assignment,
-    format_registry,
-    parse_assignment,
-    parse_registry,
-    validate_registry,
-)
 
 USAGE_ERROR = 1
 PARSE_ERROR = 2
@@ -78,6 +42,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _set_pair(text: str) -> tuple[str, float]:
+    from .algebra import is_identifier
+
     name, sep, raw = text.partition("=")
     if not sep or not is_identifier(name):
         raise argparse.ArgumentTypeError(f"expected var=value, got {text!r}")
@@ -126,6 +92,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_registry(args: argparse.Namespace):
+    from .systems import FIXTURE_ASSIGNMENT, builtin_fixtures, parse_registry
+
     if args.fixtures is not _BUILTIN:
         registry = parse_registry(_read_text(args.fixtures))
         base: dict[str, float] = {}
@@ -136,8 +104,12 @@ def _load_registry(args: argparse.Namespace):
 
 
 def _assignment(args: argparse.Namespace, base: dict[str, float]) -> dict[str, float]:
+    from .algebra import check_grade
+
     out = dict(base)
     if getattr(args, "assign", None):
+        from .systems import parse_assignment
+
         out = parse_assignment(_read_text(args.assign))
     for name, value in getattr(args, "set", []):
         out[name] = check_grade(value, f"binding for {name!r}")
@@ -146,6 +118,8 @@ def _assignment(args: argparse.Namespace, base: dict[str, float]) -> dict[str, f
 
 def _emit(payload: dict, as_json: bool, plain: str) -> None:
     if as_json:
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(plain)
@@ -156,6 +130,9 @@ def _emit(payload: dict, as_json: bool, plain: str) -> None:
 
 
 def _cmd_ftf(args) -> int:
+    from .algebra import canonicalize, format_expr
+    from .chains import derive_ftf
+
     registry, _ = _load_registry(args)
     expr = derive_ftf(registry[args.system])
     if args.simplify:
@@ -166,6 +143,9 @@ def _cmd_ftf(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from .closure import render_numeric_matrix, render_symbolic_matrix, resolve_matrix
+    from .systems import cell_text, connection_matrix
+
     registry, base = _load_registry(args)
     if args.resolve:
         vertices, grid = resolve_matrix(registry, args.system, _assignment(args, base))
@@ -183,6 +163,8 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .recursion import resolve_call
+
     registry, base = _load_registry(args)
     assignment = _assignment(args, base)
     value = resolve_call(registry, args.system, args.budget, assignment)
@@ -192,6 +174,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .closure import render_numeric_matrix, resolve_matrix, terminal_cell, warshall_closure
+
     registry, base = _load_registry(args)
     assignment = _assignment(args, base)
     vertices, grid = resolve_matrix(registry, args.system, assignment)
@@ -212,9 +196,13 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .recursion import render_trace, trace_eval
+
     registry, base = _load_registry(args)
     result = trace_eval(registry, args.system, _assignment(args, base))
     if args.json:
+        import json
+
         payload = {"system": args.system, "value": result.value, "events": result.lines()}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -223,6 +211,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .algebra import canonicalize, format_expr
+    from .recursion import expansion_tree, render_expansion, symbolic_expand
+
     registry, _ = _load_registry(args)
     if args.mode == "raw" and not args.simplify:
         text = render_expansion(expansion_tree(registry, args.system, args.budget))
@@ -237,6 +228,15 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .algebra import (
+        canonicalize,
+        expr_power,
+        format_expr,
+        format_term,
+        multinomial_expand,
+        parse_expr,
+    )
+
     expr = parse_expr(args.expr)
     powered_expr = expr_power(expr, args.k)
     if args.simplify:
@@ -257,7 +257,9 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .checks import run_all  # only this command pays for the suites and oracles
+    from dataclasses import asdict
+
+    from .checks import run_all
 
     results = run_all(args.seed, args.trials)
     ok = all(r.passed for r in results)
@@ -272,6 +274,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    from .systems import FIXTURE_ASSIGNMENT, builtin_fixtures, format_assignment, format_registry
+
     if args.values:
         text = format_assignment(FIXTURE_ASSIGNMENT)
         _emit({"assignment": FIXTURE_ASSIGNMENT}, args.json, text)
@@ -283,6 +287,10 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from dataclasses import asdict
+
+    from .systems import validate_registry
+
     registry, _ = _load_registry(args)
     diagnostics = validate_registry(registry)
     payload = {

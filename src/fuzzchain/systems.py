@@ -236,23 +236,31 @@ def require_bindings(
     route reports the same first problem.  Returns the names visited,
     ``name`` first, in that order.  With ``assignment=None``, for the
     symbolic routes that bind nothing, only the systems are checked.
+    Each variable is checked once, where it is first met.
     """
     order = [name]
+    checked: set[str] = set()
     for system_name in order:
         for edge in registry[system_name].edges:
             atom = edge.atom
             if isinstance(atom, Call):
                 if atom.target not in order:
                     order.append(atom.target)
-            elif assignment is None:
+            elif assignment is None or atom.name in checked:
                 continue
             elif atom.name not in assignment:
                 raise BindingError(f"missing binding for variable {atom.name!r}")
             else:
+                checked.add(atom.name)
                 try:
-                    check_grade(assignment[atom.name], f"binding for {atom.name!r}")
-                except ValueError as exc:
-                    raise BindingError(str(exc)) from None
+                    check_grade(assignment[atom.name])
+                except ValueError:
+                    # refused: check again to word the message for this
+                    # variable, so a good binding formats nothing
+                    try:
+                        check_grade(assignment[atom.name], f"binding for {atom.name!r}")
+                    except ValueError as exc:
+                        raise BindingError(str(exc)) from None
     return order
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -220,14 +222,73 @@ def test_console_script_is_deterministic(tmp_path):
     assert runs[0].decode("utf-8") == read_golden("trace_psi1_rec.txt")
 
 
-def test_cli_import_leaves_the_check_suites_unloaded():
-    # only `check` needs them, so no other command compiles them
-    probe = "import sys, fuzzchain.cli; print([m for m in sys.modules if m in %r])" % (
-        ("fuzzchain.checks", "fuzzchain.oracles"),
-    )
+# Runs `cli.main` on its arguments (with none, only imports the package) in a
+# fresh interpreter and reports the exit code, the fuzzchain modules loaded
+# and whether `json` was loaded after start-up.
+_IMPORT_PROBE = """
+import sys
+json_at_start = "json" in sys.modules
+code = 0
+if len(sys.argv) == 1:
+    import fuzzchain
+else:
+    from fuzzchain import cli
+    code = cli.main(sys.argv[1:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("fuzzchain."))
+print(repr((code, loaded, not json_at_start and "json" in sys.modules)), file=sys.stderr)
+"""
+
+_PARSE = ["algebra", "cli", "errors", "systems"]
+_WALK = sorted(_PARSE + ["chains", "recursion"])
+_ALL = sorted(_WALK + ["checks", "closure", "oracles", "rng"])
+
+# command line -> (fuzzchain modules it loads, whether it loads json); the
+# empty command only imports the package
+IMPORT_CASES = {
+    "": ([], False),
+    "power 'xz + yw' 2": (["algebra", "cli", "errors"], False),
+    "power 'xz + yw' 2 --json": (["algebra", "cli", "errors"], True),
+    "fixtures": (_PARSE, False),
+    "fixtures --values --json": (_PARSE, True),
+    "validate": (_PARSE, False),
+    "ftf": (sorted(_PARSE + ["chains"]), False),
+    "eval --set x=0.5": (_WALK, False),
+    "expand --json": (_WALK, True),
+    "trace": (_WALK, False),
+    "trace --json": (_WALK, True),
+    "closure": (sorted(_WALK + ["closure"]), False),
+    "matrix": (sorted(_WALK + ["closure"]), False),
+    "check --trials 1": (_ALL, False),
+    "check --trials 1 --json": (_ALL, True),
+}
+
+
+@pytest.mark.parametrize("command", IMPORT_CASES)
+def test_each_command_imports_only_the_modules_it_runs(command):
+    # a deterministic stand-in for start-up time: a module left out is one a
+    # fresh process does not compile
+    modules, json_loaded = IMPORT_CASES[command]
     env = {**os.environ, "PYTHONPATH": _child_pythonpath()}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+    argv = [sys.executable, "-c", _IMPORT_PROBE, *shlex.split(command)]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    report = proc.stderr.decode("utf-8").splitlines()[-1]
+    assert (proc.returncode, report) == (0, repr((0, modules, json_loaded)))
+
+
+def test_package_exports_resolve_to_the_defining_modules_objects():
+    # objects with no __module__ of their own name their home here
+    homes = {"FIXTURE_ASSIGNMENT": "fuzzchain.systems", "__version__": "fuzzchain"}
+    for name in fuzzchain.__all__:
+        namespace: dict = {}
+        exec(f"from fuzzchain import {name}", namespace)
+        home = homes.get(name) or namespace[name].__module__
+        assert namespace[name] is getattr(importlib.import_module(home), name), name
+    listed = dir(fuzzchain)
+    assert "__all__" in listed and set(fuzzchain.__all__) <= set(listed)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        fuzzchain.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fuzzchain import no_such_name", {})
 
 
 @pytest.mark.parametrize(

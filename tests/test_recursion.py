@@ -157,6 +157,55 @@ def test_every_route_rejects_an_out_of_range_grade(route, grade):
             ROUTES[route](parse_registry(text), name, {"x": 0.4, "q": grade})
 
 
+# Each case is a registry, the assignment and the first problem every route
+# reports: systems breadth-first from "s", edges in declaration order.
+FIRST_BINDING_PROBLEM = {
+    # x sits on two edges; it is checked where it is first met
+    "repeated-bad": (
+        "system s {\n terminals A -> B\n edge A C x\n edge C B y\n edge A B x\n}\n",
+        {"x": 1.5, "y": -0.1},
+        "binding for 'x' out of range [0, 1]: 1.5",
+    ),
+    "repeated-good": (
+        "system s {\n terminals A -> B\n edge A C x\n edge C B y\n edge A B x\n}\n",
+        {"x": 0.4, "y": -0.1},
+        "binding for 'y' out of range [0, 1]: -0.1",
+    ),
+    "missing-after-valid": (
+        "system s {\n terminals A -> B\n edge A C x\n edge C B q\n}\n",
+        {"x": 0.4},
+        "missing binding for variable 'q'",
+    ),
+    "bad-before-missing": (
+        "system s {\n terminals A -> B\n edge A C x\n edge C B q\n}\n",
+        {"x": 1.5},
+        "binding for 'x' out of range [0, 1]: 1.5",
+    ),
+    "in-callee": (
+        "system t {\n terminals A -> B\n edge A C x\n edge C B q\n}\n"
+        "system s {\n terminals A -> B\n edge A C call t 1\n edge C B y\n}\n",
+        {"x": 0.4, "y": 0.5, "q": float("nan")},
+        "binding for 'q' out of range [0, 1]: nan",
+    ),
+    # the root's edges come before its callee's, whatever the edge order
+    "root-before-callee": (
+        "system t {\n terminals A -> B\n edge A C x\n edge C B q\n}\n"
+        "system s {\n terminals A -> B\n edge A C call t 1\n edge C B y\n}\n",
+        {"x": 0.4, "y": 1.5},
+        "binding for 'y' out of range [0, 1]: 1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("case", sorted(FIRST_BINDING_PROBLEM))
+def test_every_route_reports_the_same_first_binding_problem(route, case):
+    text, assignment, message = FIRST_BINDING_PROBLEM[case]
+    with pytest.raises(BindingError) as raised:
+        ROUTES[route](parse_registry(text), "s", assignment)
+    assert type(raised.value) is BindingError and str(raised.value) == message
+
+
 def test_stabilization_budget(registry, variant_registry):
     assert stabilization_budget(registry) == 3  # psi1_rec declares count 2
     assert stabilization_budget(variant_registry) == 3
