@@ -3,7 +3,9 @@
 The digest is a SHA-256 over the ``repr`` of what each numeric and
 symbolic route returns, or of the class and message of the error it
 raises, on random registries with signed-zero and missing bindings and
-on the built-in fixtures.  The chain walk itself (``enumerate_chains``
+on the built-in fixtures.  The whole closed connection matrix is one of
+those outputs, so every cell of ``warshall_closure`` is pinned, signed
+zeros and the diagonal included, not only the terminal cell.  The chain walk itself (``enumerate_chains``
 and ``derive_ftf``) is hashed on every system of those cases and on
 k x k grids for k = 2..5, so the order of chains is pinned directly.
 A change to any evaluator kernel that keeps every output
@@ -19,7 +21,7 @@ from conftest import grid_system
 
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
-from fuzzchain.closure import transmission
+from fuzzchain.closure import resolve_matrix, transmission, warshall_closure
 from fuzzchain.recursion import (
     eval_system,
     expansion_tree,
@@ -34,7 +36,7 @@ from fuzzchain.systems import FIXTURE_ASSIGNMENT, builtin_fixtures
 SEED = 20240611
 RANDOM_CASES = 300
 GRID_SIZES = range(2, 6)
-DIGEST = "14ceb602a80263f81d1065522ddcea1a86a1d7c397128b307204b09dcbb5c2ca"
+DIGEST = "5896d4f8c9bc1c363a0396a2ce186f23c59cdf81f573f9049e9edeac26dcc769"
 
 
 def _cases():
@@ -65,6 +67,7 @@ def _routes(registry, name, assignment):
     for budget in range(8):
         yield resolve_call, registry, name, budget, assignment
     yield transmission, registry, name, assignment
+    yield lambda *args: warshall_closure(resolve_matrix(*args)[1]), registry, name, assignment
     yield lambda *args: trace_eval(*args).lines(), registry, name, assignment
     yield lambda *args: render_expansion(expansion_tree(*args)), registry, name
     yield symbolic_expand, registry, name, 2
