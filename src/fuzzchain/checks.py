@@ -231,8 +231,13 @@ def check_eval_closure(seed: int, trials: int) -> CheckResult:
 
 
 def check_closure_power(seed: int, trials: int) -> CheckResult:
-    """Closure of a reflexive matrix equals its (n-1)-th max-min power,
-    and every entry matches brute-force path search."""
+    """Closure of a symmetric reflexive matrix equals its (n-1)-th
+    max-min power, and every entry matches brute-force path search.
+
+    Such a matrix is closed from its maximum spanning forest, as every
+    connection matrix is, so this is the check on the ``closure``
+    command's route; the power relaxes rows with the shared kernel and
+    the oracle enumerates paths, so all three are independent."""
 
     def one(rng: SplitMix64, _: int) -> str | None:
         n = rng.randint(2, 8)

@@ -1,22 +1,25 @@
 """Max-min matrix algebra: products, powers, transitive closure and transmission.
 
 Matrices here are plain ``list[list[float]]`` of membership grades.
-The product substitutes max for addition and min for multiplication;
-the closure is the classic ascending-pivot relaxation.  After pivot k
-(0-based), entry (i, j) is the best max-min value over simple paths
-from i to j whose intermediate vertices are all drawn from the first
-k + 1 vertices — running every pivot therefore yields the best value
-over all simple paths.  Because max and min only select their inputs,
-every entry of every result is an entry of the input matrix (or 0/1),
-and exact equality holds throughout.
+The product substitutes max for addition and min for multiplication.
+Because max and min only select their inputs, every entry of every
+result is an entry of the input matrix (or 0/1), and exact equality
+holds throughout.
 
-:func:`warshall_closure` certifies its sweep.  A symmetric grade matrix
-(every connection matrix is one: edges are undirected) is checked
-against a maximum spanning forest: the best max-min path between two
-vertices is the path joining them in that forest (Pollack 1960, Hu 1961,
-"The maximum capacity route problem"), so the certificate needs no
-relaxation and shares no code with the sweep.  Any other input is
-checked by a second sweep.
+:func:`warshall_closure` closes a symmetric grade matrix (every
+connection matrix is one: edges are undirected) from a maximum spanning
+forest: the best max-min path between two vertices is the path joining
+them in that forest (Kruskal 1956; Hu 1961, "The maximum capacity route
+problem").  That is O(E log E + n²), with no relaxation.  Any other
+matrix, which only the library API can pass, gets the classic
+ascending-pivot relaxation, O(n³).  After pivot k (0-based), entry
+(i, j) of the sweep is the best max-min value over simple paths from i
+to j whose intermediate vertices are all drawn from the first k + 1
+vertices, so running every pivot yields the best value over all simple
+paths.  The sweep (:func:`warshall_steps`) is also the reference that
+the ``pivot-invariant`` suite checks against a path oracle, and the
+``closure-power-agree`` suite checks the forest against
+:func:`matrix_power` and a path oracle.
 
 :func:`resolve_matrix` fills the numeric matrix from the edges: an
 O(n²) zero allocation at C speed plus O(E) edge resolution, with no
@@ -26,8 +29,7 @@ per-cell dispatch over the symbolic connection matrix.
 It runs the same row kernel on the input terminal's row alone, by
 label-setting: the largest unsettled cell is final, so each vertex is
 settled and relaxed once, and the walk ends when it settles the output
-terminal or runs out of cells above zero.  That is O(n²) at worst,
-against the sweep's O(n³).
+terminal or runs out of cells above zero.  That is O(n²) at worst.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from operator import itemgetter
 from typing import Iterator
 
 from .algebra import Call
-from .recursion import call_layers
 from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, cell_text
 
 __all__ = [
@@ -137,25 +138,17 @@ def warshall_steps(m: Matrix) -> Iterator[tuple[int, Matrix]]:
 def warshall_closure(m: Matrix) -> Matrix:
     """Max-min transitive closure of ``m``.
 
-    One relaxation sweep reaches the fixpoint, and every call checks it
-    (so an ordering or kernel bug fails loudly rather than returning a
-    weaker closure).  When every cell is a grade in [0, 1] and ``m`` is
-    symmetric, the check is the spanning-forest closure of
-    :func:`_forest_closure`, compared cell by cell; otherwise it is a
-    second sweep on a copy, which must change nothing.
+    When every cell is a grade in [0, 1] and ``m`` is symmetric, this is
+    the spanning-forest closure of :func:`_forest_closure`; otherwise it
+    is one ascending-pivot sweep on a copy.  Both give the same cells,
+    signed zeros included.
     """
     n = _check_square(m)
+    if _is_symmetric_grade_matrix(m):
+        return _forest_closure(m)
     out = [row[:] for row in m]
     for k in range(n):
         _relax_pivot(out, k)
-    if _is_symmetric_grade_matrix(m):
-        _certify(out, _forest_closure(m))
-        return out
-    again = [row[:] for row in out]
-    for k in range(n):
-        _relax_pivot(again, k)
-    if again != out:
-        raise AssertionError("closure failed to reach a fixpoint in one sweep")
     return out
 
 
@@ -171,10 +164,12 @@ def _forest_closure(m: Matrix) -> Matrix:
 
     Kruskal, with union-find, keeps each positive off-diagonal cell that
     joins two trees, best grade first.  Off the diagonal, the closure is
-    then the smallest grade on the forest path between the two vertices,
-    or 0 when no path joins them; one walk per vertex, with an explicit
-    stack, carries that running min.  A cycle through ``i`` is no better
-    than its first edge, so the diagonal is the largest cell of row ``i``.
+    then the smallest grade on the forest path between the two vertices;
+    one walk per vertex, with an explicit stack, carries that running
+    min.  A cell that no forest path reaches keeps its starting grade,
+    ``0.0`` or ``-0.0``, as the sweep keeps it.  A cycle through ``s`` is
+    no better than its first edge, so the diagonal is raised to the
+    largest cell of row ``s`` when that is strictly larger.
     """
     n = len(m)
     edges = sorted(
@@ -199,7 +194,7 @@ def _forest_closure(m: Matrix) -> Matrix:
             forest[j].append((i, grade))
     out = []
     for s in range(n):
-        row = [0.0] * n
+        row = m[s][:]
         stack = [(t, s, grade) for t, grade in forest[s]]
         while stack:
             v, came_from, width = stack.pop()
@@ -207,20 +202,11 @@ def _forest_closure(m: Matrix) -> Matrix:
             for t, grade in forest[v]:
                 if t != came_from:
                     stack.append((t, v, grade if grade < width else width))
-        row[s] = max(m[s])
+        top = max(row)
+        if top > row[s]:
+            row[s] = top
         out.append(row)
     return out
-
-
-def _certify(closed: Matrix, expected: Matrix) -> None:
-    """Raise ``AssertionError`` at the first cell where the two closures differ."""
-    for i, (row, want) in enumerate(zip(closed, expected)):
-        if row != want:
-            j = next(j for j, (x, y) in enumerate(zip(row, want)) if x != y)
-            raise AssertionError(
-                f"closure disagrees with the spanning-forest certificate at ({i}, {j}): "
-                f"sweep {row[j]!r}, forest {want[j]!r}"
-            )
 
 
 def resolve_matrix(
@@ -239,6 +225,8 @@ def resolve_matrix(
     indices of ``system.vertices``.  That is an O(n²) allocation at C
     speed plus O(E) resolution, with no per-cell dispatch.
     """
+    from .recursion import call_layers
+
     layers = call_layers(registry, name, assignment)
     top = len(layers) - 1
     system = registry[name]
@@ -275,8 +263,9 @@ def transmission(registry: SystemRegistry, name: str, assignment: dict[str, floa
     once, as :func:`_relax_pivot` relaxes one row, reading row k of the
     resolved grid.  The walk stops when it settles the output terminal,
     or when no unsettled cell is ``> 0.0`` (those cells keep their
-    starting grade, signed zeros included, as the sweep keeps them).  The
-    output cell then equals the one :func:`warshall_closure` gives.  Each
+    starting grade, signed zeros included, as the closure keeps them).
+    The output cell then equals the one :func:`warshall_closure` reads
+    off its spanning forest, with no code shared between the two.  Each
     vertex costs one O(n) pick and at most one O(n) relaxation, so the
     worst case is O(n²), the cost of reading the matrix; building it is a
     zeroed n×n allocation plus O(E) for the edges (see

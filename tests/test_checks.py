@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzchain import checks, recursion
-from fuzzchain.checks import check_budget_laws, check_eval_closure, run_all
+from fuzzchain import checks, closure, recursion
+from fuzzchain.checks import (
+    check_budget_laws,
+    check_closure_power,
+    check_eval_closure,
+    check_pivot_invariant,
+    run_all,
+)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -31,3 +37,47 @@ def test_eval_closure_oracle_catches_two_routes_that_agree(monkeypatch):
     result = check_eval_closure(42, 100)
     assert result.failures > 0
     assert "oracle=" in result.detail
+
+
+def test_pivot_invariant_catches_a_sweep_that_skips_pivot_zero(monkeypatch):
+    # seed 47 is the pivot-invariant seed of `check --seed 42`, which runs
+    # it for a tenth of the trials
+    assert check_pivot_invariant(47, 50).passed
+    relax_pivot = closure._relax_pivot
+    monkeypatch.setattr(closure, "_relax_pivot", lambda work, k: k == 0 or relax_pivot(work, k))
+    result = check_pivot_invariant(47, 50)
+    assert result.failures > 0
+    assert "pivot=0" in result.detail
+
+
+def _skip_last_column(monkeypatch):
+    """Swap in a row kernel that never writes the last column.  The
+    product, the sweep and ``transmission`` all relax rows with it."""
+    relax_row = closure._relax_row
+
+    def skipping(row, through, other):
+        last = row[-1]
+        relax_row(row, through, other)
+        row[-1] = last
+
+    monkeypatch.setattr(closure, "_relax_row", skipping)
+
+
+def test_closure_power_catches_a_kernel_that_skips_the_last_column(monkeypatch):
+    # the closure reads the spanning forest, so the power is what goes wrong;
+    # seed 43 is the closure-power-agree seed of `check --seed 42`
+    assert check_closure_power(43, 100).passed
+    _skip_last_column(monkeypatch)
+    result = check_closure_power(43, 100)
+    assert result.failures > 0
+    assert "closure != power(n-1)" in result.detail
+
+
+def test_eval_closure_catches_a_kernel_that_skips_the_last_column(monkeypatch):
+    # the chain evaluator and the oracle relax no rows, so transmission is
+    # what goes wrong
+    assert check_eval_closure(42, 100).passed
+    _skip_last_column(monkeypatch)
+    result = check_eval_closure(42, 100)
+    assert result.failures > 0
+    assert "closure=" in result.detail

@@ -257,7 +257,8 @@ IMPORT_CASES = {
     "trace": (_WALK, False),
     "trace --json": (_WALK, True),
     "closure": (sorted(_WALK + ["closure"]), False),
-    "matrix": (sorted(_WALK + ["closure"]), False),
+    "matrix": (sorted(_PARSE + ["closure"]), False),
+    "matrix --resolve": (sorted(_WALK + ["closure"]), False),
     "check --trials 1": (_ALL, False),
     "check --trials 1 --json": (_ALL, True),
 }
