@@ -14,6 +14,7 @@ import pytest
 from conftest import GOLDEN_COMMANDS, invoke_cli, read_golden
 
 import fuzzchain
+from fuzzchain.checks import SUITES
 from fuzzchain.systems import FIXTURE_ASSIGNMENT, builtin_fixtures, format_assignment, format_registry
 
 
@@ -172,6 +173,31 @@ def test_validate_reports_diagnostics(run_cli, tmp_path):
     code, out, _ = run_cli("validate")
     assert code == 0
     assert out == "ok: 7 systems\n"
+
+
+def test_validate_json_lists_each_diagnostics_fields(run_cli, tmp_path):
+    broken = tmp_path / "broken.fz"
+    broken.write_text(
+        "system s {\n  terminals A -> B\n  edge A C call ghost 1\n}\n", encoding="utf-8"
+    )
+    code, out, _ = run_cli("validate", "--fixtures", str(broken), "--json")
+    assert code == 3
+    assert json.loads(out) == {
+        "systems": ["s"],
+        "diagnostics": [
+            {"system": "s", "severity": "error", "message": "unknown call target 'ghost'"},
+            {"system": "s", "severity": "warning", "message": "disconnected terminal 'B'"},
+        ],
+    }
+
+
+def test_check_json_lists_each_results_fields(run_cli):
+    payload = json.loads(run_cli("check", "--seed", "1", "--trials", "2", "--json")[1])
+    assert len(payload["results"]) == 6
+    for result in payload["results"]:
+        assert set(result) == {"name", "trials", "failures", "detail"}
+        assert (result["failures"], result["detail"]) == (0, "")
+    assert [r["name"] for r in payload["results"]] == list(SUITES)
 
 
 def test_check_small_run_passes(run_cli):
