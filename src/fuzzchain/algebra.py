@@ -71,7 +71,10 @@ def tnorm_min(a: float, b: float) -> float:
 
 
 def check_grade(value: float, what: str = "membership") -> float:
-    """Validate that ``value`` is a membership grade in [0, 1] and return it."""
+    """Validate that ``value`` is a membership grade in [0, 1] and return it
+    as a float.  Only an ``int`` or a ``float`` can be one."""
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{what} is not a number: {value!r}")
     value = float(value)
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{what} out of range [0, 1]: {value!r}")

@@ -230,10 +230,10 @@ def require_bindings(
 
     Every variable of ``name``, and of every system reachable from it
     through call edges (whatever their count), must be bound to a grade
-    in [0, 1]: a missing or out-of-range one raises :class:`BindingError`,
-    an unknown system :class:`UnknownSystemError`.  Systems are visited
-    breadth-first from ``name`` and edges in declaration order, so every
-    route reports the same first problem.  Returns the names visited,
+    in [0, 1]: a missing, non-numeric or out-of-range one raises
+    :class:`BindingError`, an unknown system :class:`UnknownSystemError`.
+    Systems are visited breadth-first from ``name`` and edges in
+    declaration order, so every route reports the same first problem.  Returns the names visited,
     ``name`` first, in that order.  With ``assignment=None``, for the
     symbolic routes that bind nothing, only the systems are checked.
     Each variable is checked once, where it is first met.

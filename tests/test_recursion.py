@@ -157,6 +157,15 @@ def test_every_route_rejects_an_out_of_range_grade(route, grade):
             ROUTES[route](parse_registry(text), name, {"x": 0.4, "q": grade})
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("grade", [None, "0.3", "abc", [0.3]], ids=repr)
+def test_every_route_rejects_a_binding_that_is_not_a_number(route, grade):
+    registry = parse_registry("system s {\n terminals A -> B\n edge A B x\n}\n")
+    message = re.escape(f"binding for 'x' is not a number: {grade!r}")
+    with pytest.raises(BindingError, match=f"^{message}$"):
+        ROUTES[route](registry, "s", {"x": grade})
+
+
 # Each case is a registry, the assignment and the first problem every route
 # reports: systems breadth-first from "s", edges in declaration order.
 FIRST_BINDING_PROBLEM = {
