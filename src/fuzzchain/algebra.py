@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import BindingError, ParseError
@@ -81,36 +80,87 @@ def check_grade(value: float, what: str = "membership") -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Var:
+_set = object.__setattr__  # how a record's __init__ fills its fields
+
+
+class _Record:
+    """Base of the value classes: a subclass names its fields in ``_fields``,
+    in constructor order, and its ``__init__`` fills them with ``_set``.  A
+    record prints as ``Class(field=value, ...)``, equals only a record of its
+    own class with equal fields, hashes as its field tuple and is read-only.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Var(_Record):
     """A plain variable atom."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
-    def __post_init__(self) -> None:
-        if not is_identifier(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not is_identifier(name):
+            raise ValueError(f"invalid variable name: {name!r}")
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(_Record):
     """A call atom: evaluate system ``target`` with declared budget ``count``.
 
     ``count`` is how many nested call activations the atom is allowed to
     spend, not an exponent; a count of 0 means the call can never run.
     """
 
-    target: str
-    count: int
+    __slots__ = _fields = ("target", "count")
 
-    def __post_init__(self) -> None:
-        if not is_identifier(self.target):
-            raise ValueError(f"invalid call target: {self.target!r}")
-        if not isinstance(self.count, int) or self.count < 0:
-            raise ValueError(f"call count must be a non-negative integer: {self.count!r}")
+    def __init__(self, target: str, count: int) -> None:
+        if not is_identifier(target):
+            raise ValueError(f"invalid call target: {target!r}")
+        if not isinstance(count, int) or count < 0:
+            raise ValueError(f"call count must be a non-negative integer: {count!r}")
+        _set(self, "target", target)
+        _set(self, "count", count)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.target == other.target and self.count == other.count
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.count))
 
     def __str__(self) -> str:
         return f"{self.target}^{self.count}"
@@ -126,15 +176,25 @@ def _atom_key(atom: Atom) -> tuple:
     return (1, atom.target, atom.count)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Record):
     """A concatenation (min) of atoms, in construction order.
 
     Duplicates are preserved; ``canonical()`` sorts and deduplicates.
     The empty term is the constant 1.
     """
 
-    atoms: tuple[Atom, ...] = ()
+    __slots__ = _fields = ("atoms",)
+
+    def __init__(self, atoms: tuple[Atom, ...] = ()) -> None:
+        _set(self, "atoms", atoms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.atoms == other.atoms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
 
     def canonical(self) -> "Term":
         return Term(tuple(sorted(set(self.atoms), key=_atom_key)))
@@ -142,21 +202,28 @@ class Term:
     def atom_set(self) -> frozenset[Atom]:
         return frozenset(self.atoms)
 
-    def key(self) -> tuple:
-        return tuple(_atom_key(a) for a in self.atoms)
-
     def __str__(self) -> str:
         return format_term(self, "raw")
 
 
-@dataclass(frozen=True)
-class FtfExpr:
+class FtfExpr(_Record):
     """A union (max) of terms, in construction order.
 
     The empty expression is the constant 0.
     """
 
-    terms: tuple[Term, ...] = ()
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...] = ()) -> None:
+        _set(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @staticmethod
     def zero() -> "FtfExpr":
@@ -218,7 +285,9 @@ def canonicalize(expr: FtfExpr, simplify: bool = False) -> FtfExpr:
     another term's atom set is dropped (it can never win the max).
     Simplification never changes the value of the expression.
     """
-    terms = sorted({t.canonical() for t in expr.terms}, key=Term.key)
+    terms = sorted(
+        {t.canonical() for t in expr.terms}, key=lambda t: tuple(map(_atom_key, t.atoms))
+    )
     if simplify:
         sets = [t.atom_set() for t in terms]
         kept = [
@@ -286,8 +355,7 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         current[i + 1] = tail + 1
 
 
-@dataclass(frozen=True)
-class MultinomialEntry:
+class MultinomialEntry(_Record):
     """One composition of the multinomial expansion of an expression power.
 
     ``term`` is the raw concatenation of the i-th base term repeated
@@ -295,9 +363,12 @@ class MultinomialEntry:
     it never changes a max-min value because union is idempotent.
     """
 
-    composition: tuple[int, ...]
-    coefficient: int
-    term: Term
+    __slots__ = _fields = ("composition", "coefficient", "term")
+
+    def __init__(self, composition: tuple[int, ...], coefficient: int, term: Term) -> None:
+        _set(self, "composition", composition)
+        _set(self, "coefficient", coefficient)
+        _set(self, "term", term)
 
 
 def multinomial_expand(expr: FtfExpr, k: int) -> list[MultinomialEntry]:

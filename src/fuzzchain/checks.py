@@ -13,10 +13,9 @@ regression tests; both just pick a seed and a trial count.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .algebra import Call, FtfExpr, Term, Var, eval_expr, expr_power, multinomial_expand
+from .algebra import Call, FtfExpr, Term, Var, _Record, eval_expr, expr_power, multinomial_expand
 from .chains import derive_ftf
 from .closure import Matrix, matrix_power, transmission, warshall_closure, warshall_steps
 from .errors import FuzzchainError
@@ -44,12 +43,17 @@ __all__ = [
 _VAR_POOL = tuple(string.ascii_lowercase[:12])
 
 
-@dataclass
-class CheckResult:
-    name: str
-    trials: int
-    failures: int
-    detail: str = ""
+class CheckResult(_Record):
+    __slots__ = _fields = ("name", "trials", "failures", "detail")
+    __setattr__ = object.__setattr__  # mutable, so unhashable
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, name: str, trials: int, failures: int, detail: str = "") -> None:
+        self.name = name
+        self.trials = trials
+        self.failures = failures
+        self.detail = detail
 
     @property
     def passed(self) -> bool:

@@ -257,8 +257,6 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from dataclasses import asdict
-
     from .checks import run_all
 
     results = run_all(args.seed, args.trials)
@@ -267,7 +265,10 @@ def _cmd_check(args) -> int:
         "seed": args.seed,
         "trials": args.trials,
         "passed": ok,
-        "results": [asdict(r) for r in results],
+        "results": [
+            {"name": r.name, "trials": r.trials, "failures": r.failures, "detail": r.detail}
+            for r in results
+        ],
     }
     _emit(payload, args.json, "\n".join(r.summary() for r in results))
     return 0 if ok else CHECK_FAILED
@@ -287,15 +288,16 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from dataclasses import asdict
-
     from .systems import validate_registry
 
     registry, _ = _load_registry(args)
     diagnostics = validate_registry(registry)
     payload = {
         "systems": list(registry.names()),
-        "diagnostics": [asdict(d) for d in diagnostics],
+        "diagnostics": [
+            {"system": d.system, "severity": d.severity, "message": d.message}
+            for d in diagnostics
+        ],
     }
     plain = "\n".join(f"{d.severity}: {d.system}: {d.message}" for d in diagnostics)
     _emit(payload, args.json, plain or f"ok: {len(registry)} systems")

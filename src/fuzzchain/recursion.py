@@ -41,7 +41,6 @@ narration then read each binding straight from the assignment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
@@ -51,6 +50,8 @@ from .algebra import (
     FtfExpr,
     Term,
     Var,
+    _Record,
+    _set,
     check_grade,
     format_expr,
     snorm_max,
@@ -289,17 +290,25 @@ def _size_layers(chains: _Chains, walked: list[str], budget: Budget) -> list[dic
 # Symbolic expansion
 
 
-@dataclass(frozen=True)
-class ExpansionBranch:
+class ExpansionBranch(_Record):
     """One surviving chain, calls replaced by expanded child nodes.
 
     ``atoms`` are the chain's edge atoms in path order; ``segments`` are
     the same atoms with every call replaced by its child node.
     """
 
-    chain: Chain
-    segments: tuple[Union[Var, "ExpansionNode"], ...]
-    atoms: tuple[Atom, ...]
+    _fields = ("chain", "segments", "atoms")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached texts and terms
+
+    def __init__(
+        self,
+        chain: Chain,
+        segments: tuple[Union[Var, "ExpansionNode"], ...],
+        atoms: tuple[Atom, ...],
+    ) -> None:
+        _set(self, "chain", chain)
+        _set(self, "segments", segments)
+        _set(self, "atoms", atoms)
 
     def has_calls(self) -> bool:
         return any(isinstance(seg, ExpansionNode) for seg in self.segments)
@@ -327,17 +336,20 @@ class ExpansionBranch:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExpansionNode:
+class ExpansionNode(_Record):
     """A system unrolled at one budget; branches hold the live chains.
 
     Branches are in chain order.  One tree shares a node between every
     call that reaches the same (system, budget), so it is a DAG.
     """
 
-    system: str
-    budget: Budget
-    branches: tuple[ExpansionBranch, ...]
+    _fields = ("system", "budget", "branches")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached texts and terms
+
+    def __init__(self, system: str, budget: Budget, branches: tuple[ExpansionBranch, ...]) -> None:
+        _set(self, "system", system)
+        _set(self, "budget", budget)
+        _set(self, "branches", branches)
 
     def presentation_order(self) -> tuple[ExpansionBranch, ...]:
         """Call-free branches first, then call-bearing ones, each in
@@ -451,63 +463,76 @@ def render_expansion(node: ExpansionNode) -> str:
 # Tracing
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(_Record):
+    __slots__ = ()
+
     def line(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Enter(TraceEvent):
-    system: str
-    budget: Budget
+    __slots__ = _fields = ("system", "budget")
+
+    def __init__(self, system: str, budget: Budget) -> None:
+        _set(self, "system", system)
+        _set(self, "budget", budget)
 
     def line(self) -> str:
         shown = "top" if self.budget is None else str(self.budget)
         return f"ENTER system={self.system} budget={shown}"
 
 
-@dataclass(frozen=True)
 class Exit(TraceEvent):
-    system: str
-    value: float
+    __slots__ = _fields = ("system", "value")
+
+    def __init__(self, system: str, value: float) -> None:
+        _set(self, "system", system)
+        _set(self, "value", value)
 
     def line(self) -> str:
         return f"EXIT system={self.system} value={self.value!r}"
 
 
-@dataclass(frozen=True)
 class PushReturn(TraceEvent):
-    label: str
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: str) -> None:
+        _set(self, "label", label)
 
     def line(self) -> str:
         return f"PUSH return={self.label}"
 
 
-@dataclass(frozen=True)
 class PopReturn(TraceEvent):
-    label: str
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: str) -> None:
+        _set(self, "label", label)
 
     def line(self) -> str:
         return f"POP return={self.label}"
 
 
-@dataclass(frozen=True)
 class BranchResult(TraceEvent):
-    chain: str
-    expr: str
-    value: float
-    sub: str | None = None
+    __slots__ = _fields = ("chain", "expr", "value", "sub")
+
+    def __init__(self, chain: str, expr: str, value: float, sub: str | None = None) -> None:
+        _set(self, "chain", chain)
+        _set(self, "expr", expr)
+        _set(self, "value", value)
+        _set(self, "sub", sub)
 
     def line(self) -> str:
         middle = f" sub={self.sub}" if self.sub is not None else ""
         return f"BRANCH chain={self.chain}{middle} expr={self.expr} value={self.value!r}"
 
 
-@dataclass(frozen=True)
-class TraceResult:
-    value: float
-    events: tuple[TraceEvent, ...]
+class TraceResult(_Record):
+    __slots__ = _fields = ("value", "events")
+
+    def __init__(self, value: float, events: tuple[TraceEvent, ...]) -> None:
+        _set(self, "value", value)
+        _set(self, "events", events)
 
     def lines(self) -> list[str]:
         return [event.line() for event in self.events]

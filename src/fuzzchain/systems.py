@@ -26,11 +26,10 @@ resolved lazily: parsing succeeds with dangling targets and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
 
-from .algebra import Atom, Call, Var, check_grade, is_identifier, parse_count
+from .algebra import Atom, Call, Var, _Record, _set, check_grade, is_identifier, parse_count
 from .errors import BindingError, ParseError, UnknownSystemError
 
 __all__ = [
@@ -54,51 +53,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeDef:
+class EdgeDef(_Record):
     """One declared edge: endpoints in declaration orientation plus its atom."""
 
-    u: str
-    v: str
-    atom: Atom
+    __slots__ = _fields = ("u", "v", "atom")
 
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError(f"self-loop at {self.u!r}")
+    def __init__(self, u: str, v: str, atom: Atom) -> None:
+        if u == v:
+            raise ValueError(f"self-loop at {u!r}")
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "atom", atom)
 
     def pair(self) -> frozenset[str]:
         return frozenset((self.u, self.v))
 
 
-@dataclass(frozen=True)
-class FuzzySystem:
+class FuzzySystem(_Record):
     """An undirected labeled graph with input and output terminals."""
 
-    name: str
-    input_terminal: str
-    output_terminal: str
-    vertices: tuple[str, ...]
-    edges: tuple[EdgeDef, ...]
+    _fields = ("name", "input_terminal", "output_terminal", "vertices", "edges")
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached tables
 
-    def __post_init__(self) -> None:
-        for ident in (self.name, self.input_terminal, self.output_terminal, *self.vertices):
+    def __init__(
+        self,
+        name: str,
+        input_terminal: str,
+        output_terminal: str,
+        vertices: tuple[str, ...],
+        edges: tuple[EdgeDef, ...],
+    ) -> None:
+        for ident in (name, input_terminal, output_terminal, *vertices):
             if not is_identifier(ident):
                 raise ValueError(f"invalid identifier: {ident!r}")
-        if self.input_terminal == self.output_terminal:
-            raise ValueError(f"system {self.name!r}: input and output terminals must differ")
-        seen_vertices = set(self.vertices)
-        if len(seen_vertices) != len(self.vertices):
-            raise ValueError(f"system {self.name!r}: duplicate vertex in order")
-        for terminal in (self.input_terminal, self.output_terminal):
+        if input_terminal == output_terminal:
+            raise ValueError(f"system {name!r}: input and output terminals must differ")
+        seen_vertices = set(vertices)
+        if len(seen_vertices) != len(vertices):
+            raise ValueError(f"system {name!r}: duplicate vertex in order")
+        for terminal in (input_terminal, output_terminal):
             if terminal not in seen_vertices:
-                raise ValueError(f"system {self.name!r}: terminal {terminal!r} not among vertices")
+                raise ValueError(f"system {name!r}: terminal {terminal!r} not among vertices")
         pairs = set()
-        for edge in self.edges:
+        for edge in edges:
             if edge.u not in seen_vertices or edge.v not in seen_vertices:
-                raise ValueError(f"system {self.name!r}: edge endpoint not among vertices")
+                raise ValueError(f"system {name!r}: edge endpoint not among vertices")
             if edge.pair() in pairs:
-                raise ValueError(f"system {self.name!r}: duplicate edge {edge.u!r}-{edge.v!r}")
+                raise ValueError(f"system {name!r}: duplicate edge {edge.u!r}-{edge.v!r}")
             pairs.add(edge.pair())
+        values = (name, input_terminal, output_terminal, vertices, edges)
+        for field, value in zip(self._fields, values):
+            _set(self, field, value)
 
     @staticmethod
     def build(
@@ -161,11 +166,16 @@ class FuzzySystem:
         return tuple(e.atom for e in self.edges if isinstance(e.atom, Call))
 
 
-@dataclass
-class SystemRegistry:
+class SystemRegistry(_Record):
     """An ordered collection of named systems; call targets resolve here."""
 
-    systems: dict[str, FuzzySystem] = field(default_factory=dict)
+    __slots__ = _fields = ("systems",)
+    __setattr__ = object.__setattr__  # mutable, so unhashable
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, systems: dict[str, FuzzySystem] | None = None) -> None:
+        self.systems = {} if systems is None else systems
 
     def add(self, system: FuzzySystem) -> None:
         if system.name in self.systems:
@@ -195,11 +205,13 @@ class SystemRegistry:
         return max((c.count for s in self for c in s.call_atoms()), default=0)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    system: str
-    severity: str  # "error" | "warning"
-    message: str
+class Diagnostic(_Record):
+    __slots__ = _fields = ("system", "severity", "message")  # severity: "error" | "warning"
+
+    def __init__(self, system: str, severity: str, message: str) -> None:
+        _set(self, "system", system)
+        _set(self, "severity", severity)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.severity}: system {self.system!r}: {self.message}"
@@ -295,16 +307,18 @@ def cell_text(cell: Cell) -> str:
     return str(cell)
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
+class ConnectionMatrix(_Record):
     """Square symbolic matrix over a system's vertices.
 
     The diagonal is ONE, absent edges are ZERO, and the matrix is
     symmetric because edges are undirected.
     """
 
-    vertices: tuple[str, ...]
-    cells: tuple[tuple[Cell, ...], ...]
+    __slots__ = _fields = ("vertices", "cells")
+
+    def __init__(self, vertices: tuple[str, ...], cells: tuple[tuple[Cell, ...], ...]) -> None:
+        _set(self, "vertices", vertices)
+        _set(self, "cells", cells)
 
 
 def connection_matrix(system: FuzzySystem) -> ConnectionMatrix:
