@@ -70,8 +70,7 @@ def tnorm_min(a: float, b: float) -> float:
 
 
 def check_grade(value: float, what: str = "membership") -> float:
-    """Validate that ``value`` is a membership grade in [0, 1] and return it
-    as a float.  Only an ``int`` or a ``float`` can be one."""
+    """Validate that ``value`` is an int or float grade in [0, 1]; return it as a float."""
     if not isinstance(value, (int, float)):
         raise ValueError(f"{what} is not a number: {value!r}")
     value = float(value)
@@ -113,6 +112,9 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through __init__
+        return type(self), self._values()
 
 
 class Var(_Record):

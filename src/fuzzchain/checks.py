@@ -45,7 +45,7 @@ _VAR_POOL = tuple(string.ascii_lowercase[:12])
 
 class CheckResult(_Record):
     __slots__ = _fields = ("name", "trials", "failures", "detail")
-    __setattr__ = object.__setattr__  # mutable, so unhashable
+    __setattr__ = object.__setattr__  # mutable: plain assignment, and no hash
     __delattr__ = object.__delattr__
     __hash__ = None  # type: ignore[assignment]
 

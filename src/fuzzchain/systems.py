@@ -101,9 +101,8 @@ class FuzzySystem(_Record):
             if edge.pair() in pairs:
                 raise ValueError(f"system {name!r}: duplicate edge {edge.u!r}-{edge.v!r}")
             pairs.add(edge.pair())
-        values = (name, input_terminal, output_terminal, vertices, edges)
-        for field, value in zip(self._fields, values):
-            _set(self, field, value)
+        for f, v in zip(self._fields, (name, input_terminal, output_terminal, vertices, edges)):
+            _set(self, f, v)
 
     @staticmethod
     def build(
@@ -170,7 +169,7 @@ class SystemRegistry(_Record):
     """An ordered collection of named systems; call targets resolve here."""
 
     __slots__ = _fields = ("systems",)
-    __setattr__ = object.__setattr__  # mutable, so unhashable
+    __setattr__ = object.__setattr__  # mutable: plain assignment, and no hash
     __delattr__ = object.__delattr__
     __hash__ = None  # type: ignore[assignment]
 

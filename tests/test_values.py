@@ -9,6 +9,9 @@ ones, refuses assignment and deletion.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from fuzzchain.algebra import Call, FtfExpr, MultinomialEntry, Term, Var
@@ -45,7 +48,9 @@ _SYSTEM_REPR = (
     "FuzzySystem(name='s', input_terminal='A', output_terminal='B', vertices=('A', 'B'), "
     "edges=(EdgeDef(u='A', v='B', atom=Var(name='x')),))"
 )
-_BRANCH_REPR = "ExpansionBranch(chain=('A', 'B'), segments=(Var(name='x'),), atoms=(Var(name='x'),))"
+_BRANCH_REPR = (
+    "ExpansionBranch(chain=('A', 'B'), segments=(Var(name='x'),), atoms=(Var(name='x'),))"
+)
 
 # (class, field values in declaration order, repr of the instance they build)
 FROZEN = [
@@ -150,6 +155,15 @@ def test_equal_only_to_the_exact_class(case):
     lookalike = type("Lookalike", (cls,), {})(**fields)
     assert value != lookalike and lookalike != value
     assert value.__eq__(lookalike) is NotImplemented
+
+
+@pytest.mark.parametrize("case", ALL, ids=_id)
+def test_copies_and_pickles_rebuild_the_record(case):
+    cls, fields, text = case
+    value = cls(**fields)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        # a copied ONE cell is not the ONE singleton, so compare by repr
+        assert type(twin) is cls and repr(twin) == text
 
 
 def test_equal_fields_in_sibling_classes_are_not_equal():
