@@ -306,13 +306,24 @@ def expr_power(expr: FtfExpr, k: int) -> FtfExpr:
 
     ``k`` must be at least 1; the zeroth power is deliberately undefined
     in this algebra.
+
+    A canonical term depends only on its atom set, so the power is the
+    set of unions of k base terms, repeats allowed: each step unions
+    every set so far with every base term.  A union with a term it
+    already holds is itself, so the sets only grow, and the first step
+    that adds none is a fixpoint.  That is at most 2ᵐ sets for m base
+    terms, where concatenating first builds mᵏ raw terms.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"undefined power: k must be an integer >= 1, got {k!r}")
-    out = expr
+    base = {frozenset(t.atoms) for t in expr.terms}
+    out = base
     for _ in range(k - 1):
-        out = expr_concat(out, expr)
-    return canonicalize(out)
+        grown = {s | t for s in out for t in base}
+        if grown == out:
+            break
+        out = grown
+    return canonicalize(FtfExpr(tuple(Term(tuple(s)) for s in out)))
 
 
 def multinomial_coefficient(k: int, parts: Iterable[int]) -> int:

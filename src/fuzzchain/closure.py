@@ -25,11 +25,12 @@ the ``pivot-invariant`` suite checks against a path oracle, and the
 O(n²) zero allocation at C speed plus O(E) edge resolution, with no
 per-cell dispatch over the symbolic connection matrix.
 
-:func:`transmission` reads one cell, so it does not close the matrix.
-It runs the same row kernel on the input terminal's row alone, by
-label-setting: the largest unsettled cell is final, so each vertex is
-settled and relaxed once, and the walk ends when it settles the output
-terminal or runs out of cells above zero.  That is O(n²) at worst.
+:func:`transmission` reads one cell, so it neither closes nor builds the
+matrix.  It settles the input terminal's row by label-setting over the
+same resolved edges: the largest unsettled cell is final, so each vertex
+is settled once and only its own edges are relaxed, and the walk ends
+when it settles the output terminal or runs out of cells above zero.
+That is O(n + E) memory and O(n²) picks at worst, with O(E) relaxation.
 """
 
 from __future__ import annotations
@@ -65,18 +66,33 @@ def _check_square(m: Matrix, what: str = "matrix") -> int:
 def _relax_row(row: list[float], through: float, other: list[float]) -> None:
     """``row[j] = snorm_max(row[j], tnorm_min(through, other[j]))`` for every j.
 
-    The one max-min kernel behind the product, the closure and the
-    label-setting row of :func:`transmission`, written as inline
-    comparisons.  ``x >= through`` or ``x >= y`` is exactly the case
-    where the s-norm keeps ``x``; otherwise the t-norm's pick wins, so a
-    cell is replaced only by a strictly larger grade, and never by more
-    than ``through``.  Each cell selects the same value, ties included,
-    as the two scalar ops would, and results compare ``==``.
+    The one max-min kernel behind the product and the sweep, written as
+    inline comparisons; :func:`_relax_edges` applies the same update to
+    the few cells of a row that a vertex's edges reach.  ``x >= through``
+    or ``x >= y`` is exactly the case where the s-norm keeps ``x``;
+    otherwise the t-norm's pick wins, so a cell is replaced only by a
+    strictly larger grade, and never by more than ``through``.  Each cell
+    selects the same value, ties included, as the two scalar ops would,
+    and results compare ``==``.
     """
     row[:] = [
         x if x >= through or x >= y else (through if through <= y else y)
         for x, y in zip(row, other)
     ]
+
+
+def _relax_edges(row: list[float], through: float, edges: list[tuple[int, float]]) -> None:
+    """:func:`_relax_row` on the cells of ``row`` that ``edges`` reach.
+
+    ``edges`` lists the settled vertex's (neighbour, grade) pairs.  In
+    its resolved row every other cell is ``0.0``, or ``1.0`` on the
+    diagonal, and the dense update leaves the row's cells alone there: a
+    grade x in [0, 1] has ``x >= 0.0``, signed zeros included, and the
+    settled cell holds ``through`` itself.
+    """
+    for j, y in edges:
+        x = row[j]
+        row[j] = x if x >= through or x >= y else (through if through <= y else y)
 
 
 def maxmin_matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -209,21 +225,15 @@ def _forest_closure(m: Matrix) -> Matrix:
     return out
 
 
-def resolve_matrix(
+def _resolved_edges(
     registry: SystemRegistry, name: str, assignment: dict[str, float]
-) -> tuple[tuple[str, ...], Matrix]:
-    """Numeric connection matrix of a system under an assignment.
+) -> tuple[tuple[str, ...], list[tuple[int, int, float]]]:
+    """The vertex order of a system and each edge's (u index, v index, grade).
 
-    Variable cells take their bound grade; call cells take the called
-    system's value at the declared budget, as :func:`resolve_call` gives
-    it (0 when the declared count is 0 — a call that may never run
-    transmits nothing).  Returns the vertex order alongside the grid.
-
-    The grid is filled from the edges, not from the symbolic matrix: an
-    n×n block of ``0.0`` with ``1.0`` on the diagonal, then each edge's
-    atom resolved once and written to its two symmetric cells, at the
-    indices of ``system.vertices``.  That is an O(n²) allocation at C
-    speed plus O(E) resolution, with no per-cell dispatch.
+    A variable takes its bound grade; a call takes the called system's
+    value at the declared budget, as :func:`resolve_call` gives it (0
+    when the declared count is 0 — a call that may never run transmits
+    nothing).  Each edge's atom is resolved once, in declaration order.
     """
     from .recursion import call_layers
 
@@ -232,16 +242,36 @@ def resolve_matrix(
     system = registry[name]
     vertices = system.vertices
     index = {v: i for i, v in enumerate(vertices)}
-    grid: Matrix = [[0.0] * len(vertices) for _ in vertices]
-    for i, row in enumerate(grid):
-        row[i] = 1.0
+    edges = []
     for edge in system.edges:
         atom = edge.atom
         if isinstance(atom, Call):
             grade = 0.0 if atom.count < 1 else layers[min(atom.count, top)][atom.target]
         else:
             grade = assignment[atom.name]
-        u, v = index[edge.u], index[edge.v]
+        edges.append((index[edge.u], index[edge.v], grade))
+    return vertices, edges
+
+
+def resolve_matrix(
+    registry: SystemRegistry, name: str, assignment: dict[str, float]
+) -> tuple[tuple[str, ...], Matrix]:
+    """Numeric connection matrix of a system under an assignment.
+
+    Cells are the grades of :func:`_resolved_edges`.  Returns the vertex
+    order alongside the grid.
+
+    The grid is filled from the edges, not from the symbolic matrix: an
+    n×n block of ``0.0`` with ``1.0`` on the diagonal, then each edge's
+    grade written to its two symmetric cells, at the indices of
+    ``system.vertices``.  That is an O(n²) allocation at C speed plus
+    O(E) resolution, with no per-cell dispatch.
+    """
+    vertices, edges = _resolved_edges(registry, name, assignment)
+    grid: Matrix = [[0.0] * len(vertices) for _ in vertices]
+    for i, row in enumerate(grid):
+        row[i] = 1.0
+    for u, v, grade in edges:
         grid[u][v] = grid[v][u] = grade
     return vertices, grid
 
@@ -259,22 +289,33 @@ def transmission(registry: SystemRegistry, name: str, assignment: dict[str, floa
     1960, "The maximum capacity through a network").  Every cell stays
     the grade of some walk from the input, and relaxing through vertex k
     raises a cell to at most ``row[k]``.  So the largest unsettled cell
-    can no longer rise: it is final, and vertex k is settled and relaxed
-    once, as :func:`_relax_pivot` relaxes one row, reading row k of the
-    resolved grid.  The walk stops when it settles the output terminal,
-    or when no unsettled cell is ``> 0.0`` (those cells keep their
-    starting grade, signed zeros included, as the closure keeps them).
-    The output cell then equals the one :func:`warshall_closure` reads
-    off its spanning forest, with no code shared between the two.  Each
-    vertex costs one O(n) pick and at most one O(n) relaxation, so the
-    worst case is O(n²), the cost of reading the matrix; building it is a
-    zeroed n×n allocation plus O(E) for the edges (see
-    :func:`resolve_matrix`).
+    can no longer rise: it is final, and vertex k is settled once and
+    its edges relaxed once (:func:`_relax_edges`).  The walk stops when
+    it settles the output terminal, or when no unsettled cell is
+    ``> 0.0`` (those cells keep their starting grade, signed zeros
+    included, as the closure keeps them).  The output cell then equals
+    the one :func:`warshall_closure` reads off its spanning forest, with
+    no code shared between the two.
+
+    No n×n grid is built.  The row starts as the input's row of
+    :func:`resolve_matrix` (``0.0``, ``1.0`` at the input, each input
+    edge's grade at its neighbour), and each vertex keeps its (neighbour,
+    grade) list, so memory is O(n + E).  Each vertex costs one O(n)
+    pick, and each edge is relaxed at most twice, so the worst case is
+    O(n² + E).
     """
     system = registry[name]
-    vertices, grid = resolve_matrix(registry, name, assignment)
-    row = grid[vertices.index(system.input_terminal)][:]
+    vertices, edges = _resolved_edges(registry, name, assignment)
+    adjacent: list[list[tuple[int, float]]] = [[] for _ in vertices]
+    for u, v, grade in edges:
+        adjacent[u].append((v, grade))
+        adjacent[v].append((u, grade))
+    source = vertices.index(system.input_terminal)
     output = vertices.index(system.output_terminal)
+    row = [0.0] * len(vertices)
+    row[source] = 1.0
+    for j, grade in adjacent[source]:
+        row[j] = grade
     unsettled = list(range(len(row)))
     while True:
         k = max(unsettled, key=row.__getitem__)
@@ -282,7 +323,7 @@ def transmission(registry: SystemRegistry, name: str, assignment: dict[str, floa
         if k == output or not through > 0.0:
             return row[output]
         unsettled.remove(k)
-        _relax_row(row, through, grid[k])
+        _relax_edges(row, through, adjacent[k])
 
 
 # --- rendering --------------------------------------------------------------

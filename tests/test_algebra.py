@@ -209,6 +209,34 @@ def test_expr_power_square():
     assert expr_power(FtfExpr.one(), 3) == FtfExpr.one()
 
 
+def _k_fold_concat(expr, k):
+    out = expr
+    for _ in range(k - 1):
+        out = expr_concat(out, expr)
+    return canonicalize(out)
+
+
+def test_expr_power_equals_the_canonical_k_fold_concatenation():
+    rng = SplitMix64(17)
+    atoms = (Var("p"), Var("q"), Var("r"), Var("s"), Call("f", 2), Call("f", 0))
+    for _ in range(300):
+        expr = FtfExpr(
+            tuple(
+                Term(tuple(rng.choice(atoms) for _ in range(rng.randint(0, 3))))
+                for _ in range(rng.randint(0, 5))
+            )
+        )
+        for k in range(1, 5):
+            assert repr(expr_power(expr, k)) == repr(_k_fold_concat(expr, k)), (expr, k)
+
+
+def test_expr_power_of_a_long_sum_stops_at_the_unions():
+    # concatenating first would build 8⁹ raw terms
+    powered = expr_power(parse_expr("a + b + c + d + e + f + g + h"), 9)
+    assert len(powered.terms) == 255  # one per non-empty subset of the 8 atoms
+    assert format_expr(powered, "raw").startswith("a + a*b + a*b*c + ")
+
+
 def test_multinomial_coefficient():
     assert multinomial_coefficient(2, (2, 0)) == 1
     assert multinomial_coefficient(2, (1, 1)) == 2

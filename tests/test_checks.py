@@ -52,7 +52,8 @@ def test_pivot_invariant_catches_a_sweep_that_skips_pivot_zero(monkeypatch):
 
 def _skip_last_column(monkeypatch):
     """Swap in a row kernel that never writes the last column.  The
-    product, the sweep and ``transmission`` all relax rows with it."""
+    product and the sweep relax rows with it; ``transmission`` relaxes
+    edges, not rows."""
     relax_row = closure._relax_row
 
     def skipping(row, through, other):
@@ -73,11 +74,14 @@ def test_closure_power_catches_a_kernel_that_skips_the_last_column(monkeypatch):
     assert "closure != power(n-1)" in result.detail
 
 
-def test_eval_closure_catches_a_kernel_that_skips_the_last_column(monkeypatch):
-    # the chain evaluator and the oracle relax no rows, so transmission is
+def test_eval_closure_catches_a_walk_that_skips_each_vertex_last_edge(monkeypatch):
+    # the chain evaluator and the oracle relax no edges, so transmission is
     # what goes wrong
     assert check_eval_closure(42, 100).passed
-    _skip_last_column(monkeypatch)
+    relax_edges = closure._relax_edges
+    monkeypatch.setattr(
+        closure, "_relax_edges", lambda row, through, edges: relax_edges(row, through, edges[:-1])
+    )
     result = check_eval_closure(42, 100)
     assert result.failures > 0
     assert "closure=" in result.detail

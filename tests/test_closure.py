@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from fuzzchain import closure, systems
@@ -155,7 +157,7 @@ def test_symmetric_closure_equals_definition_and_the_sweep_by_repr():
 
 
 def test_closure_relaxes_nothing_on_symmetric_grades_and_sweeps_once_otherwise(
-    monkeypatch, relaxations
+    monkeypatch, row_relaxations
 ):
     relax_pivot = closure._relax_pivot
     pivots = []
@@ -167,7 +169,7 @@ def test_closure_relaxes_nothing_on_symmetric_grades_and_sweeps_once_otherwise(
     monkeypatch.setattr(closure, "_relax_pivot", counted)
     for m in [PSI1_RESOLVED, *_symmetric_matrices(29)]:
         warshall_closure(m)
-        assert pivots == relaxations == []
+        assert pivots == row_relaxations == []
     nan = float("nan")
     for m in (
         [[0.2, 0.7], [0.3, 1.0]],  # asymmetric
@@ -327,20 +329,63 @@ def test_transmission_reads_the_closure_cell_on_random_registries():
     assert "-0.0" in answers and "0.0" in answers  # both signs of zero were answered
 
 
-def test_transmission_reads_the_closure_cell_on_large_sparse_systems(relaxations):
+def _sparse_assignment(rng, names):
+    """Fixture bindings plus a grade for each of ``names``, a fifth of them
+    ``0.0`` or ``-0.0``."""
+    assignment = dict(FIXTURE_ASSIGNMENT)
+    for var in names:
+        assignment[var] = rng.choice((0.0, -0.0)) if rng.chance(1, 5) else rng.grade()
+    return assignment
+
+
+def test_transmission_reads_the_closure_cell_on_large_sparse_systems(
+    relaxations, row_relaxations
+):
     rng = SplitMix64(11)
     answers = []
     for n in (*range(40, 121, 8), 600):
         registry, names = _sparse_registry(rng, n)
-        assignment = dict(FIXTURE_ASSIGNMENT)
-        for var in names:
-            assignment[var] = rng.choice((0.0, -0.0)) if rng.chance(1, 5) else rng.grade()
+        assignment = _sparse_assignment(rng, names)
         got = transmission(registry, "big", assignment)
-        relaxed = len(relaxations)
+        assert relaxations  # transmission relaxes edges ...
+        assert row_relaxations == []  # ... and no dense row
         assert repr(got) == repr(_closure_cell(registry, "big", assignment)), n
-        assert len(relaxations) == relaxed  # the closure reads the forest, relaxing no row
+        assert row_relaxations == []  # the closure reads the forest, relaxing no row
         answers.append(got)
     assert len(set(answers)) > 3  # the systems answer with several grades
+
+
+def test_transmission_never_resolves_the_matrix(monkeypatch):
+    rng = SplitMix64(23)
+    registry, names = _sparse_registry(rng, 80)
+    assignment = _sparse_assignment(rng, names)
+    cases = [(registry, name) for name in registry.names()]
+    cases += [(builtin_fixtures(rec_count=k), "psi1_rec") for k in (0, 2, 13)]
+    expected = [repr(_closure_cell(reg, name, assignment)) for reg, name in cases]
+
+    def refuse(*_args):
+        raise AssertionError("transmission built the n×n grid")
+
+    monkeypatch.setattr(closure, "resolve_matrix", refuse)
+    for (reg, name), answer in zip(cases, expected):
+        assert repr(transmission(reg, name, assignment)) == answer, name
+
+
+def test_transmission_memory_stays_far_below_the_grid():
+    # the n×n grid's row pointers alone take 8n² bytes, 8 MB at n = 1 000
+    n = 1000
+    registry, names = _sparse_registry(SplitMix64(31), n)
+    assignment = _sparse_assignment(SplitMix64(32), names)
+    answer = repr(_closure_cell(registry, "big", assignment))
+    transmission(registry, "big", assignment)  # fill the system's cached tables
+    tracemalloc.start()
+    try:
+        got = transmission(registry, "big", assignment)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 10, peak
+    assert repr(got) == answer
 
 
 def test_transmission_never_runs_the_closure_sweep(monkeypatch):
@@ -372,18 +417,30 @@ def _reversed_path_registry(n):
     return _one_system("path", vertices, grades)
 
 
-@pytest.fixture
-def relaxations(monkeypatch):
-    """The ``through`` grade of every row relaxation, in call order."""
+def _counted(monkeypatch, kernel):
+    """The ``through`` grade of every call to ``closure.<kernel>``, in call order."""
     calls = []
-    relax = closure._relax_row
+    relax = getattr(closure, kernel)
 
     def counted(row, through, other):
         calls.append(through)
         relax(row, through, other)
 
-    monkeypatch.setattr(closure, "_relax_row", counted)
+    monkeypatch.setattr(closure, kernel, counted)
     return calls
+
+
+@pytest.fixture
+def relaxations(monkeypatch):
+    """The ``through`` grade of each vertex that transmission settles and
+    relaxes the edges of, in call order."""
+    return _counted(monkeypatch, "_relax_edges")
+
+
+@pytest.fixture
+def row_relaxations(monkeypatch):
+    """The ``through`` grade of every dense row relaxation, in call order."""
+    return _counted(monkeypatch, "_relax_row")
 
 
 def test_transmission_follows_a_path_declared_against_the_pivot_order():
@@ -521,8 +578,9 @@ def _matrix_cases():
 
 
 def test_resolve_matrix_equals_the_cell_by_cell_reading():
-    # transmission and the closure cell both read resolve_matrix, so only a
-    # reference built another way can catch a wrong fill
+    # the closure cell reads resolve_matrix and transmission the same
+    # resolved edges, so only a reference built another way can catch a
+    # wrong grade
     cells = set()
     for registry, name, assignment in _matrix_cases():
         vertices, grid = resolve_matrix(registry, name, assignment)
