@@ -258,8 +258,9 @@ def resolve_matrix(
 ) -> tuple[tuple[str, ...], Matrix]:
     """Numeric connection matrix of a system under an assignment.
 
-    Cells are the grades of :func:`_resolved_edges`.  Returns the vertex
-    order alongside the grid.
+    Variable cells take their bound grade and call cells the called
+    system's value at the declared budget, as :func:`_resolved_edges`
+    reads them.  Returns the vertex order alongside the grid.
 
     The grid is filled from the edges, not from the symbolic matrix: an
     n×n block of ``0.0`` with ``1.0`` on the diagonal, then each edge's
