@@ -193,8 +193,8 @@ def _outcome(route: Callable[..., float], *args) -> float | tuple[str, str]:
 
 def check_eval_closure(seed: int, trials: int) -> CheckResult:
     """Chain DFS, the connection-matrix route (:func:`transmission`, the
-    input terminal's row settled by label-setting over the resolved
-    edges, with no n×n grid) and the call-unrolling oracle
+    input terminal's row read off a maximum spanning forest of the
+    resolved edges, with no n×n grid) and the call-unrolling oracle
     (:func:`oracle_unroll_eval`) must agree, with and without call edges
     in the graph.  A third of the trials leave one variable unbound:
     then chains and matrix must either both raise the same error or both

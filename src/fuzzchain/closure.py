@@ -26,17 +26,15 @@ O(n²) zero allocation at C speed plus O(E) edge resolution, with no
 per-cell dispatch over the symbolic connection matrix.
 
 :func:`transmission` reads one cell, so it neither closes nor builds the
-matrix.  It settles the input terminal's row by label-setting over the
-same resolved edges: the largest unsettled cell is final, so each vertex
-is settled once and only its own edges are relaxed, and the walk ends
-when it settles the output terminal or runs out of cells above zero.
-That is O(n + E) memory and O(n²) picks at worst, with O(E) relaxation.
+matrix.  It builds the same spanning forest from the resolved edges and
+walks it from the input terminal only: O(E log E + n) work and
+O(n + E) memory.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .algebra import Call
 from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, cell_text
@@ -54,6 +52,7 @@ __all__ = [
 ]
 
 Matrix = list[list[float]]
+Forest = list[list[tuple[int, float]]]
 
 
 def _check_square(m: Matrix, what: str = "matrix") -> int:
@@ -67,8 +66,7 @@ def _relax_row(row: list[float], through: float, other: list[float]) -> None:
     """``row[j] = snorm_max(row[j], tnorm_min(through, other[j]))`` for every j.
 
     The one max-min kernel behind the product and the sweep, written as
-    inline comparisons; :func:`_relax_edges` applies the same update to
-    the few cells of a row that a vertex's edges reach.  ``x >= through``
+    inline comparisons.  ``x >= through``
     or ``x >= y`` is exactly the case where the s-norm keeps ``x``;
     otherwise the t-norm's pick wins, so a cell is replaced only by a
     strictly larger grade, and never by more than ``through``.  Each cell
@@ -79,20 +77,6 @@ def _relax_row(row: list[float], through: float, other: list[float]) -> None:
         x if x >= through or x >= y else (through if through <= y else y)
         for x, y in zip(row, other)
     ]
-
-
-def _relax_edges(row: list[float], through: float, edges: list[tuple[int, float]]) -> None:
-    """:func:`_relax_row` on the cells of ``row`` that ``edges`` reach.
-
-    ``edges`` lists the settled vertex's (neighbour, grade) pairs.  In
-    its resolved row every other cell is ``0.0``, or ``1.0`` on the
-    diagonal, and the dense update leaves the row's cells alone there: a
-    grade x in [0, 1] has ``x >= 0.0``, signed zeros included, and the
-    settled cell holds ``through`` itself.
-    """
-    for j, y in edges:
-        x = row[j]
-        row[j] = x if x >= through or x >= y else (through if through <= y else y)
 
 
 def maxmin_matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -175,24 +159,13 @@ def _is_symmetric_grade_matrix(m: Matrix) -> bool:
     )
 
 
-def _forest_closure(m: Matrix) -> Matrix:
-    """Max-min closure of a symmetric grade matrix, from a maximum spanning forest.
+def _spanning_forest(n: int, edges: Iterable[tuple[int, int, float]]) -> Forest:
+    """Each vertex's (neighbour, grade) list in a maximum spanning forest
+    of the undirected (u, v, grade) ``edges`` on vertices ``0 .. n-1``.
 
-    Kruskal, with union-find, keeps each positive off-diagonal cell that
-    joins two trees, best grade first.  Off the diagonal, the closure is
-    then the smallest grade on the forest path between the two vertices;
-    one walk per vertex, with an explicit stack, carries that running
-    min.  A cell that no forest path reaches keeps its starting grade,
-    ``0.0`` or ``-0.0``, as the sweep keeps it.  A cycle through ``s`` is
-    no better than its first edge, so the diagonal is raised to the
-    largest cell of row ``s`` when that is strictly larger.
+    Kruskal, with union-find, keeps each edge ``> 0.0`` that joins two
+    trees, best grade first.
     """
-    n = len(m)
-    edges = sorted(
-        ((x, i, j) for i, row in enumerate(m) for j, x in enumerate(row[:i]) if x > 0.0),
-        key=itemgetter(0),
-        reverse=True,
-    )
     parent = list(range(n))
 
     def find(v: int) -> int:
@@ -201,23 +174,51 @@ def _forest_closure(m: Matrix) -> Matrix:
             v = parent[v]
         return v
 
-    forest: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for grade, i, j in edges:
-        root_i, root_j = find(i), find(j)
-        if root_i != root_j:
-            parent[root_i] = root_j
-            forest[i].append((j, grade))
-            forest[j].append((i, grade))
+    forest: Forest = [[] for _ in range(n)]
+    for u, v, grade in sorted(
+        (edge for edge in edges if edge[2] > 0.0), key=itemgetter(2), reverse=True
+    ):
+        root_u, root_v = find(u), find(v)
+        if root_u != root_v:
+            parent[root_u] = root_v
+            forest[u].append((v, grade))
+            forest[v].append((u, grade))
+    return forest
+
+
+def _walk_forest(forest: Forest, s: int, row: list[float]) -> None:
+    """Write into ``row`` the smallest grade on the forest path from ``s``
+    to each vertex it reaches, carried by an explicit stack.  ``row[s]``
+    and the cells of unreached vertices are left alone."""
+    stack = [(t, s, grade) for t, grade in forest[s]]
+    while stack:
+        v, came_from, width = stack.pop()
+        row[v] = width
+        for t, grade in forest[v]:
+            if t != came_from:
+                stack.append((t, v, grade if grade < width else width))
+
+
+def _forest_closure(m: Matrix) -> Matrix:
+    """Max-min closure of a symmetric grade matrix, from a maximum spanning forest.
+
+    Off the diagonal, the closure is the smallest grade on the forest
+    path between the two vertices, walked once per row.  A cell that no
+    forest path reaches keeps its starting grade, ``0.0`` or ``-0.0``, as
+    the sweep keeps it.  A cycle through ``s`` is no better than its
+    first edge, so the diagonal is raised to the largest cell of row
+    ``s`` when that is strictly larger.
+    """
+    n = len(m)
+    forest = _spanning_forest(
+        n,
+        # the same test as the forest's, so that no empty cell builds a tuple
+        ((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row[:i]) if x > 0.0),
+    )
     out = []
     for s in range(n):
         row = m[s][:]
-        stack = [(t, s, grade) for t, grade in forest[s]]
-        while stack:
-            v, came_from, width = stack.pop()
-            row[v] = width
-            for t, grade in forest[v]:
-                if t != came_from:
-                    stack.append((t, v, grade if grade < width else width))
+        _walk_forest(forest, s, row)
         top = max(row)
         if top > row[s]:
             row[s] = top
@@ -283,48 +284,28 @@ def terminal_cell(system: FuzzySystem, vertices: tuple[str, ...], grid: Matrix) 
 
 
 def transmission(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
-    """Input-to-output grade: the input terminal's row of the resolved
-    connection matrix, settled one vertex at a time.
+    """Input-to-output grade: one row of :func:`warshall_closure`, read off
+    the same spanning forest of the resolved edges.
 
-    This is label-setting in the max-min semiring (Dijkstra 1959; Pollack
-    1960, "The maximum capacity through a network").  Every cell stays
-    the grade of some walk from the input, and relaxing through vertex k
-    raises a cell to at most ``row[k]``.  So the largest unsettled cell
-    can no longer rise: it is final, and vertex k is settled once and
-    its edges relaxed once (:func:`_relax_edges`).  The walk stops when
-    it settles the output terminal, or when no unsettled cell is
-    ``> 0.0`` (those cells keep their starting grade, signed zeros
-    included, as the closure keeps them).  The output cell then equals
-    the one :func:`warshall_closure` reads off its spanning forest, with
-    no code shared between the two.
-
-    No n×n grid is built.  The row starts as the input's row of
-    :func:`resolve_matrix` (``0.0``, ``1.0`` at the input, each input
-    edge's grade at its neighbour), and each vertex keeps its (neighbour,
-    grade) list, so memory is O(n + E).  Each vertex costs one O(n)
-    pick, and each edge is relaxed at most twice, so the worst case is
-    O(n² + E).
+    The row starts as the input's row of :func:`resolve_matrix` (``0.0``,
+    ``1.0`` at the input, each input edge's grade at its neighbour), and
+    a cell the forest does not reach keeps that grade, signed zeros
+    included, as the closure keeps it.  No n×n grid is built: memory is
+    O(n + E) and work O(E log E + n).  The chain evaluator and the
+    call-unrolling oracle share no code with it (``eval-closure-agree``).
     """
     system = registry[name]
     vertices, edges = _resolved_edges(registry, name, assignment)
-    adjacent: list[list[tuple[int, float]]] = [[] for _ in vertices]
-    for u, v, grade in edges:
-        adjacent[u].append((v, grade))
-        adjacent[v].append((u, grade))
     source = vertices.index(system.input_terminal)
-    output = vertices.index(system.output_terminal)
     row = [0.0] * len(vertices)
     row[source] = 1.0
-    for j, grade in adjacent[source]:
-        row[j] = grade
-    unsettled = list(range(len(row)))
-    while True:
-        k = max(unsettled, key=row.__getitem__)
-        through = row[k]
-        if k == output or not through > 0.0:
-            return row[output]
-        unsettled.remove(k)
-        _relax_edges(row, through, adjacent[k])
+    for u, v, grade in edges:
+        if u == source:
+            row[v] = grade
+        elif v == source:
+            row[u] = grade
+    _walk_forest(_spanning_forest(len(vertices), edges), source, row)
+    return row[vertices.index(system.output_terminal)]
 
 
 # --- rendering --------------------------------------------------------------

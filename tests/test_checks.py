@@ -52,8 +52,8 @@ def test_pivot_invariant_catches_a_sweep_that_skips_pivot_zero(monkeypatch):
 
 def _skip_last_column(monkeypatch):
     """Swap in a row kernel that never writes the last column.  The
-    product and the sweep relax rows with it; ``transmission`` relaxes
-    edges, not rows."""
+    product and the sweep relax rows with it; the spanning forest relaxes
+    no row."""
     relax_row = closure._relax_row
 
     def skipping(row, through, other):
@@ -74,14 +74,18 @@ def test_closure_power_catches_a_kernel_that_skips_the_last_column(monkeypatch):
     assert "closure != power(n-1)" in result.detail
 
 
-def test_eval_closure_catches_a_walk_that_skips_each_vertex_last_edge(monkeypatch):
-    # the chain evaluator and the oracle relax no edges, so transmission is
-    # what goes wrong
+def test_both_closure_suites_catch_a_forest_that_drops_an_edge_per_vertex(monkeypatch):
+    # transmission and the closure read the same spanning forest, so both
+    # suites that compare it with an independent route must fail
     assert check_eval_closure(42, 100).passed
-    relax_edges = closure._relax_edges
+    assert check_closure_power(43, 100).passed
+    spanning_forest = closure._spanning_forest
     monkeypatch.setattr(
-        closure, "_relax_edges", lambda row, through, edges: relax_edges(row, through, edges[:-1])
+        closure, "_spanning_forest", lambda n, edges: [t[:-1] for t in spanning_forest(n, edges)]
     )
     result = check_eval_closure(42, 100)
     assert result.failures > 0
     assert "closure=" in result.detail
+    result = check_closure_power(43, 100)
+    assert result.failures > 0
+    assert "closure != power(n-1)" in result.detail
