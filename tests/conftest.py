@@ -14,9 +14,11 @@ import pytest
 
 from fuzzchain.algebra import Var
 from fuzzchain.cli import main as cli_main
+from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
     FuzzySystem,
+    SystemRegistry,
     builtin_fixtures,
     format_registry,
     parse_registry,
@@ -89,6 +91,22 @@ def grid_system(k: int) -> FuzzySystem:
                 if r2 < k and c2 < k:
                     edges.append((f"G{r}_{c}", f"G{r2}_{c2}", Var(f"e{len(edges)}")))
     return FuzzySystem.build("grid", "G0_0", f"G{k - 1}_{k - 1}", edges)
+
+
+def lengthen_some_names(
+    rng: SplitMix64, registry: SystemRegistry, assignment: dict[str, float]
+) -> tuple[SystemRegistry, dict[str, float]]:
+    """``registry`` and ``assignment`` with about a third of the variables
+    renamed ``v`` -> ``vv``, so paper texts mix juxtaposed and starred terms."""
+    renamed = {v: v * 2 if rng.chance(1, 3) else v for v in sorted(assignment)}
+    out = SystemRegistry()
+    for system in registry:
+        edges = [
+            (e.u, e.v, Var(renamed[e.atom.name]) if isinstance(e.atom, Var) else e.atom)
+            for e in system.edges
+        ]
+        out.add(FuzzySystem.build(system.name, system.input_terminal, system.output_terminal, edges))
+    return out, {renamed[v]: grade for v, grade in assignment.items()}
 
 
 @pytest.fixture

@@ -3,11 +3,15 @@
 The digest is a SHA-256 over the ``repr`` of what each numeric and
 symbolic route returns, or of the class and message of the error it
 raises, on random registries with signed-zero and missing bindings and
-on the built-in fixtures.  The whole closed connection matrix is one of
+on the built-in fixtures, then on random registries in which about a
+third of the variables have multi-character names, so starred terms
+reach the paper texts of ``trace`` and ``ftf``.  The whole closed connection matrix is one of
 those outputs, so every cell of ``warshall_closure`` is pinned, signed
 zeros and the diagonal included, not only the terminal cell.  The chain walk itself (``enumerate_chains``
-and ``derive_ftf``) is hashed on every system of those cases and on
-k x k grids for k = 2..5, so the order of chains is pinned directly.
+and ``derive_ftf``, and its text in every format mode) is hashed on
+every system of those cases and on k x k grids for k = 2..5, so the
+order of chains is pinned directly.  ``canonicalize`` is hashed on
+each system's expansion, with and without absorption.
 A change to any evaluator kernel that keeps every output
 ``repr``-identical keeps the digest; one that moves a single value,
 sign of zero or error message changes it.
@@ -17,8 +21,9 @@ from __future__ import annotations
 
 import hashlib
 
-from conftest import grid_system
+from conftest import grid_system, lengthen_some_names
 
+from fuzzchain.algebra import canonicalize, format_expr
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.closure import resolve_matrix, transmission, warshall_closure
@@ -35,8 +40,10 @@ from fuzzchain.systems import FIXTURE_ASSIGNMENT, builtin_fixtures
 
 SEED = 20240611
 RANDOM_CASES = 300
+RENAMED_SEED = 20240612
+RENAMED_CASES = 50
 GRID_SIZES = range(2, 6)
-DIGEST = "5896d4f8c9bc1c363a0396a2ce186f23c59cdf81f573f9049e9edeac26dcc769"
+DIGEST = "f592f38873e83a532c947f0184ea58f7c05db7bb7b89cb8c5933dd683a1c7bd2"
 
 
 def _cases():
@@ -54,11 +61,27 @@ def _cases():
         yield registry, assignment
     for rec_count in range(9):
         yield builtin_fixtures(rec_count=rec_count), dict(FIXTURE_ASSIGNMENT)
+    rng = SplitMix64(RENAMED_SEED)
+    for _ in range(RENAMED_CASES):
+        registry = random_registry(
+            rng, n_systems=rng.randint(1, 3), max_vertices=6, max_count=4
+        )
+        yield lengthen_some_names(rng, registry, random_assignment(rng))
 
 
 def _walk_routes(system):
     yield enumerate_chains, system
     yield derive_ftf, system
+    for mode in ("raw", "canonical", "paper"):
+        yield _ftf_text, system, mode
+
+
+def _ftf_text(system, mode):
+    return format_expr(derive_ftf(system), mode)
+
+
+def _canonical_expansion(registry, name, simplify):
+    return canonicalize(symbolic_expand(registry, name, 2), simplify)
 
 
 def _routes(registry, name, assignment):
@@ -71,6 +94,8 @@ def _routes(registry, name, assignment):
     yield lambda *args: trace_eval(*args).lines(), registry, name, assignment
     yield lambda *args: render_expansion(expansion_tree(*args)), registry, name
     yield symbolic_expand, registry, name, 2
+    for simplify in (False, True):
+        yield _canonical_expansion, registry, name, simplify
 
 
 def _all_routes():
