@@ -22,6 +22,7 @@ constant 0.  Those are also the units of concatenation and union.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -201,9 +202,6 @@ class Term(_Record):
     def canonical(self) -> "Term":
         return Term(tuple(sorted(set(self.atoms), key=_atom_key)))
 
-    def atom_set(self) -> frozenset[Atom]:
-        return frozenset(self.atoms)
-
     def __str__(self) -> str:
         return format_term(self, "raw")
 
@@ -283,21 +281,31 @@ def expr_concat(a: FtfExpr, b: FtfExpr) -> FtfExpr:
 def canonicalize(expr: FtfExpr, simplify: bool = False) -> FtfExpr:
     """Sorted, deduplicated form of ``expr``; optionally absorption-simplified.
 
+    Terms built from the same atom objects have one canonical form, so
+    only one term per set of atom identities is canonicalized: an
+    expansion that repeats a system's atoms in many orders is sorted
+    once per distinct set, not once per term.
+
     With ``simplify`` every term whose atom set is a strict superset of
     another term's atom set is dropped (it can never win the max).
+    Terms are visited smallest set first and tested only against the
+    sets kept so far: a strict subset is smaller, and any dropped one
+    holds a kept minimal set, so this drops exactly those terms.
     Simplification never changes the value of the expression.
     """
+    by_identity = {frozenset(map(id, t.atoms)): t for t in expr.terms}
     terms = sorted(
-        {t.canonical() for t in expr.terms}, key=lambda t: tuple(map(_atom_key, t.atoms))
+        {t.canonical() for t in by_identity.values()}, key=lambda t: tuple(map(_atom_key, t.atoms))
     )
     if simplify:
-        sets = [t.atom_set() for t in terms]
-        kept = [
-            t
-            for i, t in enumerate(terms)
-            if not any(j != i and sets[j] < sets[i] for j in range(len(terms)))
-        ]
-        terms = kept
+        keep = [False] * len(terms)
+        kept: list[frozenset[Atom]] = []
+        for i in sorted(range(len(terms)), key=lambda i: len(terms[i].atoms)):
+            atoms = frozenset(terms[i].atoms)
+            if not any(map(atoms.__gt__, kept)):
+                keep[i] = True
+                kept.append(atoms)
+        terms = list(itertools.compress(terms, keep))
     return FtfExpr(tuple(terms))
 
 

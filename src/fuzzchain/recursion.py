@@ -26,7 +26,11 @@ with a node per (system, budget) (:func:`expansion_tree`): ``expand``
 renders it nested (:func:`render_expansion`) or flattened
 (:func:`symbolic_expand`), and :func:`trace_eval` narrates it as a
 stream of enter/push/branch/pop/exit events, telling a shared node once
-and replaying its events at every later call.  Those outputs grow
+and replaying its events at every later call.  A trace builds no flat
+:class:`~fuzzchain.algebra.Term`: each node and branch composes the
+``paper`` texts of its flat terms once, from its segments' texts
+(:attr:`ExpansionBranch.paper_terms`), and only :func:`symbolic_expand`
+builds the terms themselves.  Those outputs grow
 exponentially with the call depth, so each is sized on the layer table
 and refused with ``ValueError`` past :data:`MAX_EXPANSION` before any
 node is built.  Building the DAG, flattening and narrating still
@@ -53,7 +57,6 @@ from .algebra import (
     _Record,
     _set,
     check_grade,
-    format_expr,
     snorm_max,
     tnorm_min,
 )
@@ -290,15 +293,59 @@ def _size_layers(chains: _Chains, walked: list[str], budget: Budget) -> list[dic
 # Symbolic expansion
 
 
-class ExpansionBranch(_Record):
+class _Dag(_Record):
+    """Base of the expansion records.  Nodes are shared, so a record
+    hashes as its field tuple once and caches it, and equality compares
+    each pair of shared records once, on an explicit stack."""
+
+    __slots__ = ("__dict__",)  # the __dict__ holds the cached hash, texts and terms
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(self._values())
+        return cached
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.__class__ is not b.__class__:
+                return False
+            for x, y in zip(a._values(), b._values()):
+                if not isinstance(x, tuple) or not isinstance(y, tuple):
+                    if x != y:
+                        return False
+                elif len(x) != len(y):
+                    return False
+                else:
+                    for p, q in zip(x, y):
+                        if isinstance(p, _Dag):
+                            pairs.append((p, q))
+                        elif p != q:
+                            return False
+        return True
+
+
+PaperTerms = tuple[tuple[str, bool], ...]  # each flat term's paper text, and if it is tight
+
+
+class ExpansionBranch(_Dag):
     """One surviving chain, calls replaced by expanded child nodes.
 
     ``atoms`` are the chain's edge atoms in path order; ``segments`` are
-    the same atoms with every call replaced by its child node.
+    the same atoms with every call replaced by its child node.  The
+    branch caches its flat terms' ``paper`` texts, composed from its
+    segments' (:attr:`paper_terms`), apart from the terms themselves
+    (:attr:`flat_terms`), which only :func:`symbolic_expand` builds.
     """
 
-    _fields = ("chain", "segments", "atoms")
-    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached texts and terms
+    __slots__ = _fields = ("chain", "segments", "atoms")
 
     def __init__(
         self,
@@ -314,9 +361,33 @@ class ExpansionBranch(_Record):
         return any(isinstance(seg, ExpansionNode) for seg in self.segments)
 
     @cached_property
+    def paper_terms(self) -> PaperTerms:
+        """Each flat term's ``paper`` text and whether the term is tight
+        (every atom a one-character variable), in :attr:`flat_terms` order.
+
+        A variable segment is one term; a child node brings its own.
+        Tight factors juxtapose; a pick with a loose factor joins every
+        atom with ``*``, as :func:`~fuzzchain.algebra.format_term` does.
+        """
+        factors = [
+            ((seg.name, len(seg.name) == 1),) if isinstance(seg, Var) else seg.paper_terms
+            for seg in self.segments
+        ]
+        if all(tight for factor in factors for _, tight in factor):
+            texts = itertools.product(*([text for text, _ in factor] for factor in factors))
+            return tuple(zip(map("".join, texts), itertools.repeat(True)))
+        out = []
+        for pick in itertools.product(*factors):
+            if all(tight for _, tight in pick):
+                out.append(("".join(text for text, _ in pick), True))
+            else:
+                out.append(("*".join("*".join(t) if tight else t for t, tight in pick), False))
+        return tuple(out)
+
+    @cached_property
     def paper_text(self) -> str:
         """The flat terms in ``paper`` form, as a trace's ``sub=`` line shows them."""
-        return format_expr(FtfExpr(self.flat_terms), "paper")
+        return _sum_text(self.paper_terms)
 
     @cached_property
     def flat_terms(self) -> tuple[Term, ...]:
@@ -336,15 +407,16 @@ class ExpansionBranch(_Record):
         return tuple(out)
 
 
-class ExpansionNode(_Record):
+class ExpansionNode(_Dag):
     """A system unrolled at one budget; branches hold the live chains.
 
     Branches are in chain order.  One tree shares a node between every
-    call that reaches the same (system, budget), so it is a DAG.
+    call that reaches the same (system, budget), so it is a DAG.  A
+    node's texts and terms are its branches', in presentation order,
+    cached once however many calls share it.
     """
 
-    _fields = ("system", "budget", "branches")
-    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached texts and terms
+    __slots__ = _fields = ("system", "budget", "branches")
 
     def __init__(self, system: str, budget: Budget, branches: tuple[ExpansionBranch, ...]) -> None:
         _set(self, "system", system)
@@ -358,10 +430,14 @@ class ExpansionNode(_Record):
         return plain + tuple(b for b in self.branches if b.has_calls())
 
     @cached_property
+    def paper_terms(self) -> PaperTerms:
+        """Every branch's :attr:`~ExpansionBranch.paper_terms`, in presentation order."""
+        return tuple(itertools.chain.from_iterable(b.paper_terms for b in self.presentation_order()))
+
+    @cached_property
     def paper_text(self) -> str:
         """The flat terms in ``paper`` form: the branches' texts joined."""
-        texts = [b.paper_text for b in self.presentation_order() if b.flat_terms]
-        return " + ".join(texts) if texts else "0"
+        return _sum_text(self.paper_terms)
 
     @cached_property
     def flat_terms(self) -> tuple[Term, ...]:
@@ -370,6 +446,11 @@ class ExpansionNode(_Record):
         for branch in self.presentation_order():
             out.extend(branch.flat_terms)
         return tuple(out)
+
+
+def _sum_text(terms: PaperTerms) -> str:
+    """Term texts joined as ``paper`` mode joins an expression's terms."""
+    return " + ".join(text for text, _ in terms) if terms else "0"
 
 
 def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -> ExpansionNode:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzchain.algebra import Var
+from fuzzchain.algebra import FtfExpr, Var, _atom_key
 from fuzzchain.cli import main as cli_main
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
@@ -91,6 +91,16 @@ def grid_system(k: int) -> FuzzySystem:
                 if r2 < k and c2 < k:
                     edges.append((f"G{r}_{c}", f"G{r2}_{c2}", Var(f"e{len(edges)}")))
     return FuzzySystem.build("grid", "G0_0", f"G{k - 1}_{k - 1}", edges)
+
+
+def reference_canonicalize(expr: FtfExpr, simplify: bool = False) -> FtfExpr:
+    """``canonicalize`` by its definition: every term's canonical form,
+    deduplicated and sorted, then each strict superset of another dropped."""
+    terms = sorted({t.canonical() for t in expr.terms}, key=lambda t: tuple(map(_atom_key, t.atoms)))
+    if simplify:
+        sets = [frozenset(t.atoms) for t in terms]
+        terms = [t for t, mine in zip(terms, sets) if not any(other < mine for other in sets)]
+    return FtfExpr(tuple(terms))
 
 
 def lengthen_some_names(

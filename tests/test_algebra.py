@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from conftest import reference_canonicalize
+
 from fuzzchain.algebra import (
     _compositions,
     Call,
@@ -164,6 +166,24 @@ def test_canonicalize_sorts_dedups_and_absorbs():
     assert format_expr(canonicalize(expr, simplify=True), "raw") == "x"
     # equal atom sets are not strict supersets of each other: both stay... as one
     assert format_expr(canonicalize(parse_expr("a*b + b*a"), simplify=True), "raw") == "a*b"
+
+
+def test_canonicalize_matches_its_definition_on_parsed_expressions():
+    # parsing makes a new object for every atom, so no two terms share
+    # an atom identity set and every term is canonicalized
+    rng = SplitMix64(1729)
+    names = ("a", "b", "c", "d", "xx", "f1", "s^0", "s^2")
+    absorbed = 0
+    for _ in range(1000):
+        text = " + ".join(
+            "*".join(rng.choice(names) for _ in range(rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 14))
+        )
+        expr = parse_expr(text)
+        for simplify in (False, True):
+            assert canonicalize(expr, simplify) == reference_canonicalize(expr, simplify), text
+        absorbed += len(canonicalize(expr, True).terms) < len(canonicalize(expr).terms)
+    assert absorbed >= 300
 
 
 def test_union_concat_evaluate_to_max_min():

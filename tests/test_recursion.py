@@ -5,14 +5,16 @@ import re
 
 import pytest
 
-from conftest import grid_system
+from conftest import grid_system, lengthen_some_names, reference_canonicalize
 
-from fuzzchain import recursion
+from fuzzchain import algebra, recursion
 from fuzzchain.algebra import (
     Call,
     FtfExpr,
+    Term,
     Var,
     assignment_valuation,
+    canonicalize,
     eval_expr,
     format_expr,
     tnorm_min,
@@ -310,6 +312,104 @@ def test_expansion_dag_has_one_node_per_budget():
     assert {node.budget for node in nodes.values()} == {None, *range(1, 9)}
     # flattening stays exponential: T(b) = 2 + 2 T(b - 1), T(1) = 2
     assert len(symbolic_expand(registry, "psi1_rec").terms) == 2 ** (8 + 2) - 2
+
+
+def _ladder(depth: int, bottom: str) -> SystemRegistry:
+    """``s0`` is one ``bottom`` edge; each ``s{k}`` calls ``s{k-1}`` twice
+    in a row, with budget to spare, so the DAG has ``depth + 1`` nodes
+    and 2**depth paths."""
+    lines = [f"system s0 {{\n  terminals A -> B\n  edge A B {bottom}\n}}"]
+    for k in range(1, depth + 1):
+        lines.append(
+            f"system s{k} {{\n  terminals A -> B\n  edge A C call s{k - 1} {depth + 1}\n"
+            f"  edge C B call s{k - 1} {depth + 1}\n  edge A B w\n}}"
+        )
+    return parse_registry("\n".join(lines))
+
+
+def test_expansion_dags_compare_and_hash_once_per_shared_node(monkeypatch):
+    # a walk per path would take 2**40 steps on each of these
+    monkeypatch.setattr(recursion, "MAX_EXPANSION", 2**64)
+
+    def psi1_rec(count: int) -> ExpansionNode:
+        return expansion_tree(builtin_fixtures(rec_count=count), "psi1_rec")
+
+    first, second = psi1_rec(40), psi1_rec(40)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert hash(first) == hash((first.system, first.budget, first.branches))
+    assert first != psi1_rec(39)
+
+    def ladder(bottom: str) -> ExpansionNode:
+        return expansion_tree(_ladder(40, bottom), "s40")
+
+    assert ladder("x") == ladder("x")
+    assert ladder("x") != ladder("y")  # the trees differ only at the bottom
+    assert hash(ladder("x")) != hash(ladder("y"))
+
+
+def test_trace_composes_its_texts_without_building_or_formatting_terms(
+    monkeypatch, fixture_assignment
+):
+    formatted = []
+    format_term = algebra.format_term
+
+    def counting(*args):
+        formatted.append(args)
+        return format_term(*args)
+
+    told = []
+    node = recursion._Narration.node
+
+    def recording(self, expansion_node):
+        told.append(expansion_node)
+        return node(self, expansion_node)
+
+    monkeypatch.setattr(algebra, "format_term", counting)
+    monkeypatch.setattr(recursion._Narration, "node", recording)
+    result = trace_eval(builtin_fixtures(rec_count=8), "psi1_rec", fixture_assignment)
+    assert len(result.events) == 5102
+    records = [*told, *(b for n in told for b in n.branches)]
+    assert len({id(r) for r in records}) == 9 + 34
+    assert not [r for r in records if "flat_terms" in vars(r)]
+    assert formatted == []
+
+
+def test_paper_texts_equal_the_formatted_flat_terms():
+    rng = SplitMix64(4242)
+    tight = loose = 0
+    for _ in range(200):
+        registry = random_registry(rng, n_systems=3, max_vertices=5, max_count=3, call_chance=(1, 2))
+        registry, _ = lengthen_some_names(rng, registry, random_assignment(rng))
+        name = registry.names()[-1]
+        for node in _dag_nodes(expansion_tree(registry, name)).values():
+            for record in (node, *node.branches):
+                terms = record.flat_terms
+                assert record.paper_text == format_expr(FtfExpr(terms), "paper")
+                flags = tuple(all(len(a.name) == 1 for a in t.atoms) for t in terms)
+                assert tuple(tight for _, tight in record.paper_terms) == flags
+                tight += sum(flags)
+                loose += len(flags) - sum(flags)
+    assert tight >= 300 and loose >= 300
+
+
+def test_canonicalize_sorts_one_term_per_atom_identity_set(monkeypatch):
+    flat = symbolic_expand(builtin_fixtures(rec_count=12), "psi1_rec")
+    assert len(flat.terms) == 16382
+    want = [reference_canonicalize(flat, simplify) for simplify in (False, True)]
+    sorted_terms = []
+    canonical = Term.canonical
+
+    def counting(term):
+        sorted_terms.append(term)
+        return canonical(term)
+
+    monkeypatch.setattr(Term, "canonical", counting)
+    for simplify, expected in zip((False, True), want):
+        sorted_terms.clear()
+        assert canonicalize(flat, simplify) == expected
+        # the expansion reuses the fixture's atom objects: 7 identity sets
+        assert 0 < len(sorted_terms) <= 7
 
 
 def _outputs(registry, name, budget, assignment):
