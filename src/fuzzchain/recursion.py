@@ -432,7 +432,8 @@ class ExpansionNode(_Dag):
     @cached_property
     def paper_terms(self) -> PaperTerms:
         """Every branch's :attr:`~ExpansionBranch.paper_terms`, in presentation order."""
-        return tuple(itertools.chain.from_iterable(b.paper_terms for b in self.presentation_order()))
+        order = self.presentation_order()
+        return tuple(itertools.chain.from_iterable(b.paper_terms for b in order))
 
     @cached_property
     def paper_text(self) -> str:
