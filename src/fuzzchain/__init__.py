@@ -28,16 +28,16 @@ _EXPORTS = {
     "parse_expr": "algebra",
     "derive_ftf": "chains",
     "enumerate_chains": "chains",
-    "matrix_power": "closure",
-    "maxmin_matmul": "closure",
     "resolve_matrix": "closure",
     "transmission": "closure",
     "warshall_closure": "closure",
-    "warshall_steps": "closure",
     "BindingError": "errors",
     "FuzzchainError": "errors",
     "ParseError": "errors",
     "UnknownSystemError": "errors",
+    "matrix_power": "oracles",
+    "maxmin_matmul": "oracles",
+    "warshall_steps": "oracles",
     "eval_system": "recursion",
     "render_expansion": "recursion",
     "render_trace": "recursion",

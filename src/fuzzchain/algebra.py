@@ -71,8 +71,11 @@ def tnorm_min(a: float, b: float) -> float:
 
 
 def check_grade(value: float, what: str = "membership") -> float:
-    """Validate that ``value`` is an int or float grade in [0, 1]; return it as a float."""
-    if not isinstance(value, (int, float)):
+    """Validate that ``value`` is an int or float grade in [0, 1]; return it as a float.
+
+    A ``bool`` is an ``int`` but not a grade, so it is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} is not a number: {value!r}")
     value = float(value)
     if not (0.0 <= value <= 1.0):

@@ -17,9 +17,15 @@ from typing import Callable, Sequence
 
 from .algebra import Call, FtfExpr, Term, Var, _Record, eval_expr, expr_power, multinomial_expand
 from .chains import derive_ftf
-from .closure import Matrix, matrix_power, transmission, warshall_closure, warshall_steps
+from .closure import Matrix, transmission, warshall_closure
 from .errors import FuzzchainError
-from .oracles import oracle_path_enum, oracle_power_eval, oracle_unroll_eval
+from .oracles import (
+    matrix_power,
+    oracle_path_enum,
+    oracle_power_eval,
+    oracle_unroll_eval,
+    warshall_steps,
+)
 from .recursion import (
     eval_system,
     resolve_call,
@@ -241,8 +247,9 @@ def check_closure_power(seed: int, trials: int) -> CheckResult:
 
     Such a matrix is closed from its maximum spanning forest, as every
     connection matrix is, so this is the check on the ``closure``
-    command's route; the power relaxes rows with the shared kernel and
-    the oracle enumerates paths, so all three are independent."""
+    command's route; the power is the reference max-min product of
+    :mod:`fuzzchain.oracles` and the oracle enumerates paths, so all
+    three are independent."""
 
     def one(rng: SplitMix64, _: int) -> str | None:
         n = rng.randint(2, 8)

@@ -1,25 +1,18 @@
-"""Max-min matrix algebra: products, powers, transitive closure and transmission.
+"""Max-min closure of a connection matrix, transmission and rendering.
 
 Matrices here are plain ``list[list[float]]`` of membership grades.
-The product substitutes max for addition and min for multiplication.
-Because max and min only select their inputs, every entry of every
-result is an entry of the input matrix (or 0/1), and exact equality
-holds throughout.
+Max and min only select their inputs, so every cell of a result is a
+cell of the input matrix (or 0/1), and exact equality holds throughout.
 
 :func:`warshall_closure` closes a symmetric grade matrix (every
 connection matrix is one: edges are undirected) from a maximum spanning
 forest: the best max-min path between two vertices is the path joining
 them in that forest (Kruskal 1956; Hu 1961, "The maximum capacity route
 problem").  That is O(E log E + n²), with no relaxation.  Any other
-matrix, which only the library API can pass, gets the classic
-ascending-pivot relaxation, O(n³).  After pivot k (0-based), entry
-(i, j) of the sweep is the best max-min value over simple paths from i
-to j whose intermediate vertices are all drawn from the first k + 1
-vertices, so running every pivot yields the best value over all simple
-paths.  The sweep (:func:`warshall_steps`) is also the reference that
-the ``pivot-invariant`` suite checks against a path oracle, and the
-``closure-power-agree`` suite checks the forest against
-:func:`matrix_power` and a path oracle.
+matrix is refused.  The max-min product, its powers and the
+ascending-pivot sweep live in :mod:`fuzzchain.oracles`, which the
+``closure-power-agree`` and ``pivot-invariant`` suites check this
+module against.
 
 :func:`resolve_matrix` fills the numeric matrix from the edges: an
 O(n²) zero allocation at C speed plus O(E) edge resolution, with no
@@ -34,15 +27,12 @@ O(n + E) memory.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .algebra import Call
 from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, cell_text
 
 __all__ = [
-    "maxmin_matmul",
-    "matrix_power",
-    "warshall_steps",
     "warshall_closure",
     "resolve_matrix",
     "terminal_cell",
@@ -55,100 +45,35 @@ Matrix = list[list[float]]
 Forest = list[list[tuple[int, float]]]
 
 
-def _check_square(m: Matrix, what: str = "matrix") -> int:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError(f"{what} is not square")
-    return n
-
-
-def _relax_row(row: list[float], through: float, other: list[float]) -> None:
-    """``row[j] = snorm_max(row[j], tnorm_min(through, other[j]))`` for every j.
-
-    The one max-min kernel behind the product and the sweep, written as
-    inline comparisons.  ``x >= through``
-    or ``x >= y`` is exactly the case where the s-norm keeps ``x``;
-    otherwise the t-norm's pick wins, so a cell is replaced only by a
-    strictly larger grade, and never by more than ``through``.  Each cell
-    selects the same value, ties included, as the two scalar ops would,
-    and results compare ``==``.
-    """
-    row[:] = [
-        x if x >= through or x >= y else (through if through <= y else y)
-        for x, y in zip(row, other)
-    ]
-
-
-def maxmin_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product in the max-min algebra.
-
-    A zero ``a[i][k]`` is skipped: with grades in [0, 1] it can raise
-    no entry of the output row.
-    """
-    n = _check_square(a)
-    if _check_square(b) != n:
-        raise ValueError(f"dimension mismatch: {n} vs {len(b)}")
-    out = []
-    for a_row in a:
-        row = [0.0] * n
-        for through, b_row in zip(a_row, b):
-            if through != 0.0:
-                _relax_row(row, through, b_row)
-        out.append(row)
-    return out
-
-
-def matrix_power(m: Matrix, p: int) -> Matrix:
-    """p-fold max-min product of ``m`` with itself (p >= 1)."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"matrix power needs an integer p >= 1, got {p!r}")
-    _check_square(m)
-    out = [row[:] for row in m]
-    for _ in range(p - 1):
-        out = maxmin_matmul(out, m)
-    return out
-
-
-def _relax_pivot(work: Matrix, k: int) -> None:
-    """Relax every row of ``work`` in place through pivot ``k``.
-
-    A row whose entry in column k is 0 is skipped: with grades in
-    [0, 1] it can raise nothing.  Row k itself is relaxed too; that
-    leaves it unchanged, so later rows read the same pivot row.
-    """
-    row_k = work[k]
-    for row_i in work:
-        through = row_i[k]
-        if through != 0.0:
-            _relax_row(row_i, through, row_k)
-
-
-def warshall_steps(m: Matrix) -> Iterator[tuple[int, Matrix]]:
-    """Run the closure relaxation, yielding (pivot, snapshot) after each pivot.
-
-    Snapshots are copies, so callers may keep or mutate them freely.
-    """
-    n = _check_square(m)
-    work = [row[:] for row in m]
-    for k in range(n):
-        _relax_pivot(work, k)
-        yield k, [row[:] for row in work]
-
-
 def warshall_closure(m: Matrix) -> Matrix:
-    """Max-min transitive closure of ``m``.
+    """Max-min transitive closure of a symmetric matrix of grades in [0, 1].
 
-    When every cell is a grade in [0, 1] and ``m`` is symmetric, this is
-    the spanning-forest closure of :func:`_forest_closure`; otherwise it
-    is one ascending-pivot sweep on a copy.  Both give the same cells,
-    signed zeros included.
+    Off the diagonal, the closure is the smallest grade on the path
+    between the two vertices in a maximum spanning forest, walked once
+    per row.  A cell that no forest path reaches keeps its starting
+    grade, ``0.0`` or ``-0.0``, as the ascending-pivot sweep keeps it.
+    A cycle through ``s`` is no better than its first edge, so the
+    diagonal is raised to the largest cell of row ``s`` when that is
+    strictly larger.  The input is left untouched.
     """
-    n = _check_square(m)
-    if _is_symmetric_grade_matrix(m):
-        return _forest_closure(m)
-    out = [row[:] for row in m]
-    for k in range(n):
-        _relax_pivot(out, k)
+    n = len(m)
+    if any(len(row) != n for row in m):  # zip(*m) below would truncate
+        raise ValueError("matrix is not square")
+    if not _is_symmetric_grade_matrix(m):
+        raise ValueError("closure needs a symmetric matrix of grades in [0, 1]")
+    forest = _spanning_forest(
+        n,
+        # the same test as the forest's, so that no empty cell builds a tuple
+        ((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row[:i]) if x > 0.0),
+    )
+    out = []
+    for s in range(n):
+        row = m[s][:]
+        _walk_forest(forest, s, row)
+        top = max(row)
+        if top > row[s]:
+            row[s] = top
+        out.append(row)
     return out
 
 
@@ -197,33 +122,6 @@ def _walk_forest(forest: Forest, s: int, row: list[float]) -> None:
         for t, grade in forest[v]:
             if t != came_from:
                 stack.append((t, v, grade if grade < width else width))
-
-
-def _forest_closure(m: Matrix) -> Matrix:
-    """Max-min closure of a symmetric grade matrix, from a maximum spanning forest.
-
-    Off the diagonal, the closure is the smallest grade on the forest
-    path between the two vertices, walked once per row.  A cell that no
-    forest path reaches keeps its starting grade, ``0.0`` or ``-0.0``, as
-    the sweep keeps it.  A cycle through ``s`` is no better than its
-    first edge, so the diagonal is raised to the largest cell of row
-    ``s`` when that is strictly larger.
-    """
-    n = len(m)
-    forest = _spanning_forest(
-        n,
-        # the same test as the forest's, so that no empty cell builds a tuple
-        ((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row[:i]) if x > 0.0),
-    )
-    out = []
-    for s in range(n):
-        row = m[s][:]
-        _walk_forest(forest, s, row)
-        top = max(row)
-        if top > row[s]:
-            row[s] = top
-        out.append(row)
-    return out
 
 
 def _resolved_edges(

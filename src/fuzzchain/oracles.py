@@ -1,25 +1,124 @@
 """Slow, obviously-correct reference implementations for differential checks.
 
 Everything here is written straight from the definitions, with its own
-path walking and its own interpreter loop — deliberately sharing nothing
-with the production engines beyond the scalar max/min and the parsed
-data model.  Instance sizes are capped (the constants below) because
-these run in exponential time and exist only to cross-examine the fast
-code on small cases.
+path walking, its own interpreter loop and its own max-min row kernel —
+deliberately sharing nothing with the production engines beyond the
+scalar max/min and the parsed data model.  Only the check suites and
+the tests import this module.
+
+The max-min product (:func:`maxmin_matmul`), its powers
+(:func:`matrix_power`) and the ascending-pivot sweep
+(:func:`warshall_steps`) are the matrix references: O(n³) per product
+or sweep, against which the ``closure-power-agree`` and
+``pivot-invariant`` suites check the spanning-forest closure and each
+other.  The path, unrolling and power oracles run in exponential time,
+so their instance sizes are capped (the constants below); they exist
+only to cross-examine the fast code on small cases.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .algebra import Call, FtfExpr, Var, snorm_max, tnorm_min
 from .errors import BindingError
 from .systems import SystemRegistry
 
-__all__ = ["oracle_path_enum", "oracle_unroll_eval", "oracle_power_eval"]
+__all__ = [
+    "maxmin_matmul",
+    "matrix_power",
+    "warshall_steps",
+    "oracle_path_enum",
+    "oracle_unroll_eval",
+    "oracle_power_eval",
+]
+
+Matrix = list[list[float]]
 
 # Size caps for oracle inputs; exceeding one is a usage bug.
 MAX_VERTICES = 8
 MAX_POWER_K = 3
 MAX_EXPR_TERMS = 4
+
+
+def _check_square(m: Matrix, what: str = "matrix") -> int:
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError(f"{what} is not square")
+    return n
+
+
+def _relax_row(row: list[float], through: float, other: list[float]) -> None:
+    """``row[j] = snorm_max(row[j], tnorm_min(through, other[j]))`` for every j.
+
+    The one max-min kernel behind the product and the sweep, written as
+    inline comparisons.  ``x >= through``
+    or ``x >= y`` is exactly the case where the s-norm keeps ``x``;
+    otherwise the t-norm's pick wins, so a cell is replaced only by a
+    strictly larger grade, and never by more than ``through``.  Each cell
+    selects the same value, ties included, as the two scalar ops would,
+    and results compare ``==``.
+    """
+    row[:] = [
+        x if x >= through or x >= y else (through if through <= y else y)
+        for x, y in zip(row, other)
+    ]
+
+
+def maxmin_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product in the max-min algebra.
+
+    A zero ``a[i][k]`` is skipped: with grades in [0, 1] it can raise
+    no entry of the output row.
+    """
+    n = _check_square(a)
+    if _check_square(b) != n:
+        raise ValueError(f"dimension mismatch: {n} vs {len(b)}")
+    out = []
+    for a_row in a:
+        row = [0.0] * n
+        for through, b_row in zip(a_row, b):
+            if through != 0.0:
+                _relax_row(row, through, b_row)
+        out.append(row)
+    return out
+
+
+def matrix_power(m: Matrix, p: int) -> Matrix:
+    """p-fold max-min product of ``m`` with itself (p >= 1)."""
+    if not isinstance(p, int) or p < 1:
+        raise ValueError(f"matrix power needs an integer p >= 1, got {p!r}")
+    _check_square(m)
+    out = [row[:] for row in m]
+    for _ in range(p - 1):
+        out = maxmin_matmul(out, m)
+    return out
+
+
+def _relax_pivot(work: Matrix, k: int) -> None:
+    """Relax every row of ``work`` in place through pivot ``k``.
+
+    A row whose entry in column k is 0 is skipped: with grades in
+    [0, 1] it can raise nothing.  Row k itself is relaxed too; that
+    leaves it unchanged, so later rows read the same pivot row.
+    """
+    row_k = work[k]
+    for row_i in work:
+        through = row_i[k]
+        if through != 0.0:
+            _relax_row(row_i, through, row_k)
+
+
+def warshall_steps(m: Matrix) -> Iterator[tuple[int, Matrix]]:
+    """Run the closure relaxation, yielding (pivot, snapshot) after each pivot.
+
+    Snapshots are copies, so callers may keep or mutate them freely.
+    """
+    n = _check_square(m)
+    work = [row[:] for row in m]
+    for k in range(n):
+        _relax_pivot(work, k)
+        yield k, [row[:] for row in work]
 
 
 def oracle_path_enum(

@@ -360,6 +360,11 @@ class ExpansionBranch(_Dag):
     def has_calls(self) -> bool:
         return any(isinstance(seg, ExpansionNode) for seg in self.segments)
 
+    @property
+    def has_terms(self) -> bool:
+        """Whether :attr:`flat_terms` is non-empty: every child node has terms."""
+        return all(seg.has_terms for seg in self.segments if isinstance(seg, ExpansionNode))
+
     @cached_property
     def paper_terms(self) -> PaperTerms:
         """Each flat term's ``paper`` text and whether the term is tight
@@ -391,7 +396,13 @@ class ExpansionBranch(_Dag):
 
     @cached_property
     def flat_terms(self) -> tuple[Term, ...]:
-        """Distribute child alternatives over this chain, in order."""
+        """Distribute child alternatives over this chain, in order.
+
+        A child node with no terms empties the product, so no child's
+        terms are built then.
+        """
+        if not self.has_terms:
+            return ()
         factor_lists: list[tuple[tuple[Atom, ...], ...]] = []
         for seg in self.segments:
             if isinstance(seg, Var):
@@ -428,6 +439,11 @@ class ExpansionNode(_Dag):
         chain order: how the rendered expansion reads."""
         plain = tuple(b for b in self.branches if not b.has_calls())
         return plain + tuple(b for b in self.branches if b.has_calls())
+
+    @cached_property
+    def has_terms(self) -> bool:
+        """Whether :attr:`flat_terms` is non-empty: some branch has terms."""
+        return any(branch.has_terms for branch in self.branches)
 
     @cached_property
     def paper_terms(self) -> PaperTerms:

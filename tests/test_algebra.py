@@ -46,7 +46,7 @@ def test_check_grade_bounds():
     with pytest.raises(ValueError, match="weight out of range"):
         check_grade(-0.1, "weight")
     assert check_grade(1) == 1.0 and type(check_grade(0)) is float
-    for value in (None, "0.3", [0.3]):
+    for value in (None, "0.3", [0.3], True, False):
         with pytest.raises(ValueError, match="weight is not a number"):
             check_grade(value, "weight")
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzchain import checks, closure, recursion
+from fuzzchain import checks, closure, oracles, recursion
 from fuzzchain.checks import (
     check_budget_laws,
     check_closure_power,
@@ -43,8 +43,8 @@ def test_pivot_invariant_catches_a_sweep_that_skips_pivot_zero(monkeypatch):
     # seed 47 is the pivot-invariant seed of `check --seed 42`, which runs
     # it for a tenth of the trials
     assert check_pivot_invariant(47, 50).passed
-    relax_pivot = closure._relax_pivot
-    monkeypatch.setattr(closure, "_relax_pivot", lambda work, k: k == 0 or relax_pivot(work, k))
+    relax_pivot = oracles._relax_pivot
+    monkeypatch.setattr(oracles, "_relax_pivot", lambda work, k: k == 0 or relax_pivot(work, k))
     result = check_pivot_invariant(47, 50)
     assert result.failures > 0
     assert "pivot=0" in result.detail
@@ -54,14 +54,14 @@ def _skip_last_column(monkeypatch):
     """Swap in a row kernel that never writes the last column.  The
     product and the sweep relax rows with it; the spanning forest relaxes
     no row."""
-    relax_row = closure._relax_row
+    relax_row = oracles._relax_row
 
     def skipping(row, through, other):
         last = row[-1]
         relax_row(row, through, other)
         row[-1] = last
 
-    monkeypatch.setattr(closure, "_relax_row", skipping)
+    monkeypatch.setattr(oracles, "_relax_row", skipping)
 
 
 def test_closure_power_catches_a_kernel_that_skips_the_last_column(monkeypatch):

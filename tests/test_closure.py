@@ -1,23 +1,22 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import pytest
 
-from fuzzchain import closure, systems
+from fuzzchain import closure, oracles, systems
 from fuzzchain.algebra import Call, Var
 from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.closure import (
-    matrix_power,
-    maxmin_matmul,
     render_numeric_matrix,
     render_symbolic_matrix,
     resolve_matrix,
     terminal_cell,
     transmission,
     warshall_closure,
-    warshall_steps,
 )
+from fuzzchain.oracles import matrix_power, maxmin_matmul, warshall_steps
 from fuzzchain.recursion import call_layers, eval_system, resolve_call
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
@@ -73,8 +72,22 @@ def _closure_by_definition(m):
         total = grown
 
 
+def _swept(m):
+    """The last snapshot of the ascending-pivot sweep: the closure of any
+    square grade matrix, symmetric or not."""
+    return list(warshall_steps(m))[-1][1]
+
+
+def _mirrored(m):
+    """``m``'s lower triangle and diagonal, reflected into a symmetric matrix."""
+    return [[m[max(i, j)][min(i, j)] for j in range(len(m))] for i in range(len(m))]
+
+
+_SHAPES = ("dense", "sparse", "symmetric", "hollow")
+
+
 def _seeded_matrices(seed):
-    """Square grade matrices, n = 1..12, in four shapes per size.
+    """Square grade matrices, n = 1..12, in the four ``_SHAPES`` per size.
 
     ``dense`` is asymmetric and non-reflexive, ``sparse`` has three cells
     in four at 0, ``symmetric`` has a unit diagonal and ``hollow`` is
@@ -138,9 +151,13 @@ def test_matmul_equals_definition_on_seeded_matrices():
 
 
 def test_closure_equals_definition_on_seeded_matrices():
-    for m in _seeded_matrices(13):
+    # the closure takes only the symmetric shape; the sweep takes all four
+    for shape, m in zip(itertools.cycle(_SHAPES), _seeded_matrices(13)):
         before = [row[:] for row in m]
-        assert warshall_closure(m) == _closure_by_definition(m)
+        want = _closure_by_definition(m)
+        assert _swept(m) == want, shape
+        if shape == "symmetric":
+            assert warshall_closure(m) == want
         assert m == before  # the input is left untouched
 
 
@@ -150,27 +167,28 @@ def test_symmetric_closure_equals_definition_and_the_sweep_by_repr():
     for m in _symmetric_matrices(17):
         closed = warshall_closure(m)
         assert closed == _closure_by_definition(m)
-        swept = list(warshall_steps(m))[-1][1]
+        swept = _swept(m)
         assert repr(closed) == repr(swept), m
         cells.update(repr(x) for row in closed for x in row)
     assert {"-0.0", "0.0", "1.0"} <= cells
 
 
-def test_closure_relaxes_nothing_on_symmetric_grades_and_sweeps_once_otherwise(
+def test_closure_relaxes_nothing_on_symmetric_grades_and_refuses_other_matrices(
     monkeypatch, row_relaxations
 ):
-    relax_pivot = closure._relax_pivot
+    relax_pivot = oracles._relax_pivot
     pivots = []
 
     def counted(work, k):
         pivots.append(k)
         relax_pivot(work, k)
 
-    monkeypatch.setattr(closure, "_relax_pivot", counted)
+    monkeypatch.setattr(oracles, "_relax_pivot", counted)
     for m in [PSI1_RESOLVED, *_symmetric_matrices(29)]:
         warshall_closure(m)
         assert pivots == row_relaxations == []
     nan = float("nan")
+    refused = r"^closure needs a symmetric matrix of grades in \[0, 1\]$"
     for m in (
         [[0.2, 0.7], [0.3, 1.0]],  # asymmetric
         [[1.0, 1.5], [1.5, 1.0]],  # a cell above 1
@@ -179,9 +197,12 @@ def test_closure_relaxes_nothing_on_symmetric_grades_and_sweeps_once_otherwise(
         A,
         B,
     ):
-        pivots.clear()
-        warshall_closure(m)
-        assert pivots == list(range(len(m)))
+        with pytest.raises(ValueError, match=refused):
+            warshall_closure(m)
+    # a ragged matrix is refused before zip(*m) can truncate it to a symmetric one
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        warshall_closure([[1.0, 0.5], [0.5]])
+    assert pivots == row_relaxations == []
 
 
 def test_matmul_by_hand():
@@ -220,15 +241,17 @@ def test_closure_psi1_by_hand(registry, fixture_assignment):
 
 
 def test_closure_is_idempotent_and_dominates_input():
+    # each asymmetric draw goes to the sweep, and its mirror to the closure
     rng = SplitMix64(99)
     for _ in range(50):
         n = rng.randint(1, 6)
         m = [[rng.grade() for _ in range(n)] for _ in range(n)]
-        closed = warshall_closure(m)
-        assert warshall_closure(closed) == closed
-        for i in range(n):
-            for j in range(n):
-                assert closed[i][j] >= m[i][j]
+        for close, matrix in ((_swept, m), (warshall_closure, _mirrored(m))):
+            closed = close(matrix)
+            assert close(closed) == closed
+            for i in range(n):
+                for j in range(n):
+                    assert closed[i][j] >= matrix[i][j]
 
 
 def test_reflexive_closure_equals_power():
@@ -238,7 +261,9 @@ def test_reflexive_closure_equals_power():
         m = [[rng.grade() for _ in range(n)] for _ in range(n)]
         for i in range(n):
             m[i][i] = 1.0
-        assert warshall_closure(m) == matrix_power(m, n - 1)
+        assert _swept(m) == matrix_power(m, n - 1)
+        symmetric = _mirrored(m)
+        assert warshall_closure(symmetric) == matrix_power(symmetric, n - 1)
 
 
 def test_resolve_matrix_call_cells(variant_registry, deep_assignment):
@@ -432,13 +457,13 @@ def _reversed_path_registry(n):
 def row_relaxations(monkeypatch):
     """The ``through`` grade of every dense row relaxation, in call order."""
     calls = []
-    relax_row = closure._relax_row
+    relax_row = oracles._relax_row
 
     def counted(row, through, other):
         calls.append(through)
         relax_row(row, through, other)
 
-    monkeypatch.setattr(closure, "_relax_row", counted)
+    monkeypatch.setattr(oracles, "_relax_row", counted)
     return calls
 
 
@@ -466,7 +491,7 @@ def test_transmission_builds_one_forest_and_relaxes_no_row(monkeypatch, row_rela
         raise AssertionError("transmission ran a sweep pivot")
 
     monkeypatch.setattr(closure, "_spanning_forest", counted)
-    monkeypatch.setattr(closure, "_relax_pivot", refuse)
+    monkeypatch.setattr(oracles, "_relax_pivot", refuse)
     got = transmission(registry, "path", assignment)
     assert forests == [n]
     assert row_relaxations == []

@@ -1,0 +1,68 @@
+"""The reference module stays apart from production, read from the source.
+
+``oracles.py`` holds the brute-force oracles and the matrix references
+(product, powers, ascending-pivot sweep).  The checks compare production
+against it, so it must share no production code, and production must
+neither import it nor keep its own copy of the references.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import fuzzchain
+
+PACKAGE = Path(fuzzchain.__file__).parent
+MOVED = {"_relax_row", "maxmin_matmul", "matrix_power", "_relax_pivot", "warshall_steps"}
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _imported_modules(tree):
+    """Every fuzzchain module an ``import`` statement anywhere in ``tree``
+    names, by its name inside the package (``""`` for the package)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module or ""
+            elif (node.module or "").split(".")[0] == "fuzzchain":
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            if base:
+                out.add(base)
+            else:  # from . import x
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "fuzzchain":
+                    out.add(alias.name.partition(".")[2])
+    return out
+
+
+def test_oracles_import_only_the_data_model():
+    assert _imported_modules(_tree("oracles")) <= {"algebra", "errors", "systems"}
+
+
+def test_only_the_checks_import_the_oracles():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    assert {"checks", "closure", "oracles"} <= set(modules)
+    importers = [m for m in modules if "oracles" in _imported_modules(_tree(m))]
+    assert importers == ["checks"]
+
+
+def test_closure_defines_none_of_the_references():
+    defined = set()
+    for node in _tree("closure").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert "warshall_closure" in defined
+    assert not MOVED & defined
+    assert MOVED <= {node.name for node in _tree("oracles").body if hasattr(node, "name")}

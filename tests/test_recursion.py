@@ -43,6 +43,7 @@ from fuzzchain.recursion import (
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
+    FuzzySystem,
     SystemRegistry,
     builtin_fixtures,
     parse_registry,
@@ -160,7 +161,7 @@ def test_every_route_rejects_an_out_of_range_grade(route, grade):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-@pytest.mark.parametrize("grade", [None, "0.3", "abc", [0.3]], ids=repr)
+@pytest.mark.parametrize("grade", [None, "0.3", "abc", [0.3], True, False], ids=repr)
 def test_every_route_rejects_a_binding_that_is_not_a_number(route, grade):
     registry = parse_registry("system s {\n terminals A -> B\n edge A B x\n}\n")
     message = re.escape(f"binding for 'x' is not a number: {grade!r}")
@@ -532,6 +533,25 @@ def test_expansion_of_a_system_with_no_live_chains():
     assert render_expansion(expansion_tree(registry, "s", budget=0)) == "0"
     assert resolve_call(registry, "s", 0, {}) == 0.0
     assert eval_system(registry, "s", {}) == 0.0  # the self-call can never bottom out
+
+
+def test_a_branch_with_an_empty_factor_builds_no_callee_terms():
+    # psi1_rec@20 has about 2^22 flat terms, but dead has none, so their
+    # product is empty and psi1_rec's terms must never be built
+    registry = builtin_fixtures(rec_count=20)
+    registry.add(FuzzySystem.build("dead", "A", "B", [("A", "C", Var("x"))]))
+    registry.add(
+        FuzzySystem.build(
+            "top", "A", "B", [("A", "C", Call("psi1_rec", 20)), ("C", "B", Call("dead", 1))]
+        )
+    )
+    assert symbolic_expand(registry, "top") == FtfExpr(())
+    # the DAG symbolic_expand flattens; its nested rendering is over the cap
+    root = recursion._expansion_node(recursion._Chains(registry), {}, "top", None)
+    assert root.flat_terms == () and not root.has_terms
+    rec_nodes = [node for node in _dag_nodes(root).values() if node.system == "psi1_rec"]
+    assert len(rec_nodes) == 20 and all(node.has_terms for node in rec_nodes)
+    assert not [node for node in rec_nodes if "flat_terms" in node.__dict__]
 
 
 def test_symbolic_expand_evaluates_like_the_engine(registry, fixture_assignment, deep_assignment):
