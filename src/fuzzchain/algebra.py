@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import BindingError, ParseError
 
@@ -350,35 +350,6 @@ def multinomial_coefficient(k: int, parts: Iterable[int]) -> int:
     return coefficient
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every way to split ``total >= 0`` into ``parts`` parts >= 0, in
-    descending lexicographic order: ``(total, 0, ..)`` first, ``(.., 0, total)`` last.
-
-    The step from one composition to the next moves one unit out of the
-    rightmost non-zero part before the last, onto the part after it,
-    together with everything the last part held.  So a composition of
-    any number of parts is one loop, whatever the recursion limit.
-    """
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < 0:
-        return
-    current = [total] + [0] * (parts - 1)
-    while True:
-        yield tuple(current)
-        i = parts - 2
-        while i >= 0 and current[i] == 0:
-            i -= 1
-        if i < 0:
-            return
-        tail = current[-1]
-        current[-1] = 0
-        current[i] -= 1
-        current[i + 1] = tail + 1
-
-
 class MultinomialEntry(_Record):
     """One composition of the multinomial expansion of an expression power.
 
@@ -404,12 +375,16 @@ def multinomial_expand(expr: FtfExpr, k: int) -> list[MultinomialEntry]:
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"undefined power: k must be an integer >= 1, got {k!r}")
-    m = len(expr.terms)
+    terms = expr.terms
     entries = []
-    for composition in _compositions(k, m):
+    # each sorted multiset of k term indices is one composition, (k, 0, ..) first
+    for pick in itertools.combinations_with_replacement(range(len(terms)), k):
+        parts = [0] * len(terms)
         atoms: tuple[Atom, ...] = ()
-        for term, n in zip(expr.terms, composition):
-            atoms += term.atoms * n
+        for i in pick:
+            parts[i] += 1
+            atoms += terms[i].atoms
+        composition = tuple(parts)
         entries.append(
             MultinomialEntry(composition, multinomial_coefficient(k, composition), Term(atoms))
         )

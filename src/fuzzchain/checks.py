@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .algebra import Call, FtfExpr, Term, Var, _Record, eval_expr, expr_power, multinomial_expand
 from .chains import derive_ftf
-from .closure import Matrix, transmission, warshall_closure
+from .closure import Matrix, resolve_matrix, terminal_cell, transmission, warshall_closure
 from .errors import FuzzchainError
 from .oracles import (
     matrix_power,
@@ -197,14 +197,22 @@ def _outcome(route: Callable[..., float], *args) -> float | tuple[str, str]:
         return type(exc).__name__, str(exc)
 
 
+def _closed_cell(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
+    """The ``closure`` command's answer: the terminal cell of the closed
+    resolved matrix."""
+    vertices, grid = resolve_matrix(registry, name, assignment)
+    return terminal_cell(registry[name], vertices, warshall_closure(grid))
+
+
 def check_eval_closure(seed: int, trials: int) -> CheckResult:
-    """Chain DFS, the connection-matrix route (:func:`transmission`, the
+    """Chain DFS, the connection-matrix routes and the call-unrolling
+    oracle (:func:`oracle_unroll_eval`) must agree, with and without call
+    edges in the graph.  The matrix routes are :func:`transmission` (the
     input terminal's row read off a maximum spanning forest of the
-    resolved edges, with no n×n grid) and the call-unrolling oracle
-    (:func:`oracle_unroll_eval`) must agree, with and without call edges
-    in the graph.  A third of the trials leave one variable unbound:
-    then chains and matrix must either both raise the same error or both
-    give the value."""
+    resolved edges, with no n×n grid) and the ``closure`` command's
+    terminal cell of the closed matrix (:func:`_closed_cell`).  A third of
+    the trials leave one variable unbound: then chains and matrices must
+    either all raise the same error or all give the value."""
 
     def one(rng: SplitMix64, _: int) -> str | None:
         registry = random_registry(
@@ -222,15 +230,19 @@ def check_eval_closure(seed: int, trials: int) -> CheckResult:
             system = registry[name]
             via_chains = _outcome(eval_system, registry, name, assignment)
             via_closure = _outcome(transmission, registry, name, assignment)
-            if isinstance(via_chains, tuple) or isinstance(via_closure, tuple):
-                if via_chains != via_closure:
-                    return f"{name}: chains={via_chains!r} closure={via_closure!r}"
+            via_cell = _outcome(_closed_cell, registry, name, assignment)
+            if any(isinstance(got, tuple) for got in (via_chains, via_closure, via_cell)):
+                if not via_chains == via_closure == via_cell:
+                    return (
+                        f"{name}: chains={via_chains!r} closure={via_closure!r} "
+                        f"cell={via_cell!r}"
+                    )
                 continue
             via_oracle = oracle_unroll_eval(registry, name, assignment)
-            if not (via_chains == via_closure == via_oracle):
+            if not (via_chains == via_closure == via_cell == via_oracle):
                 return (
                     f"{name}: chains={via_chains!r} closure={via_closure!r} "
-                    f"oracle={via_oracle!r}"
+                    f"cell={via_cell!r} oracle={via_oracle!r}"
                 )
             if not system.call_atoms():
                 via_ftf = eval_expr(derive_ftf(system), lambda v: assignment[v.name])

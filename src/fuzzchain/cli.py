@@ -196,17 +196,13 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from .recursion import render_trace, trace_eval
+    from .recursion import trace_eval
 
     registry, base = _load_registry(args)
     result = trace_eval(registry, args.system, _assignment(args, base))
-    if args.json:
-        import json
-
-        payload = {"system": args.system, "value": result.value, "events": result.lines()}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(render_trace(result.events))
+    lines = result.lines()
+    payload = {"system": args.system, "value": result.value, "events": lines}
+    _emit(payload, args.json, "\n".join(lines))
     return 0
 
 

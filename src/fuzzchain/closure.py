@@ -129,10 +129,11 @@ def _resolved_edges(
 ) -> tuple[tuple[str, ...], list[tuple[int, int, float]]]:
     """The vertex order of a system and each edge's (u index, v index, grade).
 
-    A variable takes its bound grade; a call takes the called system's
-    value at the declared budget, as :func:`resolve_call` gives it (0
-    when the declared count is 0 — a call that may never run transmits
-    nothing).  Each edge's atom is resolved once, in declaration order.
+    A variable takes its bound grade, as a float; a call takes the
+    called system's value at the declared budget, as :func:`resolve_call`
+    gives it (0 when the declared count is 0 — a call that may never run
+    transmits nothing).  Each edge's atom is resolved once, in
+    declaration order.
     """
     from .recursion import call_layers
 
@@ -147,7 +148,7 @@ def _resolved_edges(
         if isinstance(atom, Call):
             grade = 0.0 if atom.count < 1 else layers[min(atom.count, top)][atom.target]
         else:
-            grade = assignment[atom.name]
+            grade = float(assignment[atom.name])
         edges.append((index[edge.u], index[edge.v], grade))
     return vertices, edges
 

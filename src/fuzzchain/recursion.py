@@ -26,26 +26,27 @@ with a node per (system, budget) (:func:`expansion_tree`): ``expand``
 renders it nested (:func:`render_expansion`) or flattened
 (:func:`symbolic_expand`), and :func:`trace_eval` narrates it as a
 stream of enter/push/branch/pop/exit events, telling a shared node once
-and replaying its events at every later call.  A trace builds no flat
-:class:`~fuzzchain.algebra.Term`: each node and branch composes the
-``paper`` texts of its flat terms once, from its segments' texts
-(:attr:`ExpansionBranch.paper_terms`), and only :func:`symbolic_expand`
-builds the terms themselves.  Those outputs grow
+and replaying its events at every later call.  The DAG's records hold
+structure only.  Each route computes what it prints in loops over the
+builder's node memo, which lists callees first:
+:func:`symbolic_expand` distributes atom tuples per node, and a trace
+builds no flat :class:`~fuzzchain.algebra.Term` but composes the
+``paper`` texts of each node's and branch's flat terms from its
+segments' texts (:func:`_paper_texts`).  Those outputs grow
 exponentially with the call depth, so each is sized on the layer table
 and refused with ``ValueError`` past :data:`MAX_EXPANSION` before any
-node is built.  Building the DAG, flattening and narrating still
-recurse, so a narrow call chain deep enough can still exhaust the
-recursion limit.
+node is built.  Building the DAG and narrating still recurse, so a
+narrow call chain deep enough can still exhaust the recursion limit.
 
 Every entry point that takes an assignment checks it first with
 :func:`~fuzzchain.systems.require_bindings`; the grading and the
-narration then read each binding straight from the assignment.
+narration then read each binding straight from the assignment, the
+narration through ``float`` so that an ``int`` binding prints as one.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .algebra import (
@@ -298,7 +299,7 @@ class _Dag(_Record):
     hashes as its field tuple once and caches it, and equality compares
     each pair of shared records once, on an explicit stack."""
 
-    __slots__ = ("__dict__",)  # the __dict__ holds the cached hash, texts and terms
+    __slots__ = ("__dict__",)  # the __dict__ holds the cached hash
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
@@ -332,17 +333,11 @@ class _Dag(_Record):
         return True
 
 
-PaperTerms = tuple[tuple[str, bool], ...]  # each flat term's paper text, and if it is tight
-
-
 class ExpansionBranch(_Dag):
     """One surviving chain, calls replaced by expanded child nodes.
 
     ``atoms`` are the chain's edge atoms in path order; ``segments`` are
-    the same atoms with every call replaced by its child node.  The
-    branch caches its flat terms' ``paper`` texts, composed from its
-    segments' (:attr:`paper_terms`), apart from the terms themselves
-    (:attr:`flat_terms`), which only :func:`symbolic_expand` builds.
+    the same atoms with every call replaced by its child node.
     """
 
     __slots__ = _fields = ("chain", "segments", "atoms")
@@ -360,71 +355,12 @@ class ExpansionBranch(_Dag):
     def has_calls(self) -> bool:
         return any(isinstance(seg, ExpansionNode) for seg in self.segments)
 
-    @property
-    def has_terms(self) -> bool:
-        """Whether :attr:`flat_terms` is non-empty: every child node has terms."""
-        return all(seg.has_terms for seg in self.segments if isinstance(seg, ExpansionNode))
-
-    @cached_property
-    def paper_terms(self) -> PaperTerms:
-        """Each flat term's ``paper`` text and whether the term is tight
-        (every atom a one-character variable), in :attr:`flat_terms` order.
-
-        A variable segment is one term; a child node brings its own.
-        Tight factors juxtapose; a pick with a loose factor joins every
-        atom with ``*``, as :func:`~fuzzchain.algebra.format_term` does.
-        """
-        factors = [
-            ((seg.name, len(seg.name) == 1),) if isinstance(seg, Var) else seg.paper_terms
-            for seg in self.segments
-        ]
-        if all(tight for factor in factors for _, tight in factor):
-            texts = itertools.product(*([text for text, _ in factor] for factor in factors))
-            return tuple(zip(map("".join, texts), itertools.repeat(True)))
-        out = []
-        for pick in itertools.product(*factors):
-            if all(tight for _, tight in pick):
-                out.append(("".join(text for text, _ in pick), True))
-            else:
-                out.append(("*".join("*".join(t) if tight else t for t, tight in pick), False))
-        return tuple(out)
-
-    @cached_property
-    def paper_text(self) -> str:
-        """The flat terms in ``paper`` form, as a trace's ``sub=`` line shows them."""
-        return _sum_text(self.paper_terms)
-
-    @cached_property
-    def flat_terms(self) -> tuple[Term, ...]:
-        """Distribute child alternatives over this chain, in order.
-
-        A child node with no terms empties the product, so no child's
-        terms are built then.
-        """
-        if not self.has_terms:
-            return ()
-        factor_lists: list[tuple[tuple[Atom, ...], ...]] = []
-        for seg in self.segments:
-            if isinstance(seg, Var):
-                factor_lists.append(((seg,),))
-            else:
-                factor_lists.append(tuple(t.atoms for t in seg.flat_terms))
-        out = []
-        for pick in itertools.product(*factor_lists):
-            atoms: tuple[Atom, ...] = ()
-            for part in pick:
-                atoms = atoms + part
-            out.append(Term(atoms))
-        return tuple(out)
-
 
 class ExpansionNode(_Dag):
     """A system unrolled at one budget; branches hold the live chains.
 
     Branches are in chain order.  One tree shares a node between every
-    call that reaches the same (system, budget), so it is a DAG.  A
-    node's texts and terms are its branches', in presentation order,
-    cached once however many calls share it.
+    call that reaches the same (system, budget), so it is a DAG.
     """
 
     __slots__ = _fields = ("system", "budget", "branches")
@@ -439,35 +375,6 @@ class ExpansionNode(_Dag):
         chain order: how the rendered expansion reads."""
         plain = tuple(b for b in self.branches if not b.has_calls())
         return plain + tuple(b for b in self.branches if b.has_calls())
-
-    @cached_property
-    def has_terms(self) -> bool:
-        """Whether :attr:`flat_terms` is non-empty: some branch has terms."""
-        return any(branch.has_terms for branch in self.branches)
-
-    @cached_property
-    def paper_terms(self) -> PaperTerms:
-        """Every branch's :attr:`~ExpansionBranch.paper_terms`, in presentation order."""
-        order = self.presentation_order()
-        return tuple(itertools.chain.from_iterable(b.paper_terms for b in order))
-
-    @cached_property
-    def paper_text(self) -> str:
-        """The flat terms in ``paper`` form: the branches' texts joined."""
-        return _sum_text(self.paper_terms)
-
-    @cached_property
-    def flat_terms(self) -> tuple[Term, ...]:
-        """Every branch's flat terms, in presentation order."""
-        out: list[Term] = []
-        for branch in self.presentation_order():
-            out.extend(branch.flat_terms)
-        return tuple(out)
-
-
-def _sum_text(terms: PaperTerms) -> str:
-    """Term texts joined as ``paper`` mode joins an expression's terms."""
-    return " + ".join(text for text, _ in terms) if terms else "0"
 
 
 def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -> ExpansionNode:
@@ -489,6 +396,9 @@ def _expansion_node(
     name: str,
     budget: Budget,
 ) -> ExpansionNode:
+    """The node of ``name`` at ``budget``, built once per (system, budget)
+    into the memo ``nodes``.  A node enters the memo after every node it
+    calls, so the memo lists callees first and the root last."""
     key = (name, budget)
     node = nodes.get(key)
     if node is None:
@@ -510,10 +420,48 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
 
     Raw form: term order follows the expansion tree and duplicates are
     kept, so evaluating it reproduces :func:`eval_system` exactly.
+
+    The node memo lists callees first, so three loops over it do the
+    work.  Callees first, a branch is *full* when every child node is,
+    and a node is full when some branch is.  Callers first, from the
+    root, the nodes a full branch calls are collected.  Callees first,
+    each collected node distributes its full branches, in presentation
+    order, into atom tuples.  A node behind an empty factor is never
+    distributed.
     """
     chains = _Chains(registry)
     _check_size(_output_size(registry, name, budget, chains)[0], "flat terms")
-    return FtfExpr(_expansion_node(chains, {}, name, budget).flat_terms)
+    nodes: dict[tuple[str, Budget], ExpansionNode] = {}
+    root = _expansion_node(chains, nodes, name, budget)
+    full: dict[int, list[ExpansionBranch]] = {}  # id(node) -> its full branches, if any
+    for node in nodes.values():
+        kept = [
+            branch
+            for branch in node.presentation_order()
+            if all(id(seg) in full for seg in branch.segments if isinstance(seg, ExpansionNode))
+        ]
+        if kept:
+            full[id(node)] = kept
+    needed = {id(root)} & full.keys()
+    for node in reversed(nodes.values()):
+        if id(node) in needed:
+            for branch in full[id(node)]:
+                needed.update(id(seg) for seg in branch.segments if isinstance(seg, ExpansionNode))
+    flat: dict[int, list[tuple[Atom, ...]]] = {}  # id(node) -> its flat terms' atoms
+    for node in nodes.values():
+        if id(node) not in needed:
+            continue
+        out = flat[id(node)] = []
+        for branch in full[id(node)]:
+            factors = [
+                ((seg,),) if isinstance(seg, Var) else flat[id(seg)] for seg in branch.segments
+            ]
+            for pick in itertools.product(*factors):
+                atoms: tuple[Atom, ...] = ()
+                for part in pick:
+                    atoms += part
+                out.append(atoms)
+    return FtfExpr(tuple(map(Term, flat.get(id(root), ()))))
 
 
 def _check_size(count: int, what: str) -> None:
@@ -675,17 +623,58 @@ def trace_eval(
     top = len(layers) - 1
     widest = max((layers[min(b, top)][s][0] for s, b in nodes if b is not None), default=0)
     _check_size(widest, "flat terms in one call")
-    narration = _Narration(assignment)
+    called = [node for node in nodes.values() if node is not root]
+    narration = _Narration(assignment, _paper_texts(called))
     value = narration.node(root)
     return TraceResult(value, tuple(narration.events))
 
 
-class _Narration:
-    """One trace: its events so far, and what each node and branch came
-    to the first time it was narrated."""
+def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
+    """The ``paper`` text of the flat terms of each of ``nodes``, given
+    callees first, and of each of their branches, keyed by ``id``.
 
-    def __init__(self, assignment: Mapping[str, float]):
+    No term is built and nothing is formatted.  A term is *tight* when
+    every atom is a one-character variable.  A variable segment is one
+    term; a child node brings its own.  Tight factors juxtapose; a pick
+    with a loose factor joins every atom with ``*``, as
+    :func:`~fuzzchain.algebra.format_term` does.  A node's terms are its
+    branches', in presentation order.
+    """
+    terms: dict[int, list[tuple[str, bool]]] = {}  # id(node) -> each term's text, and if tight
+    texts: dict[int, str] = {}
+    for node in nodes:
+        node_terms = terms[id(node)] = []
+        for branch in node.presentation_order():
+            factors = [
+                ((seg.name, len(seg.name) == 1),) if isinstance(seg, Var) else terms[id(seg)]
+                for seg in branch.segments
+            ]
+            if all(tight for factor in factors for _, tight in factor):
+                picks = itertools.product(*([text for text, _ in factor] for factor in factors))
+                out = list(zip(map("".join, picks), itertools.repeat(True)))
+            else:
+                out = []
+                for pick in itertools.product(*factors):
+                    if all(tight for _, tight in pick):
+                        out.append(("".join(t for t, _ in pick), True))
+                    else:
+                        text = "*".join("*".join(t) if tight else t for t, tight in pick)
+                        out.append((text, False))
+            # every term has an atom, so only an empty sum joins to ""
+            texts[id(branch)] = " + ".join(t for t, _ in out) or "0"
+            node_terms.extend(out)
+        texts[id(node)] = " + ".join(t for t, _ in node_terms) or "0"
+    return texts
+
+
+class _Narration:
+    """One trace: its events so far, what each node and branch came to
+    the first time it was narrated, and the ``paper`` texts of the
+    called nodes and their branches (:func:`_paper_texts`)."""
+
+    def __init__(self, assignment: Mapping[str, float], texts: dict[int, str]):
         self.assignment = assignment  # checked by require_bindings
+        self.texts = texts
         self.events: list[TraceEvent] = []
         self._told: dict[int, tuple[int, int, float]] = {}  # id(node) -> span, value
         self._values: dict[int, float] = {}  # id(branch) -> value
@@ -719,15 +708,15 @@ class _Narration:
         around = 1.0
         for atom in atoms:
             if isinstance(atom, Var):
-                around = tnorm_min(around, self.assignment[atom.name])
+                around = tnorm_min(around, float(self.assignment[atom.name]))
         value = self._values[id(branch)] = tnorm_min(value, around)
-        cid = _chain_id(branch.chain)
-        pieces = _branch_pieces(branch, lambda node: node.paper_text)
+        cid, texts = _chain_id(branch.chain), self.texts
+        pieces = _branch_pieces(branch, lambda node: texts[id(node)])
         summary = _compose(pieces)
         if len(calls) == 1:
             ((slot, child),) = calls
             for sub in child.presentation_order():
-                pieces[slot] = (False, "(" + sub.paper_text + ")")
+                pieces[slot] = (False, "(" + texts[id(sub)] + ")")
                 # snorm_max keeps a zero unsigned, as evaluating the flat terms does
                 sub_value = tnorm_min(around, snorm_max(0.0, self._values[id(sub)]))
                 sub_id = _chain_id(sub.chain)

@@ -7,7 +7,6 @@ import pytest
 from conftest import reference_canonicalize
 
 from fuzzchain.algebra import (
-    _compositions,
     Call,
     FtfExpr,
     Term,
@@ -299,18 +298,24 @@ def _recursive_compositions(total, parts):
     ]
 
 
+def _one_variable_terms(parts: int) -> FtfExpr:
+    return FtfExpr(tuple(Term((Var(f"v{i}"),)) for i in range(parts)))
+
+
 def test_compositions_keep_the_recursive_order():
     for parts in range(6):
-        for total in range(6):
-            assert list(_compositions(total, parts)) == _recursive_compositions(total, parts)
+        expr = _one_variable_terms(parts)
+        for total in range(1, 6):
+            compositions = [e.composition for e in multinomial_expand(expr, total)]
+            assert compositions == _recursive_compositions(total, parts)
 
 
 def test_compositions_of_many_parts_need_no_recursion():
     parts = 2 * sys.getrecursionlimit()
-    count = 0
-    for count, composition in enumerate(_compositions(1, parts), start=1):
-        assert composition[count - 1] == 1 and sum(composition) == 1
-    assert count == parts
+    entries = multinomial_expand(_one_variable_terms(parts), 1)
+    assert len(entries) == parts
+    for i, entry in enumerate(entries):
+        assert entry.composition[i] == 1 and sum(entry.composition) == 1
 
 
 def test_multinomial_terms_evaluate_like_the_power():

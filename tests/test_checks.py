@@ -28,15 +28,25 @@ def test_budget_laws_catch_a_table_that_stops_at_layer_one(monkeypatch):
 
 
 def test_eval_closure_oracle_catches_two_routes_that_agree(monkeypatch):
-    # chains and matrix capped alike still agree with each other; only the
-    # call-unrolling oracle can tell them wrong
+    # chains and matrices capped alike still agree with each other; only
+    # the call-unrolling oracle can tell them wrong
     assert check_eval_closure(42, 100).passed
-    for route in ("eval_system", "transmission"):
+    for route in ("eval_system", "transmission", "_closed_cell"):
         real = getattr(checks, route)
         monkeypatch.setattr(checks, route, lambda *args, real=real: min(real(*args), 0.5))
     result = check_eval_closure(42, 100)
     assert result.failures > 0
     assert "oracle=" in result.detail
+
+
+def test_eval_closure_checks_the_closure_commands_cell(monkeypatch):
+    # a closure that returns the resolved matrix unclosed leaves
+    # transmission right, so only the closure command's route goes wrong
+    assert check_eval_closure(42, 100).passed
+    monkeypatch.setattr(checks, "warshall_closure", lambda grid: grid)
+    result = check_eval_closure(42, 100)
+    assert result.failures > 0
+    assert "cell=" in result.detail
 
 
 def test_pivot_invariant_catches_a_sweep_that_skips_pivot_zero(monkeypatch):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import re
+import tracemalloc
 
 import pytest
 
@@ -21,7 +23,7 @@ from fuzzchain.algebra import (
 )
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
-from fuzzchain.closure import resolve_matrix, transmission
+from fuzzchain.closure import resolve_matrix, transmission, warshall_closure
 from fuzzchain.errors import BindingError, UnknownSystemError
 from fuzzchain.oracles import oracle_unroll_eval
 from fuzzchain.recursion import (
@@ -131,6 +133,41 @@ TARGET_ROUTES = {
     "symbolic_expand": lambda registry, name, assignment: symbolic_expand(registry, name),
     "expansion_tree": lambda registry, name, assignment: expansion_tree(registry, name),
 }
+
+
+CLOSED_ROUTES = {
+    **ROUTES,
+    "closure": lambda registry, name, assignment: warshall_closure(
+        resolve_matrix(registry, name, assignment)[1]
+    ),
+}
+
+INT_BINDINGS_TEXT = """
+system s {
+ terminals A -> B
+ edge A B x
+ edge A C y
+ edge C B z
+}
+system u {
+ terminals A -> B
+ edge A C call s 1
+ edge C B y
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [{"x": 0, "y": 1, "z": 1}, {"x": 1, "y": 0, "z": 0}, {"x": -0.0, "y": 1, "z": 0}],
+)
+@pytest.mark.parametrize("route", sorted(CLOSED_ROUTES))
+def test_int_bindings_come_back_as_floats_on_every_route(route, assignment):
+    registry = parse_registry(INT_BINDINGS_TEXT)
+    as_floats = {name: float(grade) for name, grade in assignment.items()}
+    for name in ("s", "u"):
+        got = CLOSED_ROUTES[route](registry, name, assignment)
+        assert repr(got) == repr(CLOSED_ROUTES[route](registry, name, as_floats))
 
 
 @pytest.mark.parametrize("route", sorted(TARGET_ROUTES))
@@ -365,14 +402,33 @@ def test_trace_composes_its_texts_without_building_or_formatting_terms(
         told.append(expansion_node)
         return node(self, expansion_node)
 
+    built = []
+    term_init = Term.__init__
+
+    def counting_terms(self, *args):
+        built.append(args)
+        term_init(self, *args)
+
     monkeypatch.setattr(algebra, "format_term", counting)
+    monkeypatch.setattr(Term, "__init__", counting_terms)
     monkeypatch.setattr(recursion._Narration, "node", recording)
     result = trace_eval(builtin_fixtures(rec_count=8), "psi1_rec", fixture_assignment)
     assert len(result.events) == 5102
     records = [*told, *(b for n in told for b in n.branches)]
     assert len({id(r) for r in records}) == 9 + 34
-    assert not [r for r in records if "flat_terms" in vars(r)]
-    assert formatted == []
+    assert built == [] and formatted == []
+
+
+def _branch_terms(registry, branch) -> list[Term]:
+    """A branch's flat terms, distributed here from each child node's
+    :func:`symbolic_expand`."""
+    factors = [
+        symbolic_expand(registry, seg.system, seg.budget).terms
+        if isinstance(seg, ExpansionNode)
+        else (Term((seg,)),)
+        for seg in branch.segments
+    ]
+    return [Term(tuple(a for t in pick for a in t.atoms)) for pick in itertools.product(*factors)]
 
 
 def test_paper_texts_equal_the_formatted_flat_terms():
@@ -382,12 +438,17 @@ def test_paper_texts_equal_the_formatted_flat_terms():
         registry = random_registry(rng, n_systems=3, max_vertices=5, max_count=3, call_chance=(1, 2))
         registry, _ = lengthen_some_names(rng, registry, random_assignment(rng))
         name = registry.names()[-1]
-        for node in _dag_nodes(expansion_tree(registry, name)).values():
-            for record in (node, *node.branches):
-                terms = record.flat_terms
-                assert record.paper_text == format_expr(FtfExpr(terms), "paper")
-                flags = tuple(all(len(a.name) == 1 for a in t.atoms) for t in terms)
-                assert tuple(flag for _, flag in record.paper_terms) == flags
+        nodes = {}
+        recursion._expansion_node(recursion._Chains(registry), nodes, name, None)
+        texts = recursion._paper_texts(nodes.values())  # the memo lists callees first
+        for node in nodes.values():
+            flat = symbolic_expand(registry, node.system, node.budget)
+            for record, terms in [
+                (node, flat.terms),
+                *((branch, _branch_terms(registry, branch)) for branch in node.branches),
+            ]:
+                assert texts[id(record)] == format_expr(FtfExpr(tuple(terms)), "paper")
+                flags = [all(len(a.name) == 1 for a in t.atoms) for t in terms]
                 tight += sum(flags)
                 loose += len(flags) - sum(flags)
     assert tight >= 300 and loose >= 300
@@ -545,13 +606,18 @@ def test_a_branch_with_an_empty_factor_builds_no_callee_terms():
             "top", "A", "B", [("A", "C", Call("psi1_rec", 20)), ("C", "B", Call("dead", 1))]
         )
     )
-    assert symbolic_expand(registry, "top") == FtfExpr(())
+    assert recursion._output_size(registry, "psi1_rec", 20)[0] > recursion.MAX_EXPANSION
+    tracemalloc.start()
+    try:
+        assert symbolic_expand(registry, "top") == FtfExpr(())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
     # the DAG symbolic_expand flattens; its nested rendering is over the cap
     root = recursion._expansion_node(recursion._Chains(registry), {}, "top", None)
-    assert root.flat_terms == () and not root.has_terms
     rec_nodes = [node for node in _dag_nodes(root).values() if node.system == "psi1_rec"]
-    assert len(rec_nodes) == 20 and all(node.has_terms for node in rec_nodes)
-    assert not [node for node in rec_nodes if "flat_terms" in node.__dict__]
+    assert len(rec_nodes) == 20
 
 
 def test_symbolic_expand_evaluates_like_the_engine(registry, fixture_assignment, deep_assignment):
@@ -667,7 +733,8 @@ def test_trace_sub_values_follow_the_flat_terms_under_signed_zeros():
                         around = tnorm_min(around, valuation(atom))
                 (child,) = [seg for seg in branch.segments if isinstance(seg, ExpansionNode)]
                 for sub in child.presentation_order():
-                    value = tnorm_min(around, eval_expr(FtfExpr(sub.flat_terms), valuation))
+                    terms = FtfExpr(tuple(_branch_terms(registry, sub)))
+                    value = tnorm_min(around, eval_expr(terms, valuation))
                     want[node.system, node.budget, branch.chain, sub.chain] = value
         stack, told = [], set()
         for event in trace_eval(registry, name, assignment).events:
