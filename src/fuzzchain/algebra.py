@@ -71,13 +71,13 @@ def tnorm_min(a: float, b: float) -> float:
 
 
 def check_grade(value: float, what: str = "membership") -> float:
-    """Validate that ``value`` is an int or float grade in [0, 1]; return it as a float.
+    """Validate an int or float grade in [0, 1]; return ``value + 0.0``, a float, never ``-0.0``.
 
     A ``bool`` is an ``int`` but not a grade, so it is refused.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} is not a number: {value!r}")
-    value = float(value)
+    value = value + 0.0
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{what} out of range [0, 1]: {value!r}")
     return value

@@ -3,8 +3,8 @@
 Each suite generates random instances from a :class:`SplitMix64` stream
 and cross-examines a production engine against a brute-force reference
 from :mod:`fuzzchain.oracles` (or against an algebraic law that must
-hold exactly).  All comparisons are ``==`` on floats: max-min never
-invents values, so there is nothing to round.
+hold exactly).  Max-min never invents values, so nothing is rounded,
+and route answers are compared by ``repr``, sign of zero included.
 
 The same functions back the ``fuzzchain check`` command and the heavier
 regression tests; both just pick a seed and a trial count.
@@ -232,21 +232,21 @@ def check_eval_closure(seed: int, trials: int) -> CheckResult:
             via_closure = _outcome(transmission, registry, name, assignment)
             via_cell = _outcome(_closed_cell, registry, name, assignment)
             if any(isinstance(got, tuple) for got in (via_chains, via_closure, via_cell)):
-                if not via_chains == via_closure == via_cell:
+                if not repr(via_chains) == repr(via_closure) == repr(via_cell):
                     return (
                         f"{name}: chains={via_chains!r} closure={via_closure!r} "
                         f"cell={via_cell!r}"
                     )
                 continue
             via_oracle = oracle_unroll_eval(registry, name, assignment)
-            if not (via_chains == via_closure == via_cell == via_oracle):
+            if len({repr(got) for got in (via_chains, via_closure, via_cell, via_oracle)}) > 1:
                 return (
                     f"{name}: chains={via_chains!r} closure={via_closure!r} "
                     f"cell={via_cell!r} oracle={via_oracle!r}"
                 )
             if not system.call_atoms():
                 via_ftf = eval_expr(derive_ftf(system), lambda v: assignment[v.name])
-                if via_ftf != via_chains:
+                if repr(via_ftf) != repr(via_chains):
                     return f"{name}: ftf={via_ftf!r} chains={via_chains!r}"
         return None
 
@@ -340,20 +340,20 @@ def check_budget_laws(seed: int, trials: int, self_only: bool | None = None) -> 
         values = [resolve_call(registry, name, k, assignment) for k in range(top_k + 1)]
         for k, value in enumerate(values):
             naive = oracle_unroll_eval(registry, name, assignment, budget=k)
-            if naive != value:
+            if repr(naive) != repr(value):
                 return f"{name}: budget {k}: naive={naive!r} layered={value!r}"
         for lo, hi in zip(values, values[1:]):
             if lo > hi:
                 return f"{name}: budget sequence not monotone: {values!r}"
-        if any(v != values[ceiling] for v in values[ceiling:]):
+        if any(repr(v) != repr(values[ceiling]) for v in values[ceiling:]):
             return f"{name}: still moving past stabilization: {values!r}"
         top = eval_system(registry, name, assignment)
-        if top != values[ceiling]:
+        if repr(top) != repr(values[ceiling]):
             return f"{name}: top={top!r} stabilized={values[ceiling]!r}"
-        if recursive and any(v != values[0] for v in values):
+        if recursive and any(repr(v) != repr(values[0]) for v in values):
             return f"{name}: self-only system budget-sensitive: {values!r}"
         naive = oracle_unroll_eval(registry, name, assignment)
-        if naive != top:
+        if repr(naive) != repr(top):
             return f"{name}: naive={naive!r} top={top!r}"
         return None
 
@@ -372,14 +372,14 @@ def check_expansion(seed: int, trials: int) -> CheckResult:
         assignment = random_assignment(rng)
         top = eval_system(registry, name, assignment)
         naive = oracle_unroll_eval(registry, name, assignment)
-        if naive != top:
+        if repr(naive) != repr(top):
             return f"{name}: naive={naive!r} top={top!r}"
         flat = symbolic_expand(registry, name)
         via_expand = eval_expr(flat, lambda v: assignment[v.name])
-        if via_expand != top:
+        if repr(via_expand) != repr(top):
             return f"{name}: expand={via_expand!r} top={top!r}"
         traced = trace_eval(registry, name, assignment)
-        if traced.value != top:
+        if repr(traced.value) != repr(top):
             return f"{name}: trace={traced.value!r} top={top!r}"
         return None
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable
 
-from .algebra import Call
 from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, cell_text
 
 __all__ = [
@@ -127,30 +126,14 @@ def _walk_forest(forest: Forest, s: int, row: list[float]) -> None:
 def _resolved_edges(
     registry: SystemRegistry, name: str, assignment: dict[str, float]
 ) -> tuple[tuple[str, ...], list[tuple[int, int, float]]]:
-    """The vertex order of a system and each edge's (u index, v index, grade).
+    """The vertex order of a system and each edge's (u index, v index, grade),
+    with the grades :func:`~fuzzchain.recursion.edge_grades` gives."""
+    from .recursion import edge_grades
 
-    A variable takes its bound grade, as a float; a call takes the
-    called system's value at the declared budget, as :func:`resolve_call`
-    gives it (0 when the declared count is 0 — a call that may never run
-    transmits nothing).  Each edge's atom is resolved once, in
-    declaration order.
-    """
-    from .recursion import call_layers
-
-    layers = call_layers(registry, name, assignment)
-    top = len(layers) - 1
     system = registry[name]
-    vertices = system.vertices
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    for edge in system.edges:
-        atom = edge.atom
-        if isinstance(atom, Call):
-            grade = 0.0 if atom.count < 1 else layers[min(atom.count, top)][atom.target]
-        else:
-            grade = float(assignment[atom.name])
-        edges.append((index[edge.u], index[edge.v], grade))
-    return vertices, edges
+    index = {v: i for i, v in enumerate(system.vertices)}
+    grades = edge_grades(registry, name, assignment)
+    return system.vertices, [(index[e.u], index[e.v], g) for e, g in zip(system.edges, grades)]
 
 
 def resolve_matrix(
@@ -158,9 +141,9 @@ def resolve_matrix(
 ) -> tuple[tuple[str, ...], Matrix]:
     """Numeric connection matrix of a system under an assignment.
 
-    Variable cells take their bound grade and call cells the called
-    system's value at the declared budget, as :func:`_resolved_edges`
-    reads them.  Returns the vertex order alongside the grid.
+    Each edge's two cells take its grade from
+    :func:`~fuzzchain.recursion.edge_grades`.  Returns the vertex order
+    alongside the grid.
 
     The grid is filled from the edges, not from the symbolic matrix: an
     n×n block of ``0.0`` with ``1.0`` on the diagonal, then each edge's
@@ -188,10 +171,10 @@ def transmission(registry: SystemRegistry, name: str, assignment: dict[str, floa
 
     The row starts as the input's row of :func:`resolve_matrix` (``0.0``,
     ``1.0`` at the input, each input edge's grade at its neighbour), and
-    a cell the forest does not reach keeps that grade, signed zeros
-    included, as the closure keeps it.  No n×n grid is built: memory is
-    O(n + E) and work O(E log E + n).  The chain evaluator and the
-    call-unrolling oracle share no code with it (``eval-closure-agree``).
+    a cell the forest does not reach keeps that grade, as the closure
+    keeps it; no grade is ``-0.0``, so neither is the answer.  No n×n
+    grid is built: memory is O(n + E) and work O(E log E + n).  The
+    call-unrolling oracle shares no code with it (``eval-closure-agree``).
     """
     system = registry[name]
     vertices, edges = _resolved_edges(registry, name, assignment)

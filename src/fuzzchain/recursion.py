@@ -16,8 +16,8 @@ the chains of a system, each with its edge atoms, that survive a budget.
 One walker, :func:`_layers`, fills a table of budget layers bottom-up,
 without Python recursion, grading every callee at every budget in one
 loop: :func:`_grade` values a system for :func:`resolve_call` (whose
-top level is :func:`eval_system`) and the closure routes, and
-:func:`_size` counts what it unrolls to.  Each call
+top level is :func:`eval_system`), :func:`edge_grades` reads that table
+for the closure routes, and :func:`_size` counts what it unrolls to.  Each call
 enumerates a system's chains once (:class:`_Chains`), and every layer,
 and the expansion DAG, reads them from there.
 
@@ -39,9 +39,9 @@ node is built.  Building the DAG and narrating still recurse, so a
 narrow call chain deep enough can still exhaust the recursion limit.
 
 Every entry point that takes an assignment checks it first with
-:func:`~fuzzchain.systems.require_bindings`; the grading and the
-narration then read each binding straight from the assignment, the
-narration through ``float`` so that an ``int`` binding prints as one.
+:func:`~fuzzchain.systems.require_bindings` and then reads only the
+grades it returns, floats with no ``-0.0``, so every route gives the
+same ``repr``.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ __all__ = [
     "eval_system",
     "resolve_call",
     "call_layers",
+    "edge_grades",
     "stabilization_budget",
     "ExpansionNode",
     "ExpansionBranch",
@@ -158,8 +159,8 @@ def resolve_call(
     """
     _check_budget(budget)
     chains = _Chains(registry)
-    layers = call_layers(registry, name, assignment, budget, chains)
-    return _grade(chains[name], budget, assignment, layers)
+    grades, layers = call_layers(registry, name, assignment, budget, chains)
+    return _grade(chains[name], budget, grades, layers)
 
 
 def eval_system(
@@ -177,8 +178,9 @@ def call_layers(
     assignment: Mapping[str, float],
     budget: Budget = None,
     chains: Mapping[str, ChainList] | None = None,
-) -> list[dict[str, float]]:
-    """The value of every system ``name`` calls, at each budget it can read.
+) -> tuple[dict[str, float], list[dict[str, float]]]:
+    """The grades :func:`require_bindings` checked for ``name`` and the
+    value of every system ``name`` calls, at each budget it can read.
 
     ``layers[b][s]`` is ``resolve_call(registry, s, b, assignment)`` for
     each system ``s`` reached through a call edge (see :func:`_layers`);
@@ -186,10 +188,10 @@ def call_layers(
     A caller that grades more systems itself passes the ``chains`` the
     table was graded from, so no system's chains are enumerated twice.
     """
-    walked = require_bindings(registry, name, assignment)
+    walked, grades = require_bindings(registry, name, assignment)
     chains = _Chains(registry) if chains is None else chains
-    return _layers(
-        registry, walked, budget, lambda s, b, layers: _grade(chains[s], b, assignment, layers)
+    return grades, _layers(
+        registry, walked, budget, lambda s, b, layers: _grade(chains[s], b, grades, layers)
     )
 
 
@@ -227,13 +229,13 @@ def _layers(
 def _grade(
     chains: ChainList,
     budget: Budget,
-    assignment: Mapping[str, float],
+    grades: dict[str, float],
     layers: list[dict[str, float]],
 ) -> float:
     """Max over the live ``chains`` of a system of the min over each chain's atoms.
 
-    A variable reads its grade from ``assignment``, which
-    :func:`require_bindings` has checked; a call reads its callee's layer.
+    A variable reads its checked grade from ``grades``; a call reads its
+    callee's layer.
     """
     top = len(layers) - 1
     best = 0.0
@@ -241,11 +243,25 @@ def _grade(
         got = 1.0
         for atom in atoms:
             if isinstance(atom, Var):
-                got = tnorm_min(got, assignment[atom.name])
+                got = tnorm_min(got, grades[atom.name])
             else:
                 got = tnorm_min(got, layers[min(_effective(atom.count, budget), top)][atom.target])
         best = snorm_max(best, got)
     return best
+
+
+def edge_grades(registry: SystemRegistry, name: str, assignment: Mapping[str, float]) -> list[float]:
+    """Each edge's grade of ``name``, in declaration order: a variable its
+    checked grade; a call its callee's value at the declared count, as
+    :func:`resolve_call` gives it, or ``0.0`` at count 0 (a call that may
+    never run transmits nothing)."""
+    grades, layers = call_layers(registry, name, assignment)
+    top = len(layers) - 1
+    return [
+        grades[a.name] if isinstance(a, Var)
+        else layers[min(a.count, top)][a.target] if a.count >= 1 else 0.0
+        for a in (edge.atom for edge in registry[name].edges)
+    ]
 
 
 def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> Size:
@@ -282,7 +298,7 @@ def _output_size(
     """The :func:`_size` of ``name`` at ``budget``, for the routes that bind nothing."""
     _check_budget(budget)
     chains = _Chains(registry) if chains is None else chains
-    layers = _size_layers(chains, require_bindings(registry, name, None), budget)
+    layers = _size_layers(chains, require_bindings(registry, name, None)[0], budget)
     return _size(chains[name], budget, layers)
 
 
@@ -615,7 +631,8 @@ def trace_eval(
     chain's summary; chains with several calls get the summary only.
     """
     chains = _Chains(registry)
-    layers = _size_layers(chains, require_bindings(registry, name, assignment), None)
+    walked, grades = require_bindings(registry, name, assignment)
+    layers = _size_layers(chains, walked, None)
     _check_size(_size(chains[name], None, layers)[2], "trace events")
     nodes: dict[tuple[str, Budget], ExpansionNode] = {}
     root = _expansion_node(chains, nodes, name, None)
@@ -624,7 +641,7 @@ def trace_eval(
     widest = max((layers[min(b, top)][s][0] for s, b in nodes if b is not None), default=0)
     _check_size(widest, "flat terms in one call")
     called = [node for node in nodes.values() if node is not root]
-    narration = _Narration(assignment, _paper_texts(called))
+    narration = _Narration(grades, _paper_texts(called))
     value = narration.node(root)
     return TraceResult(value, tuple(narration.events))
 
@@ -672,8 +689,8 @@ class _Narration:
     the first time it was narrated, and the ``paper`` texts of the
     called nodes and their branches (:func:`_paper_texts`)."""
 
-    def __init__(self, assignment: Mapping[str, float], texts: dict[int, str]):
-        self.assignment = assignment  # checked by require_bindings
+    def __init__(self, grades: dict[str, float], texts: dict[int, str]):
+        self.grades = grades  # as require_bindings returns them
         self.texts = texts
         self.events: list[TraceEvent] = []
         self._told: dict[int, tuple[int, int, float]] = {}  # id(node) -> span, value
@@ -708,7 +725,7 @@ class _Narration:
         around = 1.0
         for atom in atoms:
             if isinstance(atom, Var):
-                around = tnorm_min(around, float(self.assignment[atom.name]))
+                around = tnorm_min(around, self.grades[atom.name])
         value = self._values[id(branch)] = tnorm_min(value, around)
         cid, texts = _chain_id(branch.chain), self.texts
         pieces = _branch_pieces(branch, lambda node: texts[id(node)])
@@ -717,8 +734,7 @@ class _Narration:
             ((slot, child),) = calls
             for sub in child.presentation_order():
                 pieces[slot] = (False, "(" + texts[id(sub)] + ")")
-                # snorm_max keeps a zero unsigned, as evaluating the flat terms does
-                sub_value = tnorm_min(around, snorm_max(0.0, self._values[id(sub)]))
+                sub_value = tnorm_min(around, self._values[id(sub)])
                 sub_id = _chain_id(sub.chain)
                 events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
         events.append(BranchResult(cid, summary, value))

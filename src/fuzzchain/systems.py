@@ -236,7 +236,7 @@ def validate_registry(registry: SystemRegistry) -> list[Diagnostic]:
 
 def require_bindings(
     registry: SystemRegistry, name: str, assignment: Mapping[str, float] | None
-) -> list[str]:
+) -> tuple[list[str], dict[str, float]]:
     """The binding contract every evaluation route checks on entry.
 
     Every variable of ``name``, and of every system reachable from it
@@ -244,27 +244,28 @@ def require_bindings(
     in [0, 1]: a missing, non-numeric or out-of-range one raises
     :class:`BindingError`, an unknown system :class:`UnknownSystemError`.
     Systems are visited breadth-first from ``name`` and edges in
-    declaration order, so every route reports the same first problem.  Returns the names visited,
-    ``name`` first, in that order.  With ``assignment=None``, for the
+    declaration order, so every route reports the same first problem.
+    Returns the names visited, ``name`` first, in that order, and each
+    variable's grade as :func:`check_grade` returns it, which the routes
+    read in place of ``assignment``.  With ``assignment=None``, for the
     symbolic routes that bind nothing, only the systems are checked.
     Each variable is checked once, where it is first met.
     """
     order = [name]
-    checked: set[str] = set()
+    grades: dict[str, float] = {}
     for system_name in order:
         for edge in registry[system_name].edges:
             atom = edge.atom
             if isinstance(atom, Call):
                 if atom.target not in order:
                     order.append(atom.target)
-            elif assignment is None or atom.name in checked:
+            elif assignment is None or atom.name in grades:
                 continue
             elif atom.name not in assignment:
                 raise BindingError(f"missing binding for variable {atom.name!r}")
             else:
-                checked.add(atom.name)
                 try:
-                    check_grade(assignment[atom.name])
+                    grades[atom.name] = check_grade(assignment[atom.name])
                 except ValueError:
                     # refused: check again to word the message for this
                     # variable, so a good binding formats nothing
@@ -272,7 +273,7 @@ def require_bindings(
                         check_grade(assignment[atom.name], f"binding for {atom.name!r}")
                     except ValueError as exc:
                         raise BindingError(str(exc)) from None
-    return order
+    return order, grades
 
 
 # --- connection matrices --------------------------------------------------

@@ -443,6 +443,35 @@ def test_expand_modes(run_cli):
     assert simplified == "w*y + x*z\n"
 
 
+SIGNED_ZERO_TEXT = """
+system t {
+  terminals A -> B
+  edge A B x
+}
+system s {
+  terminals A -> B
+  edge A B x
+  edge A C call t 1
+  edge C B y
+}
+"""
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("command", ["eval", "closure", "matrix", "trace"])
+def test_a_signed_zero_binding_prints_as_zero(run_cli, tmp_path, command, as_json):
+    path = tmp_path / "signed.fz"
+    path.write_text(SIGNED_ZERO_TEXT, encoding="utf-8")
+    argv = [command, "--fixtures", str(path), "--system", "s"]
+    argv += ["--resolve"] * (command == "matrix") + ["--json"] * as_json
+    signed = run_cli(*argv, "--set", "x=-0.0", "--set", "y=0.5")
+    assert signed == run_cli(*argv, "--set", "x=0.0", "--set", "y=0.5")
+    assert signed[0] == 0 and "0.0" in signed[1] and "-0.0" not in signed[1]
+    assign = tmp_path / "signed.txt"
+    assign.write_text("x = -0.0\ny = 0.5\n", encoding="utf-8")
+    assert run_cli(*argv, "--assign", str(assign)) == signed
+
+
 def test_json_payloads(run_cli):
     code, out, _ = run_cli("eval", "--system", "phi", "--json")
     assert code == 0

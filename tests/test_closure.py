@@ -352,16 +352,18 @@ def _sparse_registry(rng, n):
 
 
 def test_transmission_reads_the_closure_cell_on_random_registries():
-    answers = []
+    answers, negative = [], 0
     for seed in range(2000):
         rng = SplitMix64(seed)
         registry = random_registry(rng, n_systems=2 + seed % 2, max_vertices=5 + seed % 4, max_edges=12)
         assignment = _signed_zero_assignment(rng)
+        negative += "-0.0" in map(repr, assignment.values())
         for name in registry.names():
             got = transmission(registry, name, assignment)
             assert repr(got) == repr(_swept_cell(registry, name, assignment)), (seed, name)
             answers.append(repr(got))
-    assert "-0.0" in answers and "0.0" in answers  # both signs of zero were answered
+    assert negative > 1000  # most cases bind a -0.0 ...
+    assert "0.0" in answers and "-0.0" not in answers  # ... and every zero answered is 0.0
 
 
 def _sparse_assignment(rng, names):
@@ -501,12 +503,13 @@ def test_transmission_builds_one_forest_and_relaxes_no_row(monkeypatch, row_rela
 @pytest.mark.parametrize(
     "vertices, grades, answer",
     [
-        # the output's edge to the input is bound to -0.0, so the forest
-        # leaves it out and the output keeps its starting cell
+        # the output's edge to the input is bound to -0.0, which reads
+        # 0.0, so the forest leaves it out and the output keeps its
+        # starting cell, 0.0
         (
             ("IN", "A", "B", "C", "OUT"),
             [("IN", "A", 0.7), ("A", "B", 0.5), ("IN", "OUT", -0.0), ("OUT", "C", 0.9)],
-            "-0.0",
+            "0.0",
         ),
         # the output is in another tree of the forest: its cell stays 0.0
         (
@@ -538,8 +541,9 @@ def test_transmission_stop_rules_read_the_closure_cell(vertices, grades, answer)
 
 def _resolve_by_cells(registry, name, assignment):
     """The numeric matrix read cell by cell from the symbolic one: the unit
-    and zero cells, each variable's binding, and each call as
-    :func:`resolve_call` grades it at its declared count (0 below count 1)."""
+    and zero cells, each variable's binding with its sign of zero dropped,
+    and each call as :func:`resolve_call` grades it at its declared count
+    (0 below count 1)."""
     symbolic = connection_matrix(registry[name])
 
     def read(cell):
@@ -548,7 +552,7 @@ def _resolve_by_cells(registry, name, assignment):
         if cell is ZERO:
             return 0.0
         if not isinstance(cell, Call):
-            return assignment[cell.name]
+            return abs(assignment[cell.name])
         return 0.0 if cell.count < 1 else resolve_call(registry, cell.target, cell.count, assignment)
 
     return symbolic.vertices, [[read(cell) for cell in row] for row in symbolic.cells]
@@ -611,20 +615,25 @@ def test_resolve_matrix_equals_the_cell_by_cell_reading():
     # the closure cell reads resolve_matrix and transmission the same
     # resolved edges, so only a reference built another way can catch a
     # wrong grade
-    cells = set()
+    cells, negative = set(), 0
     for registry, name, assignment in _matrix_cases():
         vertices, grid = resolve_matrix(registry, name, assignment)
         assert _repr_matrix(vertices, grid) == _repr_matrix(
             *_resolve_by_cells(registry, name, assignment)
         ), name
         cells.update(repr(x) for row in grid for x in row)
-    assert {"-0.0", "0.0", "1.0"} <= cells
+        negative += "-0.0" in map(repr, assignment.values())
+    assert negative > 100  # many cases bind a -0.0 ...
+    assert {"0.0", "1.0"} <= cells and "-0.0" not in cells  # ... and no cell holds one
 
 
 def test_resolve_matrix_reads_call_counts_against_the_layer_table():
     registry = parse_registry(_CALL_COUNTS_TEXT)
-    layers = call_layers(registry, "outer", _RISING)
+    grades, layers = call_layers(registry, "outer", _RISING)
+    assert grades == {"z": _RISING["z"], "y": 0.2, "x": 0.9}  # met breadth-first
     assert [layer["mid"] for layer in layers[:3]] == [0.2, 0.2, 0.9]
+    signed, _ = call_layers(registry, "outer", dict(_RISING, z=-0.0))
+    assert repr(signed["z"]) == "0.0"
     assert len(layers) - 1 < 50  # count 50 reads past the top of the table
     vertices, grid = resolve_matrix(registry, "outer", _RISING)
     a, c, d, e, f = (vertices.index(v) for v in "ACDEF")

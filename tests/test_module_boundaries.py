@@ -1,9 +1,13 @@
-"""The reference module stays apart from production, read from the source.
+"""Module boundaries, read from the source.
 
 ``oracles.py`` holds the brute-force oracles and the matrix references
 (product, powers, ascending-pivot sweep).  The checks compare production
 against it, so it must share no production code, and production must
 neither import it nor keep its own copy of the references.
+
+Bindings have one reader: ``require_bindings`` checks each one and
+returns its grade, the routes read those grades, and ``closure.py``
+builds its forests and grids from numbers only.
 """
 
 from __future__ import annotations
@@ -66,3 +70,26 @@ def test_closure_defines_none_of_the_references():
     assert "warshall_closure" in defined
     assert not MOVED & defined
     assert MOVED <= {node.name for node in _tree("oracles").body if hasattr(node, "name")}
+
+
+def _nodes(tree, kind):
+    return [node for node in ast.walk(tree) if isinstance(node, kind)]
+
+
+def test_bindings_have_one_reader():
+    closure, recursion = _tree("closure"), _tree("recursion")
+    imported = {alias.name for node in _nodes(closure, ast.ImportFrom) for alias in node.names}
+    assert "Call" not in imported  # closure.py tells no atom from another
+    for module, tree in (("closure", closure), ("recursion", recursion)):
+        subscripts = [
+            node
+            for node in _nodes(tree, ast.Subscript)
+            if isinstance(node.value, ast.Name) and node.value.id == "assignment"
+        ]
+        assert subscripts == [], module  # no binding is read past require_bindings
+        floats = [
+            node
+            for node in _nodes(tree, ast.Call)
+            if isinstance(node.func, ast.Name) and node.func.id == "float"
+        ]
+        assert floats == [], module  # every grade is already a float
