@@ -73,10 +73,12 @@ def tnorm_min(a: float, b: float) -> float:
 def check_grade(value: float, what: str = "membership") -> float:
     """Validate an int or float grade in [0, 1]; return ``value + 0.0``, a float, never ``-0.0``.
 
-    A ``bool`` is an ``int`` but not a grade, so it is refused.
+    A ``bool`` is an ``int`` but not a grade, so it is refused.  An exact
+    ``float``, the common case, skips the type tests.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} is not a number: {value!r}")
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{what} is not a number: {value!r}")
     value = value + 0.0
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{what} out of range [0, 1]: {value!r}")

@@ -126,14 +126,14 @@ def _walk_forest(forest: Forest, s: int, row: list[float]) -> None:
 def _resolved_edges(
     registry: SystemRegistry, name: str, assignment: dict[str, float]
 ) -> tuple[tuple[str, ...], list[tuple[int, int, float]]]:
-    """The vertex order of a system and each edge's (u index, v index, grade),
-    with the grades :func:`~fuzzchain.recursion.edge_grades` gives."""
+    """The vertex order of a system and each edge's (u index, v index, grade):
+    the endpoint indices of the system's plan, and the grades
+    :func:`~fuzzchain.recursion.edge_grades` gives."""
     from .recursion import edge_grades
 
     system = registry[name]
-    index = {v: i for i, v in enumerate(system.vertices)}
-    grades = edge_grades(registry, name, assignment)
-    return system.vertices, [(index[e.u], index[e.v], g) for e, g in zip(system.edges, grades)]
+    plan = system._plan
+    return system.vertices, list(zip(plan.us, plan.vs, edge_grades(registry, name, assignment)))
 
 
 def resolve_matrix(

@@ -57,7 +57,6 @@ from .algebra import (
     Var,
     _Record,
     _set,
-    check_grade,
     snorm_max,
     tnorm_min,
 )
@@ -204,24 +203,28 @@ def _layers(
     """``grade`` of every system that the root ``walked[0]`` reaches
     through a call edge, at each budget the root can grant.
 
-    ``walked`` is as :func:`require_bindings` returns it.  Layer b is
-    ``grade(system, b, layers)`` of every callee over the layers below
-    it.  Filling stops at the last budget the root grants a call (its
-    largest declared count at the top level, ``budget - 1`` below it),
-    or at the first b >= 2 whose layer equals layer b - 1: every later
-    layer is that one.  (Layers 0 and 1 are always equal, since every
-    call is dead below budget 2, so the rule cannot start earlier.)
+    ``walked`` is as :func:`require_bindings` returns it, and each
+    system's calls are read from its plan.  Layer b is ``grade(system,
+    b, layers)`` of every callee over the layers below it.  Every call
+    is dead below budget 2, so layer 1 is a copy of layer 0 and
+    ``grade`` is never called at budget 1.  Filling stops at the last
+    budget the root grants a call (its largest declared count at the top
+    level, ``budget - 1`` below it), or at the first b >= 2 whose layer
+    equals layer b - 1: every later layer is that one.
     """
-    calls = {s: registry[s].call_atoms() for s in walked}
+    calls = {s: registry[s]._plan.calls for s in walked}
     called = {call.target for atoms in calls.values() for call in atoms}
     root_counts = [call.count for call in calls[walked[0]]]
     last = max(root_counts, default=0) if budget is None else budget - 1
     callees = [s for s in walked if s in called]
     layers: list[dict[str, T]] = []
     while len(layers) <= last:
-        layer = {s: grade(s, len(layers), layers) for s in callees}
-        if len(layers) >= 2 and layer == layers[-1]:
-            break
+        if len(layers) == 1:
+            layer = dict(layers[0])  # every call is dead below budget 2
+        else:
+            layer = {s: grade(s, len(layers), layers) for s in callees}
+            if len(layers) >= 2 and layer == layers[-1]:
+                break
         layers.append(layer)
     return layers
 
@@ -251,17 +254,16 @@ def _grade(
 
 
 def edge_grades(registry: SystemRegistry, name: str, assignment: Mapping[str, float]) -> list[float]:
-    """Each edge's grade of ``name``, in declaration order: a variable its
-    checked grade; a call its callee's value at the declared count, as
-    :func:`resolve_call` gives it, or ``0.0`` at count 0 (a call that may
-    never run transmits nothing)."""
+    """Each edge's grade of ``name``, in declaration order, read through
+    the slots of its plan: a variable its checked grade; a call its
+    callee's value at the declared count, as :func:`resolve_call` gives
+    it, or ``0.0`` at count 0 (a call that may never run transmits
+    nothing)."""
     grades, layers = call_layers(registry, name, assignment)
     top = len(layers) - 1
-    return [
-        grades[a.name] if isinstance(a, Var)
-        else layers[min(a.count, top)][a.target] if a.count >= 1 else 0.0
-        for a in (edge.atom for edge in registry[name].edges)
-    ]
+    plan = registry[name]._plan
+    called = {c: layers[min(c.count, top)][c.target] if c.count >= 1 else 0.0 for c in plan.calls}
+    return list(map({**grades, **called}.__getitem__, plan.slots))
 
 
 def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> Size:
@@ -709,7 +711,6 @@ class _Narration:
         for branch in node.branches:
             best = snorm_max(best, self.branch(branch))
         events.append(Exit(node.system, best))
-        check_grade(best, "trace value")
         self._told[id(node)] = (start, len(events), best)
         return best
 

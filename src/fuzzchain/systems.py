@@ -25,6 +25,7 @@ resolved lazily: parsing succeeds with dangling targets and
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -98,9 +99,10 @@ class FuzzySystem(_Record):
         for edge in edges:
             if edge.u not in seen_vertices or edge.v not in seen_vertices:
                 raise ValueError(f"system {name!r}: edge endpoint not among vertices")
-            if edge.pair() in pairs:
+            pair = edge.pair()
+            if pair in pairs:
                 raise ValueError(f"system {name!r}: duplicate edge {edge.u!r}-{edge.v!r}")
-            pairs.add(edge.pair())
+            pairs.add(pair)
         for f, v in zip(self._fields, (name, input_terminal, output_terminal, vertices, edges)):
             _set(self, f, v)
 
@@ -112,14 +114,8 @@ class FuzzySystem(_Record):
         edges: list[tuple[str, str, Atom]] | tuple[tuple[str, str, Atom], ...],
     ) -> "FuzzySystem":
         """Construct with first-seen vertex order (terminals first)."""
-        order: list[str] = []
-        for vertex in (input_terminal, output_terminal):
-            if vertex not in order:
-                order.append(vertex)
-        for u, v, _ in edges:
-            for vertex in (u, v):
-                if vertex not in order:
-                    order.append(vertex)
+        ends = (vertex for u, v, _ in edges for vertex in (u, v))
+        order = dict.fromkeys(itertools.chain((input_terminal, output_terminal), ends))
         return FuzzySystem(
             name,
             input_terminal,
@@ -129,24 +125,28 @@ class FuzzySystem(_Record):
         )
 
     @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan(self)
+
+    @cached_property
     def _walk_table(self) -> tuple[tuple[tuple[tuple[int, Atom], ...], ...], int, int]:
         """The chain walk's view of the edges, on integer vertex ids.
 
         Entry i lists vertex ``vertices[i]``'s (neighbor index, atom)
         pairs in edge-declaration order; the input and output indices
-        follow.  Built once per system, apart from :attr:`_adjacency`,
-        which the call-unrolling oracle reads through :meth:`neighbors`.
+        follow.  Built once per system from the :class:`_Plan`, apart
+        from :attr:`_adjacency`, which the call-unrolling oracle reads
+        through :meth:`neighbors`.
         """
-        index = {v: i for i, v in enumerate(self.vertices)}
+        plan = self._plan
         table: list[list[tuple[int, Atom]]] = [[] for _ in self.vertices]
-        for edge in self.edges:
-            u, v = index[edge.u], index[edge.v]
+        for u, v, edge in zip(plan.us, plan.vs, self.edges):
             table[u].append((v, edge.atom))
             table[v].append((u, edge.atom))
         return (
             tuple(map(tuple, table)),
-            index[self.input_terminal],
-            index[self.output_terminal],
+            self.vertices.index(self.input_terminal),
+            self.vertices.index(self.output_terminal),
         )
 
     @cached_property
@@ -162,7 +162,27 @@ class FuzzySystem(_Record):
         return self._adjacency[vertex]
 
     def call_atoms(self) -> tuple[Call, ...]:
-        return tuple(e.atom for e in self.edges if isinstance(e.atom, Call))
+        return self._plan.calls
+
+
+class _Plan:
+    """A system's structure, derived once from its edges and read by every
+    numeric call: each edge's endpoint indices in ``vertices`` order
+    (``us``, ``vs``) and its *slot*, its variable's name or its
+    :class:`Call` (``slots``); the distinct variable names in first-met
+    order (``names``) and the call atoms (``calls``).  It holds no grade.
+    """
+
+    __slots__ = ("us", "vs", "slots", "names", "calls")
+
+    def __init__(self, system: FuzzySystem) -> None:
+        index = {v: i for i, v in enumerate(system.vertices)}
+        self.us = tuple(index[e.u] for e in system.edges)
+        self.vs = tuple(index[e.v] for e in system.edges)
+        atoms = [e.atom for e in system.edges]
+        self.slots = tuple(a if isinstance(a, Call) else a.name for a in atoms)
+        self.names = tuple(dict.fromkeys(s for s in self.slots if isinstance(s, str)))
+        self.calls = tuple(s for s in self.slots if isinstance(s, Call))
 
 
 class SystemRegistry(_Record):
@@ -243,36 +263,40 @@ def require_bindings(
     through call edges (whatever their count), must be bound to a grade
     in [0, 1]: a missing, non-numeric or out-of-range one raises
     :class:`BindingError`, an unknown system :class:`UnknownSystemError`.
-    Systems are visited breadth-first from ``name`` and edges in
-    declaration order, so every route reports the same first problem.
-    Returns the names visited, ``name`` first, in that order, and each
-    variable's grade as :func:`check_grade` returns it, which the routes
-    read in place of ``assignment``.  With ``assignment=None``, for the
-    symbolic routes that bind nothing, only the systems are checked.
-    Each variable is checked once, where it is first met.
+    Systems are visited breadth-first from ``name`` through the calls of
+    their :class:`_Plan`, and each system's distinct variable names are
+    checked in first-met order.  Queueing a call target never raises, so
+    every route reports the same first problem as a walk of the edges in
+    declaration order would.  Returns the names visited, ``name`` first,
+    in that order, and each variable's grade as :func:`check_grade`
+    returns it, which the routes read in place of ``assignment``.  With
+    ``assignment=None``, for the symbolic routes that bind nothing, only
+    the systems are checked.  Each variable is checked once, where it is
+    first met.
     """
     order = [name]
     grades: dict[str, float] = {}
     for system_name in order:
-        for edge in registry[system_name].edges:
-            atom = edge.atom
-            if isinstance(atom, Call):
-                if atom.target not in order:
-                    order.append(atom.target)
-            elif assignment is None or atom.name in grades:
+        plan = registry[system_name]._plan
+        for call in plan.calls:
+            if call.target not in order:
+                order.append(call.target)
+        if assignment is None:
+            continue
+        for var in plan.names:
+            if var in grades:
                 continue
-            elif atom.name not in assignment:
-                raise BindingError(f"missing binding for variable {atom.name!r}")
-            else:
+            if var not in assignment:
+                raise BindingError(f"missing binding for variable {var!r}")
+            try:
+                grades[var] = check_grade(assignment[var])
+            except ValueError:
+                # refused: check again to word the message for this
+                # variable, so a good binding formats nothing
                 try:
-                    grades[atom.name] = check_grade(assignment[atom.name])
-                except ValueError:
-                    # refused: check again to word the message for this
-                    # variable, so a good binding formats nothing
-                    try:
-                        check_grade(assignment[atom.name], f"binding for {atom.name!r}")
-                    except ValueError as exc:
-                        raise BindingError(str(exc)) from None
+                    check_grade(assignment[var], f"binding for {var!r}")
+                except ValueError as exc:
+                    raise BindingError(str(exc)) from None
     return order, grades
 
 
@@ -323,12 +347,11 @@ class ConnectionMatrix(_Record):
 
 def connection_matrix(system: FuzzySystem) -> ConnectionMatrix:
     """The symbolic vertex-by-vertex matrix of a system, filled from its edges."""
-    index = {v: i for i, v in enumerate(system.vertices)}
-    rows: list[list[Cell]] = [[ZERO] * len(index) for _ in index]
+    plan = system._plan
+    rows: list[list[Cell]] = [[ZERO] * len(system.vertices) for _ in system.vertices]
     for i, row in enumerate(rows):
         row[i] = ONE
-    for edge in system.edges:
-        u, v = index[edge.u], index[edge.v]
+    for u, v, edge in zip(plan.us, plan.vs, system.edges):
         rows[u][v] = rows[v][u] = edge.atom
     return ConnectionMatrix(tuple(system.vertices), tuple(tuple(row) for row in rows))
 

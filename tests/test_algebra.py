@@ -50,6 +50,40 @@ def test_check_grade_bounds():
             check_grade(value, "weight")
 
 
+def _reference_check_grade(value, what="membership"):
+    """``check_grade`` as written before exact floats skipped the type tests."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} is not a number: {value!r}")
+    value = value + 0.0
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{what} out of range [0, 1]: {value!r}")
+    return value
+
+
+class _Grade(float):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        0.0, -0.0, 0.5, 1.0, 5e-324, 1.0000000000000002, -0.1, 1.5, float("nan"),
+        float("inf"), -float("inf"), 0, 1, 2, -1, True, False, _Grade(0.25), _Grade(-0.0),
+        _Grade(1.5), _Grade("nan"), None, "0.3", [0.3],
+    ],
+    ids=repr,
+)
+def test_check_grade_matches_its_reference(value):
+    def outcome(check):
+        try:
+            got = check(value, "grade")
+        except ValueError as exc:
+            return "refused", str(exc)
+        return type(got), repr(got)
+
+    assert outcome(check_grade) == outcome(_reference_check_grade)
+
+
 def test_is_identifier():
     assert is_identifier("x")
     assert is_identifier("psi1_rec")

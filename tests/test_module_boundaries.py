@@ -8,6 +8,10 @@ neither import it nor keep its own copy of the references.
 Bindings have one reader: ``require_bindings`` checks each one and
 returns its grade, the routes read those grades, and ``closure.py``
 builds its forests and grids from numbers only.
+
+Structure has one owner: ``systems.py`` derives each system's plan, and
+no other module maps vertices to indices or tells atoms apart to find
+a system's variables and calls.
 """
 
 from __future__ import annotations
@@ -93,3 +97,33 @@ def test_bindings_have_one_reader():
             if isinstance(node.func, ast.Name) and node.func.id == "float"
         ]
         assert floats == [], module  # every grade is already a float
+
+
+def _index_maps(tree):
+    """Every ``{item: i for i, item in enumerate(...)}`` in ``tree``."""
+    return [
+        node
+        for node in _nodes(tree, ast.DictComp)
+        if isinstance(node.generators[0].iter, ast.Call)
+        and getattr(node.generators[0].iter.func, "id", None) == "enumerate"
+        and isinstance(node.key, ast.Name)
+        and isinstance(node.generators[0].target, ast.Tuple)
+        and getattr(node.generators[0].target.elts[1], "id", None) == node.key.id
+    ]
+
+
+def test_structure_has_one_owner():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    owners = [m for m in modules for _ in _index_maps(_tree(m))]
+    assert owners == ["systems"]  # the plan's vertex index, built once per system
+    (require,) = [
+        node
+        for node in _nodes(_tree("systems"), ast.FunctionDef)
+        if node.name == "require_bindings"
+    ]
+    dispatch = [
+        node
+        for node in _nodes(require, ast.Call)
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+    ]
+    assert dispatch == []  # it reads the plan's names and calls

@@ -49,6 +49,7 @@ from fuzzchain.systems import (
     SystemRegistry,
     builtin_fixtures,
     parse_registry,
+    require_bindings,
 )
 
 # One full unroll of psi1_rec at its declared self-call budget of 2: the
@@ -77,6 +78,52 @@ def test_eval_system_fixture_values(registry, fixture_assignment):
         "phi": 0.5,
         "psi1_rec": 0.6,
     }
+
+
+def _reference_layers(registry, walked, budget, grade):
+    """``recursion._layers`` as written before layer 1 was a copy of layer 0:
+    every layer is graded."""
+    calls = {s: [e.atom for e in registry[s].edges if isinstance(e.atom, Call)] for s in walked}
+    called = {call.target for atoms in calls.values() for call in atoms}
+    last = max((c.count for c in calls[walked[0]]), default=0) if budget is None else budget - 1
+    layers = []
+    while len(layers) <= last:
+        layer = {s: grade(s, len(layers), layers) for s in walked if s in called}
+        if len(layers) >= 2 and layer == layers[-1]:
+            break
+        layers.append(layer)
+    return layers
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_layers_never_grade_budget_one_and_match_a_table_that_does(seed):
+    rng = SplitMix64(seed)
+    registries = [
+        builtin_fixtures(rec_count=seed),
+        random_registry(rng, n_systems=3, max_count=4),
+        random_registry(rng, n_systems=1, self_only=True),
+    ]
+    assignment = {**random_assignment(rng), **FIXTURE_ASSIGNMENT}
+    for registry in registries:
+        chains = recursion._Chains(registry)
+        for name in registry.names():
+            walked, grades = require_bindings(registry, name, assignment)
+            graders = {
+                "grade": lambda s, b, layers: recursion._grade(chains[s], b, grades, layers),
+                "size": lambda s, b, layers: recursion._size(chains[s], b, layers),
+            }
+            for budget in (None, 0, 1, 2, 3, 5):
+                for grader in graders.values():
+                    asked = []
+
+                    def grade(s, b, layers):
+                        asked.append(b)
+                        return grader(s, b, layers)
+
+                    got = recursion._layers(registry, walked, budget, grade)
+                    assert 1 not in asked
+                    want = _reference_layers(registry, walked, budget, grader)
+                    assert got == want, (name, budget)
 
 
 def test_unknown_system_and_bad_budget(registry, fixture_assignment):
@@ -159,20 +206,12 @@ system u {
 
 @pytest.mark.parametrize(
     "assignment",
-    [{"x": 0, "y": 1, "z": 1}, {"x": 1, "y": 0, "z": 0}, {"x": -0.0, "y": 1, "z": 0}],
-)
-@pytest.mark.parametrize("route", sorted(CLOSED_ROUTES))
-def test_int_bindings_come_back_as_floats_on_every_route(route, assignment):
-    registry = parse_registry(INT_BINDINGS_TEXT)
-    as_floats = {name: float(grade) for name, grade in assignment.items()}
-    for name in ("s", "u"):
-        got = CLOSED_ROUTES[route](registry, name, assignment)
-        assert repr(got) == repr(CLOSED_ROUTES[route](registry, name, as_floats))
-
-
-@pytest.mark.parametrize(
-    "assignment",
-    [{"x": -0.0, "y": 1.0, "z": -0.0}, {"x": 0, "y": 1, "z": 0}, {"x": -0.0, "y": 1, "z": 1}],
+    [
+        {"x": -0.0, "y": 1.0, "z": -0.0},
+        {"x": 0, "y": 1, "z": 0},
+        {"x": -0.0, "y": 1, "z": 1},
+        {"x": 1, "y": 0, "z": 0},
+    ],
 )
 @pytest.mark.parametrize("route", sorted(CLOSED_ROUTES))
 def test_signed_zero_and_int_bindings_answer_plain_floats_on_every_route(route, assignment):

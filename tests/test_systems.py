@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from fuzzchain.algebra import Call, Var
+from conftest import grid_system
+
+from fuzzchain.algebra import Call, Var, check_grade
 from fuzzchain.checks import random_registry
-from fuzzchain.errors import ParseError, UnknownSystemError
+from fuzzchain.errors import BindingError, ParseError, UnknownSystemError
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
@@ -19,6 +21,7 @@ from fuzzchain.systems import (
     format_registry,
     parse_assignment,
     parse_registry,
+    require_bindings,
     validate_registry,
 )
 
@@ -41,6 +44,141 @@ def test_build_orders_vertices_terminals_first():
     assert system.vertices == ("A", "B", "C", "D")
     assert system.input_terminal == "A"
     assert system.output_terminal == "B"
+
+
+def _seeded_systems(seed):
+    """The fixtures, grids and the systems of a seeded random registry."""
+    registry = random_registry(SplitMix64(seed), n_systems=4, max_vertices=6, max_edges=12)
+    return [*builtin_fixtures(), *(grid_system(k) for k in range(2, 6)), *registry]
+
+
+def _reference_vertex_order(input_terminal, output_terminal, edges):
+    order = []
+    for vertex in (input_terminal, output_terminal, *(x for u, v, _ in edges for x in (u, v))):
+        if vertex not in order:
+            order.append(vertex)
+    return tuple(order)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_orders_terminals_first_then_endpoints_as_met(seed):
+    rng = SplitMix64(seed)
+    for system in _seeded_systems(seed):
+        edges = [(e.u, e.v, e.atom) for e in system.edges]
+        shuffled = sorted(edges, key=lambda _: rng.next_u64())
+        flipped = [(v, u, atom) for u, v, atom in reversed(edges)]
+        for order in (edges, shuffled, flipped):
+            # any two distinct vertices may be the terminals, met or not
+            ends = (rng.choice(system.vertices), rng.choice(system.vertices))
+            for terminals in {(system.input_terminal, system.output_terminal), ends}:
+                if terminals[0] == terminals[1]:
+                    continue
+                built = FuzzySystem.build(system.name, *terminals, order)
+                assert built.vertices == _reference_vertex_order(*terminals, order)
+                assert [(e.u, e.v, e.atom) for e in built.edges] == order
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plan_agrees_with_the_edges(seed):
+    for system in _seeded_systems(seed):
+        plan, edges = system._plan, system.edges
+        assert system._plan is plan  # derived once
+        assert plan.us == tuple(system.vertices.index(e.u) for e in edges)
+        assert plan.vs == tuple(system.vertices.index(e.v) for e in edges)
+        slots = tuple(e.atom if isinstance(e.atom, Call) else e.atom.name for e in edges)
+        assert plan.slots == slots
+        names = []
+        for edge in edges:
+            if isinstance(edge.atom, Var) and edge.atom.name not in names:
+                names.append(edge.atom.name)
+        assert plan.names == tuple(names)
+        calls = tuple(e.atom for e in edges if isinstance(e.atom, Call))
+        assert plan.calls == calls and system.call_atoms() == calls
+
+
+def _reference_require_bindings(registry, name, assignment):
+    """``require_bindings`` as an edge walk: systems breadth-first, each
+    one's edges in declaration order, each variable checked where first met."""
+    order = [name]
+    grades = {}
+    for system_name in order:
+        for edge in registry[system_name].edges:
+            atom = edge.atom
+            if isinstance(atom, Call):
+                if atom.target not in order:
+                    order.append(atom.target)
+            elif assignment is None or atom.name in grades:
+                continue
+            elif atom.name not in assignment:
+                raise BindingError(f"missing binding for variable {atom.name!r}")
+            else:
+                try:
+                    what = f"binding for {atom.name!r}"
+                    grades[atom.name] = check_grade(assignment[atom.name], what)
+                except ValueError as exc:
+                    raise BindingError(str(exc)) from None
+    return order, grades
+
+
+def _binding_outcome(check, registry, name, assignment):
+    try:
+        order, grades = check(registry, name, assignment)
+    except (BindingError, UnknownSystemError) as exc:
+        return type(exc).__name__, str(exc)
+    return order, [(var, repr(grade)) for var, grade in grades.items()]
+
+
+BAD_BINDINGS = {
+    "out-of-range": 1.5, "negative": -0.25, "bool": True, "text": "0.5", "nan": float("nan")
+}
+
+
+def _with_ghost_call(registry, rng, system_name):
+    """A copy of ``registry`` where ``system_name`` also calls an unknown system."""
+    out = SystemRegistry()
+    for system in registry:
+        edges = [(e.u, e.v, e.atom) for e in system.edges]
+        if system.name == system_name:
+            ghost = (system.input_terminal, f"GHOST{len(edges)}", Call("ghost", rng.below(3)))
+            edges.insert(rng.below(len(edges) + 1), ghost)
+        terminals = (system.input_terminal, system.output_terminal)
+        out.add(FuzzySystem.build(system.name, *terminals, edges))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_require_bindings_reports_what_an_edge_walk_reports(seed):
+    rng = SplitMix64(seed)
+    registry = random_registry(rng, n_systems=4, max_vertices=6, max_edges=12)
+    for root in registry.names():
+        reached = _reference_require_bindings(registry, root, None)[0]
+        edges = [e for s in reached for e in registry[s].edges]
+        variables = [e.atom.name for e in edges if isinstance(e.atom, Var)]
+        if not variables:
+            continue
+        bound = {var: rng.grade() for var in variables}
+        faults = ["missing", *BAD_BINDINGS, "ghost"]
+        cases = [()] + [(f,) for f in faults] + [
+            tuple(rng.choice(faults) for _ in range(rng.randint(2, 4))) for _ in range(6)
+        ]
+        for case in cases:
+            # a fault lands in a callee where the root reaches one
+            assignment, broken = dict(bound), registry
+            for fault in case:
+                system = registry[reached[-1] if rng.chance(2, 3) else rng.choice(reached)]
+                if fault == "ghost":
+                    broken = _with_ghost_call(broken, rng, system.name)
+                    continue
+                names = [e.atom.name for e in system.edges if isinstance(e.atom, Var)] or variables
+                var = rng.choice(names)
+                if fault == "missing":
+                    assignment.pop(var, None)
+                else:
+                    assignment[var] = BAD_BINDINGS[fault]
+            for given in (assignment, None):
+                got = _binding_outcome(require_bindings, broken, root, given)
+                want = _binding_outcome(_reference_require_bindings, broken, root, given)
+                assert got == want, case
 
 
 def test_neighbors_follow_edge_declaration_order():
