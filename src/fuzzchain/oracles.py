@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .algebra import Call, FtfExpr, Var, snorm_max, tnorm_min
+from .algebra import Atom, Call, FtfExpr, Var, snorm_max, tnorm_min
 from .errors import BindingError
-from .systems import SystemRegistry
+from .systems import FuzzySystem, SystemRegistry
 
 __all__ = [
     "maxmin_matmul",
@@ -166,6 +166,15 @@ def oracle_path_enum(
     return best
 
 
+def _adjacency(system: FuzzySystem) -> dict[str, list[tuple[str, Atom]]]:
+    """Each vertex's (neighbor, atom) pairs, in edge-declaration order."""
+    adjacency: dict[str, list[tuple[str, Atom]]] = {v: [] for v in system.vertices}
+    for edge in system.edges:
+        adjacency[edge.u].append((edge.v, edge.atom))
+        adjacency[edge.v].append((edge.u, edge.atom))
+    return adjacency
+
+
 def oracle_unroll_eval(
     registry: SystemRegistry,
     name: str,
@@ -178,39 +187,49 @@ def oracle_unroll_eval(
     system's body: an edge calling tau with declared count m runs the
     callee with allowance min(m, budget - 1) and a chain dies when that
     allowance is not positive.  ``budget=None`` is the top level, where
-    every call runs at its full declared count.  No memoization, no
-    stack machinery — just the recursion.
+    every call runs at its full declared count.  No memoization of
+    grades, no stack machinery — just the recursion.  Each system is
+    read through its record fields alone: its (neighbor, atom) lists are
+    built from ``edges`` the first time this call meets it.
     """
-    system = registry[name]
-    if len(system.vertices) > MAX_VERTICES:
-        raise ValueError(f"oracle_unroll_eval capped at {MAX_VERTICES} vertices")
-    goal = system.output_terminal
-    best = 0.0
+    adjacencies: dict[str, dict[str, list[tuple[str, Atom]]]] = {}
 
-    def chain_value(here: str, visited: set[str], value: float) -> None:
-        nonlocal best
-        if here == goal:
-            best = snorm_max(best, value)
-            return
-        for nxt, atom in system.neighbors(here):
-            if nxt in visited:
-                continue
-            if isinstance(atom, Var):
-                try:
-                    grade = assignment[atom.name]
-                except KeyError:
-                    raise BindingError(f"missing binding for variable {atom.name!r}") from None
-            else:
-                assert isinstance(atom, Call)
-                allowance = atom.count if budget is None else min(atom.count, budget - 1)
-                if allowance < 1:
-                    continue  # exhausted call: the chain cannot be completed
-                grade = oracle_unroll_eval(registry, atom.target, assignment, allowance)
-            chain_value(nxt, visited | {nxt}, tnorm_min(value, grade))
+    def unroll(name: str, budget: int | None) -> float:
+        system = registry[name]
+        if len(system.vertices) > MAX_VERTICES:
+            raise ValueError(f"oracle_unroll_eval capped at {MAX_VERTICES} vertices")
+        if name not in adjacencies:
+            adjacencies[name] = _adjacency(system)
+        adjacency = adjacencies[name]
+        goal = system.output_terminal
+        best = 0.0
 
-    start = system.input_terminal
-    chain_value(start, {start}, 1.0)
-    return best
+        def chain_value(here: str, visited: set[str], value: float) -> None:
+            nonlocal best
+            if here == goal:
+                best = snorm_max(best, value)
+                return
+            for nxt, atom in adjacency[here]:
+                if nxt in visited:
+                    continue
+                if isinstance(atom, Var):
+                    try:
+                        grade = assignment[atom.name]
+                    except KeyError:
+                        raise BindingError(f"missing binding for variable {atom.name!r}") from None
+                else:
+                    assert isinstance(atom, Call)
+                    allowance = atom.count if budget is None else min(atom.count, budget - 1)
+                    if allowance < 1:
+                        continue  # exhausted call: the chain cannot be completed
+                    grade = unroll(atom.target, allowance)
+                chain_value(nxt, visited | {nxt}, tnorm_min(value, grade))
+
+        start = system.input_terminal
+        chain_value(start, {start}, 1.0)
+        return best
+
+    return unroll(name, budget)
 
 
 def oracle_power_eval(expr: FtfExpr, k: int, assignment: dict[str, float]) -> float:

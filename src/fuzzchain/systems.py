@@ -134,9 +134,8 @@ class FuzzySystem(_Record):
 
         Entry i lists vertex ``vertices[i]``'s (neighbor index, atom)
         pairs in edge-declaration order; the input and output indices
-        follow.  Built once per system from the :class:`_Plan`, apart
-        from :attr:`_adjacency`, which the call-unrolling oracle reads
-        through :meth:`neighbors`.
+        follow.  Built once per system from the :class:`_Plan`; the chain
+        walk in ``chains.py`` is its one reader.
         """
         plan = self._plan
         table: list[list[tuple[int, Atom]]] = [[] for _ in self.vertices]
@@ -148,18 +147,6 @@ class FuzzySystem(_Record):
             self.vertices.index(self.input_terminal),
             self.vertices.index(self.output_terminal),
         )
-
-    @cached_property
-    def _adjacency(self) -> dict[str, tuple[tuple[str, Atom], ...]]:
-        adjacency: dict[str, list[tuple[str, Atom]]] = {v: [] for v in self.vertices}
-        for edge in self.edges:
-            adjacency[edge.u].append((edge.v, edge.atom))
-            adjacency[edge.v].append((edge.u, edge.atom))
-        return {v: tuple(pairs) for v, pairs in adjacency.items()}
-
-    def neighbors(self, vertex: str) -> tuple[tuple[str, Atom], ...]:
-        """(neighbor, atom) pairs in edge-declaration order."""
-        return self._adjacency[vertex]
 
     def call_atoms(self) -> tuple[Call, ...]:
         return self._plan.calls

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
@@ -317,6 +318,37 @@ def test_multinomial_expand_cube_ordering():
     assert sum(e.coefficient for e in entries) == 3**3
     with pytest.raises(ValueError, match="undefined power"):
         multinomial_expand(parse_expr("a + b"), 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40, 300])
+def test_binomial_rows_match_the_closed_form(k):
+    x, y = Var("x"), Var("y")
+    entries = multinomial_expand(parse_expr("x + y"), k)
+    assert len(entries) == k + 1
+    for i, entry in enumerate(entries):
+        assert entry.composition == (k - i, i)
+        assert entry.coefficient == math.comb(k, i)
+        assert entry.term == Term((x,) * (k - i) + (y,) * i)
+
+
+def test_multinomial_rows_repeat_each_base_term_in_place():
+    rng = SplitMix64(5)
+    names = ("p", "q", "r", "s")
+    for _ in range(40):
+        expr = FtfExpr(
+            tuple(
+                Term(tuple(Var(rng.choice(names)) for _ in range(rng.randint(0, 3))))
+                for _ in range(rng.randint(1, 4))
+            )
+        )
+        k = rng.randint(1, 5)
+        for entry in multinomial_expand(expr, k):
+            atoms: tuple = ()
+            for term, n in zip(expr.terms, entry.composition):
+                for _ in range(n):
+                    atoms += term.atoms
+            assert entry.term == Term(atoms)
+            assert entry.coefficient == multinomial_coefficient(k, entry.composition)
 
 
 def _recursive_compositions(total, parts):

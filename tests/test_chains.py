@@ -6,8 +6,9 @@ from conftest import grid_system
 
 from fuzzchain.algebra import Term, Var, canonicalize, format_expr, parse_expr
 from fuzzchain.chains import derive_ftf, enumerate_chains
-from fuzzchain.oracles import oracle_unroll_eval
+from fuzzchain.checks import random_registry
 from fuzzchain.recursion import eval_system
+from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import EdgeDef, FuzzySystem, SystemRegistry, builtin_fixtures
 
 # Simple corner-to-corner paths in a k x k grid graph (OEIS A007764).
@@ -43,11 +44,15 @@ def test_chain_atoms_in_path_order(registry):
     assert [str(a) for a in chains[("A", "D", "C", "B")]] == ["x", "xbar", "w"]
 
 
+def _line(n):
+    edges = [(f"V{i}", f"V{i + 1}", Var("x")) for i in range(n)]
+    return FuzzySystem.build("line", "V0", f"V{n}", edges)
+
+
 def test_long_path_walks_without_recursion():
     # 3 000 edges is far past the interpreter's default recursion limit.
     n = 3000
-    edges = [(f"V{i}", f"V{i + 1}", Var("x")) for i in range(n)]
-    line = FuzzySystem.build("line", "V0", f"V{n}", edges)
+    line = _line(n)
     ((chain, atoms),) = enumerate_chains(line)
     assert len(chain) == n + 1 and atoms == (Var("x"),) * n
     assert derive_ftf(line).terms == (Term(atoms),)
@@ -107,24 +112,29 @@ def test_isolated_vertices_and_edge_orientation_leave_the_chains(registry, name)
         assert enumerate_chains(variant) == want
 
 
-def test_walk_and_unroll_oracle_read_separate_adjacency(monkeypatch, registry, fixture_assignment):
-    want = (
-        enumerate_chains(registry["psi1"]),
-        derive_ftf(registry["phi"]),
-        eval_system(registry, "phi", fixture_assignment),
-        oracle_unroll_eval(registry, "phi", fixture_assignment),
-    )
+def _walk_cases():
+    yield from builtin_fixtures()
+    for k in sorted(GRID_CHAIN_COUNTS):
+        yield grid_system(k)
+    yield _line(3000)
+    for seed in range(12):
+        rng = SplitMix64(seed)
+        yield from random_registry(rng, n_systems=3, max_vertices=6 + seed % 3, max_edges=12)
 
-    def unavailable(*args):
-        raise AssertionError("adjacency read by the wrong route")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(FuzzySystem, "neighbors", unavailable)
-        fresh = builtin_fixtures()
-        assert enumerate_chains(fresh["psi1"]) == want[0]
-        assert derive_ftf(fresh["phi"]) == want[1]
-        assert eval_system(fresh, "phi", fixture_assignment) == want[2]
-    with monkeypatch.context() as patch:
-        patch.setattr(FuzzySystem, "_walk_table", property(unavailable))
-        fresh = builtin_fixtures()
-        assert oracle_unroll_eval(fresh, "phi", fixture_assignment) == want[3]
+def test_derive_ftf_reads_the_walk_enumerate_chains_reads():
+    for system in _walk_cases():
+        want = tuple(Term(atoms) for _chain, atoms in enumerate_chains(system))
+        assert derive_ftf(system).terms == want, system.name
+
+
+def test_derive_ftf_lists_no_chains(monkeypatch):
+    systems = [grid_system(5), *builtin_fixtures()]
+    want = [derive_ftf(system) for system in systems]
+
+    def unavailable(system):
+        raise AssertionError("derive_ftf listed the chains")
+
+    monkeypatch.setattr("fuzzchain.chains.enumerate_chains", unavailable)
+    monkeypatch.setattr("fuzzchain.recursion.enumerate_chains", unavailable)
+    assert [derive_ftf(system) for system in systems] == want

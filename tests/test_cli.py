@@ -248,6 +248,25 @@ def test_console_script_is_deterministic(tmp_path):
     assert runs[0].decode("utf-8") == read_golden("trace_psi1_rec.txt")
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("fixtures", "--values"), 0), (("eval", "--system", "nope"), 3), (("eval", "--bad"), 1)],
+)
+def test_the_package_runs_as_the_cli_module(tmp_path, argv, code):
+    env = {**os.environ, "PYTHONPATH": _child_pythonpath()}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        for module in ("fuzzchain", "fuzzchain.cli")
+    ]
+    package, module = ((p.returncode, p.stdout, p.stderr) for p in runs)
+    assert package == module and package[0] == code, package
+    if code == 0:
+        assert package[1].decode("utf-8") == read_golden("fixtures_values.txt")
+
+
 # Runs `cli.main` on its arguments (with none, only imports the package) in a
 # fresh interpreter and reports the exit code, the fuzzchain modules loaded
 # and whether `json` was loaded after start-up.

@@ -11,7 +11,9 @@ builds its forests and grids from numbers only.
 
 Structure has one owner: ``systems.py`` derives each system's plan, and
 no other module maps vertices to indices or tells atoms apart to find
-a system's variables and calls.
+a system's variables and calls.  Outside ``systems.py`` one function,
+the chain walk, reads the walk table, and the oracles read a system
+through its record fields alone.
 """
 
 from __future__ import annotations
@@ -127,3 +129,35 @@ def test_structure_has_one_owner():
         if isinstance(node.func, ast.Name) and node.func.id == "isinstance"
     ]
     assert dispatch == []  # it reads the plan's names and calls
+
+
+def test_one_function_reads_the_walk_table():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "systems":
+            continue  # the table's owner
+        for function in _nodes(_tree(path.stem), (ast.FunctionDef, ast.AsyncFunctionDef)):
+            reads = [
+                node
+                for node in _nodes(function, ast.Attribute)
+                if node.attr == "_walk_table"
+            ]
+            if reads:
+                readers.append(f"{path.stem}.{function.name}")
+    assert readers == ["chains._walk"]
+
+
+def test_the_oracles_read_systems_through_their_fields():
+    (system_class,) = [
+        node
+        for node in _tree("systems").body
+        if isinstance(node, ast.ClassDef) and node.name == "FuzzySystem"
+    ]
+    members = {
+        node.name
+        for node in system_class.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    }
+    assert {"build", "call_atoms", "_plan", "_walk_table"} <= members
+    used = {node.attr for node in _nodes(_tree("oracles"), ast.Attribute)}
+    assert not members & used

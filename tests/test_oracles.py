@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from collections import Counter
+
+from fuzzchain import oracles
 from fuzzchain.algebra import Var, assignment_valuation, eval_expr, parse_expr
+from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.errors import BindingError
 from fuzzchain.oracles import (
     MAX_POWER_K,
@@ -11,7 +15,8 @@ from fuzzchain.oracles import (
     oracle_power_eval,
     oracle_unroll_eval,
 )
-from fuzzchain.systems import FuzzySystem, SystemRegistry, parse_registry
+from fuzzchain.recursion import eval_system
+from fuzzchain.systems import FuzzySystem, SystemRegistry, builtin_fixtures, parse_registry
 
 
 def test_path_enum_hand_cases():
@@ -76,6 +81,57 @@ def test_unroll_eval_vertex_cap():
     registry.add(FuzzySystem.build("big", vertices[0], vertices[-1], edges))
     with pytest.raises(ValueError, match="capped"):
         oracle_unroll_eval(registry, "big", {"x": 0.5})
+
+
+def test_oracle_adjacency_follows_edge_declaration_order(registry):
+    adjacency = oracles._adjacency(registry["psi1"])
+    assert adjacency["A"] == [("D", Var("x")), ("C", Var("y"))]
+    assert adjacency["C"] == [("B", Var("w")), ("A", Var("y")), ("D", Var("xbar"))]
+    lonely = FuzzySystem("s", "A", "B", ("A", "B", "C"), ())
+    assert oracles._adjacency(lonely) == {"A": [], "B": [], "C": []}
+
+
+def test_unroll_eval_lists_each_system_once_per_call(monkeypatch, registry, fixture_assignment):
+    built = Counter()
+    adjacency = oracles._adjacency
+
+    def counting(system):
+        built[system.name] += 1
+        return adjacency(system)
+
+    monkeypatch.setattr(oracles, "_adjacency", counting)
+    for name, budget in (("phi", None), ("psi1_rec", None), ("psi1_rec", 3), ("psi1", 0)):
+        built.clear()
+        oracle_unroll_eval(registry, name, fixture_assignment, budget)
+        assert built and set(built.values()) == {1}, (name, budget)
+    built.clear()
+    oracle_unroll_eval(registry, "phi", fixture_assignment)
+    assert sorted(built) == ["phi", "psi1", "psi2", "psi3", "psi4", "psi5"]
+
+
+def test_walk_and_unroll_oracle_read_separate_adjacency(monkeypatch, registry, fixture_assignment):
+    want = (
+        enumerate_chains(registry["psi1"]),
+        derive_ftf(registry["phi"]),
+        eval_system(registry, "phi", fixture_assignment),
+        oracle_unroll_eval(registry, "phi", fixture_assignment),
+    )
+
+    def unavailable(*args):
+        raise AssertionError("adjacency read by the wrong route")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracles, "_adjacency", unavailable)
+        fresh = builtin_fixtures()
+        assert enumerate_chains(fresh["psi1"]) == want[0]
+        assert derive_ftf(fresh["phi"]) == want[1]
+        assert eval_system(fresh, "phi", fixture_assignment) == want[2]
+    with monkeypatch.context() as patch:
+        # the oracle reads the record fields alone, none of the cached tables
+        patch.setattr(FuzzySystem, "_walk_table", property(unavailable))
+        patch.setattr(FuzzySystem, "_plan", property(unavailable))
+        fresh = builtin_fixtures()
+        assert oracle_unroll_eval(fresh, "phi", fixture_assignment) == want[3]
 
 
 def test_power_eval_equals_plain_evaluation():

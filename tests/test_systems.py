@@ -181,10 +181,8 @@ def test_require_bindings_reports_what_an_edge_walk_reports(seed):
                 assert got == want, case
 
 
-def test_neighbors_follow_edge_declaration_order():
+def test_edge_atom_lookup_is_orientation_free():
     system = FuzzySystem.build("psi1", "A", "B", DIAMOND)
-    assert system.neighbors("A") == (("D", Var("x")), ("C", Var("y")))
-    assert system.neighbors("C") == (("B", Var("w")), ("A", Var("y")), ("D", Var("xbar")))
     assert edge_atom(system, "D", "C") == Var("xbar")  # orientation-free lookup
     assert edge_atom(system, "A", "B") is None
 
