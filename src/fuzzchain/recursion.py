@@ -25,18 +25,19 @@ The symbolic outputs unroll the call structure into one expansion DAG
 with a node per (system, budget) (:func:`expansion_tree`): ``expand``
 renders it nested (:func:`render_expansion`) or flattened
 (:func:`symbolic_expand`), and :func:`trace_eval` narrates it as a
-stream of enter/push/branch/pop/exit events, telling a shared node once
-and replaying its events at every later call.  The DAG's records hold
-structure only.  Each route computes what it prints in loops over the
-builder's node memo, which lists callees first:
-:func:`symbolic_expand` distributes atom tuples per node, and a trace
-builds no flat :class:`~fuzzchain.algebra.Term` but composes the
-``paper`` texts of each node's and branch's flat terms from its
-segments' texts (:func:`_paper_texts`).  Those outputs grow
-exponentially with the call depth, so each is sized on the layer table
-and refused with ``ValueError`` past :data:`MAX_EXPANSION` before any
-node is built.  Building the DAG and narrating still recurse, so a
-narrow call chain deep enough can still exhaust the recursion limit.
+stream of enter/push/branch/pop/exit events.  The DAG's records hold
+structure only.  Each route computes what it prints once per node,
+callees first, looping over the builder's node memo or, from a bare
+node, over :func:`_callees_first`: :func:`symbolic_expand` distributes
+atom tuples, :func:`render_expansion` nests its children's texts, and
+a trace builds no flat :class:`~fuzzchain.algebra.Term` but composes
+the ``paper`` texts of the flat terms from segments' texts
+(:func:`_paper_texts`) and splices each callee's events into its
+caller's.  Those outputs grow exponentially with the call depth, so
+each is sized on the layer table and refused with ``ValueError`` past
+:data:`MAX_EXPANSION` before any node is built.  Only the builder,
+:func:`_expansion_node`, recurses, so a narrow call chain deep enough
+can still exhaust the recursion limit while it builds.
 
 Every entry point that takes an assignment checks it first with
 :func:`~fuzzchain.systems.require_bindings` and then reads only the
@@ -322,6 +323,10 @@ class _Dag(_Record):
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
         if cached is None:
+            # a node first caches the hash of each node below it, callees
+            # first, so no field tuple's hash goes deeper than a branch
+            for node in _callees_first(self) if isinstance(self, ExpansionNode) else ():
+                node.__dict__["_hash"] = hash(node._values())
             cached = self.__dict__["_hash"] = hash(self._values())
         return cached
 
@@ -393,6 +398,26 @@ class ExpansionNode(_Dag):
         chain order: how the rendered expansion reads."""
         plain = tuple(b for b in self.branches if not b.has_calls())
         return plain + tuple(b for b in self.branches if b.has_calls())
+
+
+def _called(node: ExpansionNode) -> Iterator[ExpansionNode]:
+    return (seg for b in node.branches for seg in b.segments if isinstance(seg, ExpansionNode))
+
+
+def _callees_first(root: ExpansionNode) -> list[ExpansionNode]:
+    """Every node ``root`` reaches, ``root`` last, each once and after
+    every node it calls: a post-order walk on an explicit stack."""
+    order: list[ExpansionNode] = []
+    seen = {id(root)}
+    stack = [(root, _called(root))]
+    while stack:
+        child = next((c for c in stack[-1][1] if id(c) not in seen), None)
+        if child is None:
+            order.append(stack.pop()[0])
+        else:
+            seen.add(id(child))
+            stack.append((child, _called(child)))
+    return order
 
 
 def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -> ExpansionNode:
@@ -500,27 +525,24 @@ def _compose(pieces: Iterable[tuple[bool, str]]) -> str:
     return sep.join(text for _, text in pieces)
 
 
-def _branch_pieces(
-    branch: ExpansionBranch, child_text: Callable[[ExpansionNode], str]
-) -> list[tuple[bool, str]]:
+def _branch_pieces(branch: ExpansionBranch, texts: dict[int, str]) -> list[tuple[bool, str]]:
     out: list[tuple[bool, str]] = []
     for seg in branch.segments:
         if isinstance(seg, Var):
             out.append((True, seg.name))
         else:
-            out.append((False, "(" + child_text(seg) + ")"))
+            out.append((False, "(" + texts[id(seg)] + ")"))
     return out
 
 
 def render_expansion(node: ExpansionNode) -> str:
-    """Nested rendering: one alternative per branch, children in parens."""
-    if not node.branches:
-        return "0"
-    rendered = [
-        _compose(_branch_pieces(branch, render_expansion))
-        for branch in node.presentation_order()
-    ]
-    return " + ".join(rendered)
+    """Nested rendering: one alternative per branch, children in parens.
+    Each node is rendered once, callees first, and reused at every call."""
+    texts: dict[int, str] = {}  # id(node) -> its nested text
+    for each in _callees_first(node):
+        rendered = (_compose(_branch_pieces(b, texts)) for b in each.presentation_order())
+        texts[id(each)] = " + ".join(rendered) or "0"
+    return texts[id(node)]
 
 
 # --------------------------------------------------------------------------
@@ -626,8 +648,9 @@ def trace_eval(
     Narrates the :func:`expansion_tree` of ``name``.  The story repeats
     per call: a node shared by several calls is told in full at each of
     them, because each descent is part of the story.  The work runs once
-    per node: its first call narrates it, and every later call appends
-    the same recorded events again and returns the recorded value.
+    per node, in one loop over the builder's memo, callees first: each
+    node gets its value and its whole event list, and each PUSH/POP pair
+    of a caller holds its callee's list, spliced in whole.
     Dead chains are silent.  A chain with exactly one live call also
     reports each callee alternative on its own ``sub=`` line before the
     chain's summary; chains with several calls get the summary only.
@@ -642,10 +665,42 @@ def trace_eval(
     top = len(layers) - 1
     widest = max((layers[min(b, top)][s][0] for s, b in nodes if b is not None), default=0)
     _check_size(widest, "flat terms in one call")
-    called = [node for node in nodes.values() if node is not root]
-    narration = _Narration(grades, _paper_texts(called))
-    value = narration.node(root)
-    return TraceResult(value, tuple(narration.events))
+    texts = _paper_texts(node for node in nodes.values() if node is not root)
+    told: dict[int, tuple[list[TraceEvent], float]] = {}  # id(node) -> its events, value
+    values: dict[int, float] = {}  # id(branch) -> value
+    for node in nodes.values():
+        events: list[TraceEvent] = [Enter(node.system, node.budget)]
+        best = 0.0
+        for branch in node.branches:
+            atoms, segments = branch.atoms, branch.segments
+            calls = [(i, seg) for i, seg in enumerate(segments) if isinstance(seg, ExpansionNode)]
+            value = 1.0
+            for i, child in calls:
+                label = _return_label(atoms[i + 1 :])
+                child_events, child_value = told[id(child)]
+                events.append(PushReturn(label))
+                events.extend(child_events)
+                events.append(PopReturn(label))
+                value = tnorm_min(value, child_value)
+            around = 1.0
+            for atom in atoms:
+                if isinstance(atom, Var):
+                    around = tnorm_min(around, grades[atom.name])
+            value = values[id(branch)] = tnorm_min(value, around)
+            cid, pieces = _chain_id(branch.chain), _branch_pieces(branch, texts)
+            summary = _compose(pieces)
+            if len(calls) == 1:
+                ((slot, child),) = calls
+                for sub in child.presentation_order():
+                    pieces[slot] = (False, "(" + texts[id(sub)] + ")")
+                    sub_value, sub_id = tnorm_min(around, values[id(sub)]), _chain_id(sub.chain)
+                    events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
+            events.append(BranchResult(cid, summary, value))
+            best = snorm_max(best, value)
+        events.append(Exit(node.system, best))
+        told[id(node)] = events, best
+    events, value = told[id(root)]
+    return TraceResult(value, tuple(events))
 
 
 def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
@@ -684,59 +739,3 @@ def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
             node_terms.extend(out)
         texts[id(node)] = " + ".join(t for t, _ in node_terms) or "0"
     return texts
-
-
-class _Narration:
-    """One trace: its events so far, what each node and branch came to
-    the first time it was narrated, and the ``paper`` texts of the
-    called nodes and their branches (:func:`_paper_texts`)."""
-
-    def __init__(self, grades: dict[str, float], texts: dict[int, str]):
-        self.grades = grades  # as require_bindings returns them
-        self.texts = texts
-        self.events: list[TraceEvent] = []
-        self._told: dict[int, tuple[int, int, float]] = {}  # id(node) -> span, value
-        self._values: dict[int, float] = {}  # id(branch) -> value
-
-    def node(self, node: ExpansionNode) -> float:
-        events = self.events
-        told = self._told.get(id(node))
-        if told is not None:
-            start, stop, value = told
-            events.extend(events[start:stop])
-            return value
-        start = len(events)
-        events.append(Enter(node.system, node.budget))
-        best = 0.0
-        for branch in node.branches:
-            best = snorm_max(best, self.branch(branch))
-        events.append(Exit(node.system, best))
-        self._told[id(node)] = (start, len(events), best)
-        return best
-
-    def branch(self, branch: ExpansionBranch) -> float:
-        events, atoms = self.events, branch.atoms
-        calls = [(i, seg) for i, seg in enumerate(branch.segments) if isinstance(seg, ExpansionNode)]
-        value = 1.0
-        for i, child in calls:
-            label = _return_label(atoms[i + 1 :])
-            events.append(PushReturn(label))
-            value = tnorm_min(value, self.node(child))
-            events.append(PopReturn(label))
-        around = 1.0
-        for atom in atoms:
-            if isinstance(atom, Var):
-                around = tnorm_min(around, self.grades[atom.name])
-        value = self._values[id(branch)] = tnorm_min(value, around)
-        cid, texts = _chain_id(branch.chain), self.texts
-        pieces = _branch_pieces(branch, lambda node: texts[id(node)])
-        summary = _compose(pieces)
-        if len(calls) == 1:
-            ((slot, child),) = calls
-            for sub in child.presentation_order():
-                pieces[slot] = (False, "(" + texts[id(sub)] + ")")
-                sub_value = tnorm_min(around, self._values[id(sub)])
-                sub_id = _chain_id(sub.chain)
-                events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
-        events.append(BranchResult(cid, summary, value))
-        return value

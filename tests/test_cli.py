@@ -103,6 +103,20 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
         ), argv
 
 
+def test_nested_expand_of_a_narrow_chain_answers_at_depth_400(run_cli, tmp_path):
+    # the nested rendering walks the DAG on an explicit stack, so only the
+    # builder's depth limits it
+    narrow = tmp_path / "narrow.fz"
+    narrow.write_text(
+        "system s {\n  terminals A -> B\n  edge A B y\n  edge A C x\n  edge C B call s 400\n}\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli("expand", "--fixtures", str(narrow), "--system", "s")
+    assert (code, err) == (0, "")
+    assert out == "y + x(" * 400 + "y" + ")" * 400 + "\n"
+    assert len(out.encode("utf-8")) == 2802
+
+
 def test_bad_count_and_grade_fail_cleanly(run_cli, tmp_path):
     # a digit that is not a decimal digit is a positioned parse error
     assert run_cli("power", "x^\u00b2", "2") == (

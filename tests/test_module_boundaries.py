@@ -161,3 +161,33 @@ def test_the_oracles_read_systems_through_their_fields():
     assert {"build", "call_atoms", "_plan", "_walk_table"} <= members
     used = {node.attr for node in _nodes(_tree("oracles"), ast.Attribute)}
     assert not members & used
+
+
+def test_only_the_expansion_builder_recurses():
+    """In ``recursion.py`` every walk of the expansion DAG but its
+    builder runs on loops or an explicit stack.  A function recurses when
+    it can reach itself through the names of the module's functions and
+    methods that its body mentions (a method through ``self.name``), so
+    passing itself as a callback, or a method pair that calls each other,
+    counts too."""
+    functions = _nodes(_tree("recursion"), (ast.FunctionDef, ast.AsyncFunctionDef))
+    mentions = {}
+    for function in functions:
+        named = {node.id for node in _nodes(function, ast.Name)}
+        named |= {
+            node.attr
+            for node in _nodes(function, ast.Attribute)
+            if isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+        mentions.setdefault(function.name, set()).update(named)
+    recursive = []
+    for name in mentions:
+        reached, pending = set(), [name]
+        while pending:
+            for callee in mentions.get(pending.pop(), ()):
+                if callee not in reached:
+                    reached.add(callee)
+                    pending.append(callee)
+        if name in reached:
+            recursive.append(name)
+    assert recursive == ["_expansion_node"]

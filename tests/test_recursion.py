@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -450,12 +451,19 @@ def test_trace_composes_its_texts_without_building_or_formatting_terms(
         formatted.append(args)
         return format_term(*args)
 
-    told = []
-    node = recursion._Narration.node
+    entered = []
+    enter_init = Enter.__init__
 
-    def recording(self, expansion_node):
-        told.append(expansion_node)
-        return node(self, expansion_node)
+    def counting_enters(self, *args):
+        entered.append(args)
+        enter_init(self, *args)
+
+    narrated = []
+    branch_pieces = recursion._branch_pieces
+
+    def recording(branch, texts):
+        narrated.append(branch)
+        return branch_pieces(branch, texts)
 
     built = []
     term_init = Term.__init__
@@ -466,11 +474,13 @@ def test_trace_composes_its_texts_without_building_or_formatting_terms(
 
     monkeypatch.setattr(algebra, "format_term", counting)
     monkeypatch.setattr(Term, "__init__", counting_terms)
-    monkeypatch.setattr(recursion._Narration, "node", recording)
+    monkeypatch.setattr(Enter, "__init__", counting_enters)
+    monkeypatch.setattr(recursion, "_branch_pieces", recording)
     result = trace_eval(builtin_fixtures(rec_count=8), "psi1_rec", fixture_assignment)
     assert len(result.events) == 5102
-    records = [*told, *(b for n in told for b in n.branches)]
-    assert len({id(r) for r in records}) == 9 + 34
+    # each of the 9 nodes and 34 branches is narrated once
+    assert len(entered) == len(set(entered)) == 9
+    assert len(narrated) == len({id(b) for b in narrated}) == 34
     assert built == [] and formatted == []
 
 
@@ -631,6 +641,75 @@ def test_render_expansion_nested_and_flat(registry):
     assert format_expr(symbolic_expand(registry, "psi1_rec"), "paper") == REC2_FLAT
 
 
+def _narrow_chain(depth: int) -> SystemRegistry:
+    """``s`` is ``y``, or ``x`` followed by a call of itself at ``depth``:
+    a chain of ``depth + 1`` nodes, one branch wide."""
+    return parse_registry(
+        "system s {\n  terminals A -> B\n  edge A B y\n  edge A C x\n"
+        f"  edge C B call s {depth}\n}}\n"
+    )
+
+
+def _reference_nested(node: ExpansionNode) -> str:
+    """The nested rendering, written the way it reads: one recursive
+    call per child, shared nodes rendered again at every call."""
+    alternatives = []
+    for branch in node.presentation_order():
+        pieces = [
+            (True, seg.name) if isinstance(seg, Var) else (False, f"({_reference_nested(seg)})")
+            for seg in branch.segments
+        ]
+        tight = all(len(text) == 1 for plain, text in pieces if plain)
+        alternatives.append(("" if tight else "*").join(text for _, text in pieces))
+    return " + ".join(alternatives) or "0"
+
+
+def _deep_tree(depth: int) -> ExpansionNode:
+    """The narrow chain's tree.  The builder recurses, and from a fresh
+    process it reaches depth 495 under the default limit; the test
+    runner's frames sit below this one, so it builds under a raised
+    limit, and the limit is back to its value before the tree is read."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 500)
+    try:
+        return expansion_tree(_narrow_chain(depth), "s")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 330, 331, 400, 495])
+def test_nested_rendering_of_a_narrow_chain_does_not_recurse(depth):
+    tree = _deep_tree(depth)
+    assert render_expansion(tree) == "y + x(" * depth + "y" + ")" * depth
+
+
+def test_deep_expansion_dags_hash_without_recursing():
+    first, second = _deep_tree(495), _deep_tree(495)
+    assert first is not second
+    assert hash(first) == hash(second)
+    assert hash(first) == hash((first.system, first.budget, first.branches))
+    branch = first.branches[1]  # a branch hashes its child nodes first too
+    assert hash(branch) == hash((branch.chain, branch.segments, branch.atoms))
+
+
+def test_nested_rendering_matches_a_recursive_reference():
+    for count in range(10):
+        tree = expansion_tree(builtin_fixtures(rec_count=count), "psi1_rec")
+        assert render_expansion(tree) == _reference_nested(tree), count
+    rng = SplitMix64(5150)
+    loose = 0
+    for _ in range(150):
+        registry = random_registry(rng, n_systems=3, max_vertices=5, max_count=3, call_chance=(1, 2))
+        registry, _ = lengthen_some_names(rng, registry, random_assignment(rng))
+        for name in registry.names():
+            for budget in (None, 0, 1, 2, 3):
+                tree = expansion_tree(registry, name, budget)
+                text = render_expansion(tree)
+                assert text == _reference_nested(tree), (name, budget)
+                loose += "*" in text
+    assert loose >= 100
+
+
 def test_expansion_with_spent_budget_shows_the_base_case(registry):
     node = expansion_tree(registry, "psi1_rec", budget=0)
     assert render_expansion(node) == "xz + yw"
@@ -749,13 +828,13 @@ def test_trace_is_not_memoized(registry, deep_assignment):
 def test_trace_narrates_each_branch_once(monkeypatch, fixture_assignment):
     registry = builtin_fixtures(rec_count=8)
     narrated = []
-    branch = recursion._Narration.branch
+    branch_pieces = recursion._branch_pieces
 
-    def counting(self, node_branch):
-        narrated.append(node_branch)
-        return branch(self, node_branch)
+    def counting(branch, texts):
+        narrated.append(branch)
+        return branch_pieces(branch, texts)
 
-    monkeypatch.setattr(recursion._Narration, "branch", counting)
+    monkeypatch.setattr(recursion, "_branch_pieces", counting)
     result = trace_eval(registry, "psi1_rec", fixture_assignment)
     nodes = _dag_nodes(expansion_tree(registry, "psi1_rec")).values()
     # the parent walked 1 532 branches; the DAG holds 34
