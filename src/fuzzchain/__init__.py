@@ -40,7 +40,6 @@ _EXPORTS = {
     "warshall_steps": "oracles",
     "eval_system": "recursion",
     "render_expansion": "recursion",
-    "render_trace": "recursion",
     "resolve_call": "recursion",
     "stabilization_budget": "recursion",
     "symbolic_expand": "recursion",

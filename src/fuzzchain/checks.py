@@ -208,7 +208,7 @@ def check_eval_closure(seed: int, trials: int) -> CheckResult:
     """Chain DFS, the connection-matrix routes and the call-unrolling
     oracle (:func:`oracle_unroll_eval`) must agree, with and without call
     edges in the graph.  The matrix routes are :func:`transmission` (the
-    input terminal's row read off a maximum spanning forest of the
+    grade of the Kruskal merge that joins the two terminals, over the
     resolved edges, with no n×n grid) and the ``closure`` command's
     terminal cell of the closed matrix (:func:`_closed_cell`).  A third of
     the trials leave one variable unbound: then chains and matrices must
@@ -257,8 +257,8 @@ def check_closure_power(seed: int, trials: int) -> CheckResult:
     """Closure of a symmetric reflexive matrix equals its (n-1)-th
     max-min power, and every entry matches brute-force path search.
 
-    Such a matrix is closed from its maximum spanning forest, as every
-    connection matrix is, so this is the check on the ``closure``
+    Such a matrix is closed from one Kruskal pass, as every connection
+    matrix is, so this is the check on the ``closure``
     command's route; the power is the reference max-min product of
     :mod:`fuzzchain.oracles` and the oracle enumerates paths, so all
     three are independent."""

@@ -4,30 +4,32 @@ Matrices here are plain ``list[list[float]]`` of membership grades.
 Max and min only select their inputs, so every cell of a result is a
 cell of the input matrix (or 0/1), and exact equality holds throughout.
 
+Both routes read one Kruskal pass (:func:`_merges`): edges join trees
+best grade first, and the max-min value of two vertices is the grade of
+the edge that first puts them in one tree (Kruskal 1956; Hu 1961, "The
+maximum capacity route problem").
+
 :func:`warshall_closure` closes a symmetric grade matrix (every
-connection matrix is one: edges are undirected) from a maximum spanning
-forest: the best max-min path between two vertices is the path joining
-them in that forest (Kruskal 1956; Hu 1961, "The maximum capacity route
-problem").  That is O(E log E + n²), with no relaxation.  Any other
-matrix is refused.  The max-min product, its powers and the
-ascending-pivot sweep live in :mod:`fuzzchain.oracles`, which the
-``closure-power-agree`` and ``pivot-invariant`` suites check this
-module against.
+connection matrix is one: edges are undirected) by writing each merge's
+grade into the cells between its two trees: O(E log E + n²), with no
+relaxation.  Any other matrix is refused.  The max-min product, its
+powers and the ascending-pivot sweep live in :mod:`fuzzchain.oracles`,
+which the ``closure-power-agree`` and ``pivot-invariant`` suites check
+this module against.
 
 :func:`resolve_matrix` fills the numeric matrix from the edges: an
 O(n²) zero allocation at C speed plus O(E) edge resolution, with no
 per-cell dispatch over the symbolic connection matrix.
 
 :func:`transmission` reads one cell, so it neither closes nor builds the
-matrix.  It builds the same spanning forest from the resolved edges and
-walks it from the input terminal only: O(E log E + n) work and
-O(n + E) memory.
+matrix.  It stops at the merge that joins its two terminals: at most
+O(E log E + n log n) work and O(n + E) memory.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, cell_text
 
@@ -41,18 +43,16 @@ __all__ = [
 ]
 
 Matrix = list[list[float]]
-Forest = list[list[tuple[int, float]]]
 
 
 def warshall_closure(m: Matrix) -> Matrix:
     """Max-min transitive closure of a symmetric matrix of grades in [0, 1].
 
-    Off the diagonal, the closure is the smallest grade on the path
-    between the two vertices in a maximum spanning forest, walked once
-    per row.  A cell that no forest path reaches keeps its starting
-    grade, ``0.0`` or ``-0.0``, as the ascending-pivot sweep keeps it.
-    A cycle through ``s`` is no better than its first edge, so the
-    diagonal is raised to the largest cell of row ``s`` when that is
+    Off the diagonal, each pair of vertices takes the grade of the merge
+    that first puts them in one tree.  A pair that no merge joins keeps
+    its starting grade, ``0.0`` or ``-0.0``, as the ascending-pivot sweep
+    keeps it.  A cycle through ``s`` is no better than its first edge, so
+    the diagonal is raised to the largest cell of row ``s`` when that is
     strictly larger.  The input is left untouched.
     """
     n = len(m)
@@ -60,19 +60,21 @@ def warshall_closure(m: Matrix) -> Matrix:
         raise ValueError("matrix is not square")
     if not _is_symmetric_grade_matrix(m):
         raise ValueError("closure needs a symmetric matrix of grades in [0, 1]")
-    forest = _spanning_forest(
+    out = [row[:] for row in m]
+    merges = _merges(
         n,
-        # the same test as the forest's, so that no empty cell builds a tuple
+        # the same test as the merges', so that no empty cell builds a tuple
         ((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row[:i]) if x > 0.0),
     )
-    out = []
-    for s in range(n):
-        row = m[s][:]
-        _walk_forest(forest, s, row)
+    for grade, a, b in merges:
+        for i in a:
+            row = out[i]
+            for j in b:
+                row[j] = out[j][i] = grade
+    for s, row in enumerate(out):
         top = max(row)
         if top > row[s]:
             row[s] = top
-        out.append(row)
     return out
 
 
@@ -83,44 +85,25 @@ def _is_symmetric_grade_matrix(m: Matrix) -> bool:
     )
 
 
-def _spanning_forest(n: int, edges: Iterable[tuple[int, int, float]]) -> Forest:
-    """Each vertex's (neighbour, grade) list in a maximum spanning forest
-    of the undirected (u, v, grade) ``edges`` on vertices ``0 .. n-1``.
-
-    Kruskal, with union-find, keeps each edge ``> 0.0`` that joins two
-    trees, best grade first.
-    """
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    forest: Forest = [[] for _ in range(n)]
+def _merges(
+    n: int, edges: Iterable[tuple[int, int, float]]
+) -> Iterator[tuple[float, set[int], set[int]]]:
+    """Kruskal over the undirected (u, v, grade) ``edges > 0.0`` on
+    vertices ``0 .. n-1``, best grade first: yields ``(grade, a, b)``
+    for each edge that joins two trees, ``a`` and ``b`` being their
+    vertex sets, before the smaller set is merged into the larger."""
+    tree = [{v} for v in range(n)]
     for u, v, grade in sorted(
         (edge for edge in edges if edge[2] > 0.0), key=itemgetter(2), reverse=True
     ):
-        root_u, root_v = find(u), find(v)
-        if root_u != root_v:
-            parent[root_u] = root_v
-            forest[u].append((v, grade))
-            forest[v].append((u, grade))
-    return forest
-
-
-def _walk_forest(forest: Forest, s: int, row: list[float]) -> None:
-    """Write into ``row`` the smallest grade on the forest path from ``s``
-    to each vertex it reaches, carried by an explicit stack.  ``row[s]``
-    and the cells of unreached vertices are left alone."""
-    stack = [(t, s, grade) for t, grade in forest[s]]
-    while stack:
-        v, came_from, width = stack.pop()
-        row[v] = width
-        for t, grade in forest[v]:
-            if t != came_from:
-                stack.append((t, v, grade if grade < width else width))
+        a, b = tree[u], tree[v]
+        if a is not b:
+            yield grade, a, b
+            if len(a) < len(b):
+                a, b = b, a
+            a |= b
+            for w in b:
+                tree[w] = a
 
 
 def _resolved_edges(
@@ -166,28 +149,24 @@ def terminal_cell(system: FuzzySystem, vertices: tuple[str, ...], grid: Matrix) 
 
 
 def transmission(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
-    """Input-to-output grade: one row of :func:`warshall_closure`, read off
-    the same spanning forest of the resolved edges.
+    """Input-to-output grade: the cell of :func:`warshall_closure`, read
+    off the same Kruskal pass over the resolved edges.
 
-    The row starts as the input's row of :func:`resolve_matrix` (``0.0``,
-    ``1.0`` at the input, each input edge's grade at its neighbour), and
-    a cell the forest does not reach keeps that grade, as the closure
-    keeps it; no grade is ``-0.0``, so neither is the answer.  No n×n
-    grid is built: memory is O(n + E) and work O(E log E + n).  The
-    call-unrolling oracle shares no code with it (``eval-closure-agree``).
+    It is the grade of the first merge that puts the input terminal in
+    one tree and the output terminal in the other, and ``0.0`` when no
+    merge joins them, as the closure keeps the starting cell; no grade is
+    ``-0.0``, so neither is the answer.  No n×n grid is built: memory is
+    O(n + E), and the pass stops at that merge.  The call-unrolling
+    oracle shares no code with it (``eval-closure-agree``).
     """
     system = registry[name]
     vertices, edges = _resolved_edges(registry, name, assignment)
     source = vertices.index(system.input_terminal)
-    row = [0.0] * len(vertices)
-    row[source] = 1.0
-    for u, v, grade in edges:
-        if u == source:
-            row[v] = grade
-        elif v == source:
-            row[u] = grade
-    _walk_forest(_spanning_forest(len(vertices), edges), source, row)
-    return row[vertices.index(system.output_terminal)]
+    target = vertices.index(system.output_terminal)
+    for grade, a, b in _merges(len(vertices), edges):
+        if source in a and target in b or source in b and target in a:
+            return grade
+    return 0.0
 
 
 # --- rendering --------------------------------------------------------------

@@ -10,7 +10,7 @@ The max-min product (:func:`maxmin_matmul`), its powers
 (:func:`matrix_power`) and the ascending-pivot sweep
 (:func:`warshall_steps`) are the matrix references: O(n³) per product
 or sweep, against which the ``closure-power-agree`` and
-``pivot-invariant`` suites check the spanning-forest closure and each
+``pivot-invariant`` suites check the Kruskal-pass closure and each
 other.  The path, unrolling and power oracles run in exponential time,
 so their instance sizes are capped (the constants below); they exist
 only to cross-examine the fast code on small cases.

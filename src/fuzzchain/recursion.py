@@ -84,7 +84,6 @@ __all__ = [
     "BranchResult",
     "TraceResult",
     "trace_eval",
-    "render_trace",
 ]
 
 Budget = Union[int, None]  # None marks the top level
@@ -622,10 +621,6 @@ class TraceResult(_Record):
 
     def lines(self) -> list[str]:
         return [event.line() for event in self.events]
-
-
-def render_trace(events: Iterable[TraceEvent]) -> str:
-    return "\n".join(event.line() for event in events)
 
 
 def _chain_id(chain: Chain) -> str:

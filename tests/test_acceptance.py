@@ -36,7 +36,6 @@ from fuzzchain.recursion import (
     eval_system,
     expansion_tree,
     render_expansion,
-    render_trace,
     resolve_call,
     stabilization_budget,
     symbolic_expand,
@@ -132,7 +131,7 @@ def test_criterion_2_expansion_and_trace_goldens():
         problems.append("count-0 expansion")
 
     traced = trace_eval(registry, "psi1_rec", DEEP_ASSIGNMENT)
-    rendering = render_trace(traced.events)
+    rendering = "\n".join(traced.lines())
     if "BRANCH chain=A-C-D-B sub=A-D-C-B expr=y(xxzw + xyww)z value=0.1" not in rendering:
         problems.append("missing nested-descent branch line")
     if traced.value != eval_system(registry, "psi1_rec", DEEP_ASSIGNMENT):

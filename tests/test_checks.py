@@ -67,7 +67,7 @@ def test_pivot_invariant_catches_a_sweep_that_skips_pivot_zero(monkeypatch):
 
 def _skip_last_column(monkeypatch):
     """Swap in a row kernel that never writes the last column.  The
-    product and the sweep relax rows with it; the spanning forest relaxes
+    product and the sweep relax rows with it; the Kruskal pass relaxes
     no row."""
     relax_row = oracles._relax_row
 
@@ -80,7 +80,7 @@ def _skip_last_column(monkeypatch):
 
 
 def test_closure_power_catches_a_kernel_that_skips_the_last_column(monkeypatch):
-    # the closure reads the spanning forest, so the power is what goes wrong;
+    # the closure reads the Kruskal pass, so the power is what goes wrong;
     # seed 43 is the closure-power-agree seed of `check --seed 42`
     assert check_closure_power(43, 100).passed
     _skip_last_column(monkeypatch)
@@ -89,15 +89,18 @@ def test_closure_power_catches_a_kernel_that_skips_the_last_column(monkeypatch):
     assert "closure != power(n-1)" in result.detail
 
 
-def test_both_closure_suites_catch_a_forest_that_drops_an_edge_per_vertex(monkeypatch):
-    # transmission and the closure read the same spanning forest, so both
+def test_both_closure_suites_catch_a_kruskal_pass_that_skips_its_last_join(monkeypatch):
+    # transmission and the closure read the same Kruskal pass, so both
     # suites that compare it with an independent route must fail
     assert check_eval_closure(42, 100).passed
     assert check_closure_power(43, 100).passed
-    spanning_forest = closure._spanning_forest
-    monkeypatch.setattr(
-        closure, "_spanning_forest", lambda n, edges: [t[:-1] for t in spanning_forest(n, edges)]
-    )
+    merges = closure._merges
+
+    def skip_last_join(n, edges):
+        joins = [(grade, set(a), set(b)) for grade, a, b in merges(n, edges)]
+        return iter(joins[:-1])
+
+    monkeypatch.setattr(closure, "_merges", skip_last_join)
     result = check_eval_closure(42, 100)
     assert result.failures > 0
     assert "closure=" in result.detail

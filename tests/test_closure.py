@@ -310,8 +310,8 @@ def _closure_cell(registry, name, assignment):
 
 def _swept_cell(registry, name, assignment):
     """The input-to-output cell after the last pivot of the ascending sweep,
-    which shares no code with the spanning forest and keeps ``-0.0`` as the
-    forest does."""
+    which shares no code with the Kruskal pass and keeps ``-0.0`` as the
+    closure does."""
     vertices, grid = resolve_matrix(registry, name, assignment)
     for _pivot, swept in warshall_steps(grid):
         pass
@@ -472,53 +472,79 @@ def row_relaxations(monkeypatch):
 def test_transmission_follows_a_path_declared_against_the_pivot_order():
     # Ascending vertex order meets this path backwards, so a pass over the
     # vertices in that order would carry the row one step per pass.  The
-    # forest walk follows the path's edges, whatever the order.
+    # Kruskal pass merges the path's edges, whatever the order.
     registry, assignment = _reversed_path_registry(60)
     assignment["e40"] = 0.35
     assert transmission(registry, "path", assignment) == 0.35
 
 
-def test_transmission_builds_one_forest_and_relaxes_no_row(monkeypatch, row_relaxations):
+@pytest.fixture
+def merges_read(monkeypatch):
+    """For each Kruskal pass, its size and the grade of each merge that
+    the caller consumed."""
+    passes = []
+    merges = closure._merges
+
+    def counted(size, edges):
+        grades = []
+        passes.append((size, grades))
+        for merge in merges(size, edges):
+            grades.append(merge[0])
+            yield merge
+
+    monkeypatch.setattr(closure, "_merges", counted)
+    return passes
+
+
+def test_transmission_runs_one_kruskal_pass_and_relaxes_no_row(
+    monkeypatch, row_relaxations, merges_read
+):
     n = 400
     registry, assignment = _reversed_path_registry(n)
     assignment["e200"] = 0.35
-    forests = []
-    spanning_forest = closure._spanning_forest
-
-    def counted(size, edges):
-        forests.append(size)
-        return spanning_forest(size, edges)
 
     def refuse(_work, _k):
         raise AssertionError("transmission ran a sweep pivot")
 
-    monkeypatch.setattr(closure, "_spanning_forest", counted)
     monkeypatch.setattr(oracles, "_relax_pivot", refuse)
     got = transmission(registry, "path", assignment)
-    assert forests == [n]
+    assert [size for size, _grades in merges_read] == [n]
     assert row_relaxations == []
     assert repr(got) == "0.35"
+
+
+def test_transmission_stops_at_the_merge_that_joins_its_terminals(merges_read):
+    # IN-OUT is the best edge, so its merge comes first and the 400-vertex
+    # path of lower grades is never merged
+    n = 400
+    vertices = ("IN", "OUT") + tuple(f"V{i}" for i in range(2, n))
+    path = ["IN", *vertices[2:], "OUT"]
+    grades = [(u, v, 0.8 - (i % 7) / 10) for i, (u, v) in enumerate(zip(path, path[1:]))]
+    registry, assignment = _one_system("s", vertices, [("IN", "OUT", 0.9), *grades])
+    got = transmission(registry, "s", assignment)
+    assert merges_read == [(n, [0.9])]
+    assert repr(got) == repr(_closure_cell(registry, "s", assignment)) == "0.9"
 
 
 @pytest.mark.parametrize(
     "vertices, grades, answer",
     [
         # the output's edge to the input is bound to -0.0, which reads
-        # 0.0, so the forest leaves it out and the output keeps its
-        # starting cell, 0.0
+        # 0.0, so no merge reads it and the output keeps its starting
+        # cell, 0.0
         (
             ("IN", "A", "B", "C", "OUT"),
             [("IN", "A", 0.7), ("A", "B", 0.5), ("IN", "OUT", -0.0), ("OUT", "C", 0.9)],
             "0.0",
         ),
-        # the output is in another tree of the forest: its cell stays 0.0
+        # no merge joins the output's tree to the input's: its cell stays 0.0
         (
             ("IN", "OUT", "A", "B", "C"),
             [("IN", "A", 0.7), ("A", "B", 0.5), ("OUT", "C", 0.9)],
             "0.0",
         ),
-        # the forest drops B-C, the cycle's worst edge, and the output is
-        # reached through A
+        # A-OUT joins the terminals' trees before the cycle's other edges
+        # are read
         (
             ("IN", "OUT", "A", "B", "C"),
             [

@@ -7,7 +7,7 @@ neither import it nor keep its own copy of the references.
 
 Bindings have one reader: ``require_bindings`` checks each one and
 returns its grade, the routes read those grades, and ``closure.py``
-builds its forests and grids from numbers only.
+builds its merges and grids from numbers only.
 
 Structure has one owner: ``systems.py`` derives each system's plan, and
 no other module maps vertices to indices or tells atoms apart to find
@@ -129,6 +129,23 @@ def test_structure_has_one_owner():
         if isinstance(node.func, ast.Name) and node.func.id == "isinstance"
     ]
     assert dispatch == []  # it reads the plan's names and calls
+
+
+def _calls_to(tree, name):
+    return [
+        node
+        for node in _nodes(tree, ast.Call)
+        if isinstance(node.func, ast.Name) and node.func.id == name
+    ]
+
+
+def test_both_closure_routes_read_one_kruskal_pass():
+    tree = _tree("closure")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # the edges are sorted once, best grade first, and nowhere else
+    assert _calls_to(tree, "sorted") == _calls_to(functions["_merges"], "sorted") != []
+    for route in ("warshall_closure", "transmission"):
+        assert _calls_to(functions[route], "_merges"), route
 
 
 def test_one_function_reads_the_walk_table():
