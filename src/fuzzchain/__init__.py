@@ -35,9 +35,6 @@ _EXPORTS = {
     "FuzzchainError": "errors",
     "ParseError": "errors",
     "UnknownSystemError": "errors",
-    "matrix_power": "oracles",
-    "maxmin_matmul": "oracles",
-    "warshall_steps": "oracles",
     "eval_system": "recursion",
     "render_expansion": "recursion",
     "resolve_call": "recursion",

@@ -378,17 +378,18 @@ def multinomial_expand(expr: FtfExpr, k: int) -> list[MultinomialEntry]:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"undefined power: k must be an integer >= 1, got {k!r}")
     terms = expr.terms
-    factorial = math.factorial
-    top = factorial(k)
     entries = []
     # each sorted multiset of k term indices is one composition, (k, 0, ..) first
     for pick in itertools.combinations_with_replacement(range(len(terms)), k):
         parts = [0] * len(terms)
         for i in pick:
             parts[i] += 1
-        coefficient = top
+        # k! / (n1! ... nm!) as C(k, n1) C(k - n1, n2) ..., with no factorial of k
+        coefficient = 1
+        rest = k
         for n in parts:
-            coefficient //= factorial(n)
+            coefficient *= math.comb(rest, n)
+            rest -= n
         atoms = tuple(itertools.chain.from_iterable(t.atoms * n for t, n in zip(terms, parts)))
         entries.append(MultinomialEntry(tuple(parts), coefficient, Term(atoms)))
     return entries

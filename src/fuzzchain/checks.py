@@ -267,7 +267,7 @@ def check_closure_power(seed: int, trials: int) -> CheckResult:
         n = rng.randint(2, 8)
         m = random_matrix(rng, n, reflexive=True, symmetric=True)
         closed = warshall_closure(m)
-        powered = matrix_power(m, n - 1) if n > 1 else m
+        powered = matrix_power(m, n - 1)
         if closed != powered:
             return f"n={n}: closure != power(n-1)"
         vertices = [str(i) for i in range(n)]

@@ -1,10 +1,9 @@
 """Slow, obviously-correct reference implementations for differential checks.
 
 Everything here is written straight from the definitions, with its own
-path walking, its own interpreter loop and its own max-min row kernel —
-deliberately sharing nothing with the production engines beyond the
-scalar max/min and the parsed data model.  Only the check suites and
-the tests import this module.
+path walking and its own interpreter loop — deliberately sharing nothing
+with the production engines beyond the scalar max/min and the parsed
+data model.  Only the check suites and the tests import this module.
 
 The max-min product (:func:`maxmin_matmul`), its powers
 (:func:`matrix_power`) and the ascending-pivot sweep
@@ -48,38 +47,20 @@ def _check_square(m: Matrix, what: str = "matrix") -> int:
     return n
 
 
-def _relax_row(row: list[float], through: float, other: list[float]) -> None:
-    """``row[j] = snorm_max(row[j], tnorm_min(through, other[j]))`` for every j.
-
-    The one max-min kernel behind the product and the sweep, written as
-    inline comparisons.  ``x >= through``
-    or ``x >= y`` is exactly the case where the s-norm keeps ``x``;
-    otherwise the t-norm's pick wins, so a cell is replaced only by a
-    strictly larger grade, and never by more than ``through``.  Each cell
-    selects the same value, ties included, as the two scalar ops would,
-    and results compare ``==``.
-    """
-    row[:] = [
-        x if x >= through or x >= y else (through if through <= y else y)
-        for x, y in zip(row, other)
-    ]
-
-
 def maxmin_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product in the max-min algebra.
-
-    A zero ``a[i][k]`` is skipped: with grades in [0, 1] it can raise
-    no entry of the output row.
-    """
+    """Matrix product in the max-min algebra:
+    ``out[i][j]`` is the max over k of ``min(a[i][k], b[k][j])``, from 0."""
     n = _check_square(a)
     if _check_square(b) != n:
         raise ValueError(f"dimension mismatch: {n} vs {len(b)}")
     out = []
-    for a_row in a:
-        row = [0.0] * n
-        for through, b_row in zip(a_row, b):
-            if through != 0.0:
-                _relax_row(row, through, b_row)
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cell = 0.0
+            for k in range(n):
+                cell = snorm_max(cell, tnorm_min(a[i][k], b[k][j]))
+            row.append(cell)
         out.append(row)
     return out
 
@@ -95,30 +76,20 @@ def matrix_power(m: Matrix, p: int) -> Matrix:
     return out
 
 
-def _relax_pivot(work: Matrix, k: int) -> None:
-    """Relax every row of ``work`` in place through pivot ``k``.
-
-    A row whose entry in column k is 0 is skipped: with grades in
-    [0, 1] it can raise nothing.  Row k itself is relaxed too; that
-    leaves it unchanged, so later rows read the same pivot row.
-    """
-    row_k = work[k]
-    for row_i in work:
-        through = row_i[k]
-        if through != 0.0:
-            _relax_row(row_i, through, row_k)
-
-
 def warshall_steps(m: Matrix) -> Iterator[tuple[int, Matrix]]:
     """Run the closure relaxation, yielding (pivot, snapshot) after each pivot.
 
-    Snapshots are copies, so callers may keep or mutate them freely.
+    At pivot k every cell becomes ``max(w[i][j], min(w[i][k], w[k][j]))``,
+    in place.  Snapshots are copies, so callers may keep or mutate them
+    freely.
     """
     n = _check_square(m)
-    work = [row[:] for row in m]
+    w = [row[:] for row in m]
     for k in range(n):
-        _relax_pivot(work, k)
-        yield k, [row[:] for row in work]
+        for i in range(n):
+            for j in range(n):
+                w[i][j] = snorm_max(w[i][j], tnorm_min(w[i][k], w[k][j]))
+        yield k, [row[:] for row in w]
 
 
 def oracle_path_enum(

@@ -376,6 +376,24 @@ def test_compositions_keep_the_recursive_order():
             assert compositions == _recursive_compositions(total, parts)
 
 
+def test_multinomial_rows_compute_no_factorial(monkeypatch):
+    # factorial(k) alone outlasts any timeout for a large k, so each row's
+    # coefficient is a product of binomials over its parts
+    tables = {}
+    for parts in range(1, 5):
+        for k in range(1, 7):
+            compositions = _recursive_compositions(k, parts)
+            tables[parts, k] = [(c, multinomial_coefficient(k, c)) for c in compositions]
+
+    def refuse(_n):
+        raise AssertionError("multinomial_expand computed a factorial")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    for (parts, k), table in tables.items():
+        entries = multinomial_expand(_one_variable_terms(parts), k)
+        assert [(e.composition, e.coefficient) for e in entries] == table
+
+
 def test_compositions_of_many_parts_need_no_recursion():
     parts = 2 * sys.getrecursionlimit()
     entries = multinomial_expand(_one_variable_terms(parts), 1)

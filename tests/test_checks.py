@@ -54,36 +54,43 @@ def test_eval_closure_checks_the_closure_commands_cell(monkeypatch):
     assert "cell=" in result.detail
 
 
+def _sweep_without_pivot_zero(m):
+    """The ascending-pivot sweep with pivot 0 left unrelaxed."""
+    n = len(m)
+    w = [row[:] for row in m]
+    for k in range(n):
+        if k:
+            for i in range(n):
+                for j in range(n):
+                    w[i][j] = max(w[i][j], min(w[i][k], w[k][j]))
+        yield k, [row[:] for row in w]
+
+
 def test_pivot_invariant_catches_a_sweep_that_skips_pivot_zero(monkeypatch):
     # seed 47 is the pivot-invariant seed of `check --seed 42`, which runs
     # it for a tenth of the trials
     assert check_pivot_invariant(47, 50).passed
-    relax_pivot = oracles._relax_pivot
-    monkeypatch.setattr(oracles, "_relax_pivot", lambda work, k: k == 0 or relax_pivot(work, k))
+    monkeypatch.setattr(checks, "warshall_steps", _sweep_without_pivot_zero)
     result = check_pivot_invariant(47, 50)
     assert result.failures > 0
     assert "pivot=0" in result.detail
-
-
-def _skip_last_column(monkeypatch):
-    """Swap in a row kernel that never writes the last column.  The
-    product and the sweep relax rows with it; the Kruskal pass relaxes
-    no row."""
-    relax_row = oracles._relax_row
-
-    def skipping(row, through, other):
-        last = row[-1]
-        relax_row(row, through, other)
-        row[-1] = last
-
-    monkeypatch.setattr(oracles, "_relax_row", skipping)
 
 
 def test_closure_power_catches_a_kernel_that_skips_the_last_column(monkeypatch):
     # the closure reads the Kruskal pass, so the power is what goes wrong;
     # seed 43 is the closure-power-agree seed of `check --seed 42`
     assert check_closure_power(43, 100).passed
-    _skip_last_column(monkeypatch)
+    power = oracles.matrix_power
+
+    def skipping(m, p):
+        """A power that never writes the last column: it keeps the 0.0
+        each product cell starts from."""
+        out = power(m, p)
+        for row in out:
+            row[-1] = 0.0
+        return out
+
+    monkeypatch.setattr(checks, "matrix_power", skipping)
     result = check_closure_power(43, 100)
     assert result.failures > 0
     assert "closure != power(n-1)" in result.detail

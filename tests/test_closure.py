@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import tracemalloc
 
 import pytest
 
 from fuzzchain import closure, oracles, systems
 from fuzzchain.algebra import Call, Var
-from fuzzchain.checks import random_assignment, random_registry
+from fuzzchain.checks import check_pivot_invariant, random_assignment, random_registry
 from fuzzchain.closure import (
     render_numeric_matrix,
     render_symbolic_matrix,
@@ -174,19 +175,11 @@ def test_symmetric_closure_equals_definition_and_the_sweep_by_repr():
 
 
 def test_closure_relaxes_nothing_on_symmetric_grades_and_refuses_other_matrices(
-    monkeypatch, row_relaxations
+    reference_calls,
 ):
-    relax_pivot = oracles._relax_pivot
-    pivots = []
-
-    def counted(work, k):
-        pivots.append(k)
-        relax_pivot(work, k)
-
-    monkeypatch.setattr(oracles, "_relax_pivot", counted)
     for m in [PSI1_RESOLVED, *_symmetric_matrices(29)]:
         warshall_closure(m)
-        assert pivots == row_relaxations == []
+        assert reference_calls == []
     nan = float("nan")
     refused = r"^closure needs a symmetric matrix of grades in \[0, 1\]$"
     for m in (
@@ -202,7 +195,9 @@ def test_closure_relaxes_nothing_on_symmetric_grades_and_refuses_other_matrices(
     # a ragged matrix is refused before zip(*m) can truncate it to a symmetric one
     with pytest.raises(ValueError, match="^matrix is not square$"):
         warshall_closure([[1.0, 0.5], [0.5]])
-    assert pivots == row_relaxations == []
+    assert reference_calls == []
+    check_pivot_invariant(47, 1)  # a reference the checks imported is recorded too
+    assert reference_calls == ["warshall_steps"]
 
 
 def test_matmul_by_hand():
@@ -375,15 +370,14 @@ def _sparse_assignment(rng, names):
     return assignment
 
 
-def test_transmission_reads_the_closure_cell_on_large_sparse_systems(row_relaxations):
+def test_transmission_reads_the_closure_cell_on_large_sparse_systems(reference_calls):
     rng = SplitMix64(11)
     answers = []
     for n in (*range(40, 121, 8), 600):
         registry, names = _sparse_registry(rng, n)
         assignment = _sparse_assignment(rng, names)
-        row_relaxations.clear()  # the sweep of the last size relaxed rows
         got = transmission(registry, "big", assignment)
-        assert row_relaxations == []  # transmission relaxes no dense row
+        assert reference_calls == []  # transmission runs no reference
         if n <= 120:
             assert repr(got) == repr(_swept_cell(registry, "big", assignment)), n
         else:  # the sweep would take seconds here
@@ -456,16 +450,20 @@ def _reversed_path_registry(n):
 
 
 @pytest.fixture
-def row_relaxations(monkeypatch):
-    """The ``through`` grade of every dense row relaxation, in call order."""
+def reference_calls(monkeypatch):
+    """The name of every matrix reference a package module calls, in call
+    order, whether it reads the reference from ``oracles`` or imported it."""
     calls = []
-    relax_row = oracles._relax_row
+    for name in ("maxmin_matmul", "matrix_power", "warshall_steps"):
+        real = getattr(oracles, name)
 
-    def counted(row, through, other):
-        calls.append(through)
-        relax_row(row, through, other)
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
 
-    monkeypatch.setattr(oracles, "_relax_row", counted)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("fuzzchain") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -496,20 +494,13 @@ def merges_read(monkeypatch):
     return passes
 
 
-def test_transmission_runs_one_kruskal_pass_and_relaxes_no_row(
-    monkeypatch, row_relaxations, merges_read
-):
+def test_transmission_runs_one_kruskal_pass_and_relaxes_no_row(reference_calls, merges_read):
     n = 400
     registry, assignment = _reversed_path_registry(n)
     assignment["e200"] = 0.35
-
-    def refuse(_work, _k):
-        raise AssertionError("transmission ran a sweep pivot")
-
-    monkeypatch.setattr(oracles, "_relax_pivot", refuse)
     got = transmission(registry, "path", assignment)
     assert [size for size, _grades in merges_read] == [n]
-    assert row_relaxations == []
+    assert reference_calls == []
     assert repr(got) == "0.35"
 
 
