@@ -7,16 +7,17 @@ derived transmission function list its terms in the same order the
 system's author wrote the edges — handy for stable output and for
 matching hand-written sum-of-products forms.
 
-The walk is this module's only reader of the system's cached integer
-table (vertex ids in ``vertices`` order, neighbors in edge-declaration
-order).  It keeps the on-path vertex names and the edge atoms crossed
-so far in two lists that grow and shrink with its stack, and hands out
-each chain as those live lists plus the atom of the edge into the
-output, so no caller looks an edge up again.  :func:`enumerate_chains`
-copies both into a (chain, atoms) pair; :func:`derive_ftf` reads the
-atoms alone and builds no vertex tuple.  This is backtracking path
-listing as in Read & Tarjan 1975, "Bounds on backtrack algorithms for
-listing cycles, paths, and spanning trees".
+The walk is the one reader of the walk table in the system's cached
+plan (vertex ids in ``vertices`` order, neighbors in edge-declaration
+order), and it reads the terminals' ids from the same plan.  It keeps
+the on-path vertex names and the edge atoms crossed so far in two lists
+that grow and shrink with its stack, and hands out each chain as those
+live lists plus the atom of the edge into the output, so no caller
+looks an edge up again.  :func:`enumerate_chains` copies both into a
+(chain, atoms) pair; :func:`derive_ftf` reads the atoms alone and
+builds no vertex tuple.  This is backtracking path listing as in Read
+& Tarjan 1975, "Bounds on backtrack algorithms for listing cycles,
+paths, and spanning trees".
 
 Only simple paths matter: repeating a vertex can only extend the min
 over a walk's edges, never raise it, so every walk is dominated by the
@@ -52,7 +53,8 @@ def _walk(system: FuzzySystem) -> Iterator[tuple[list[str], list[Atom], Atom]]:
     before the goal test.  The walk keeps its own stack, so a path may
     be as long as the system allows, whatever the recursion limit.
     """
-    table, start, goal = system._walk_table
+    plan = system._plan
+    table, start, goal = plan.table, plan.start, plan.goal
     names = system.vertices
     path = [names[start]]
     atoms: list[Atom] = []

@@ -200,8 +200,8 @@ def _outcome(route: Callable[..., float], *args) -> float | tuple[str, str]:
 def _closed_cell(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
     """The ``closure`` command's answer: the terminal cell of the closed
     resolved matrix."""
-    vertices, grid = resolve_matrix(registry, name, assignment)
-    return terminal_cell(registry[name], vertices, warshall_closure(grid))
+    _vertices, grid = resolve_matrix(registry, name, assignment)
+    return terminal_cell(registry[name], warshall_closure(grid))
 
 
 def check_eval_closure(seed: int, trials: int) -> CheckResult:

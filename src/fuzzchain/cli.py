@@ -6,7 +6,8 @@ Exit codes are part of the contract:
 * 1 — usage error (bad flags, malformed ``--set``)
 * 2 — parse error in a registry or assignment file
 * 3 — validation error (unknown system, missing binding, bad grade), or an
-  input too deep or too large to evaluate (recursion limit, out of memory)
+  input too deep or too large to evaluate (recursion limit, out of memory,
+  a count past what the machine's integers hold)
 * 4 — internal invariant breach (a check suite or engine/oracle disagreement)
 * 141 — stdout closed before the output was written (128 + SIGPIPE, as
   a shell reports a command killed by a broken pipe)
@@ -181,7 +182,7 @@ def _cmd_closure(args) -> int:
     vertices, grid = resolve_matrix(registry, args.system, assignment)
     closed = warshall_closure(grid)
     system = registry[args.system]
-    value = terminal_cell(system, vertices, closed)
+    value = terminal_cell(system, closed)
     payload = {
         "system": args.system,
         "vertices": list(vertices),
@@ -387,7 +388,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (BindingError, UnknownSystemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_ERROR
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         kind = type(exc).__name__
         print(f"error: input too deep or too large to evaluate ({kind})", file=sys.stderr)
         return VALIDATION_ERROR

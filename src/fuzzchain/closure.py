@@ -17,7 +17,10 @@ powers and the ascending-pivot sweep live in :mod:`fuzzchain.oracles`,
 which the ``closure-power-agree`` and ``pivot-invariant`` suites check
 this module against.
 
-:func:`resolve_matrix` fills the numeric matrix from the edges: an
+Both numeric routes read each edge as ``(u index, v index, grade)``
+from :func:`~fuzzchain.recursion.edge_grades`, and the terminals'
+indices from the system's plan; this module derives no structure.
+:func:`resolve_matrix` fills the numeric matrix from those edges: an
 O(n²) zero allocation at C speed plus O(E) edge resolution, with no
 per-cell dispatch over the symbolic connection matrix.
 
@@ -106,19 +109,6 @@ def _merges(
                 tree[w] = a
 
 
-def _resolved_edges(
-    registry: SystemRegistry, name: str, assignment: dict[str, float]
-) -> tuple[tuple[str, ...], list[tuple[int, int, float]]]:
-    """The vertex order of a system and each edge's (u index, v index, grade):
-    the endpoint indices of the system's plan, and the grades
-    :func:`~fuzzchain.recursion.edge_grades` gives."""
-    from .recursion import edge_grades
-
-    system = registry[name]
-    plan = system._plan
-    return system.vertices, list(zip(plan.us, plan.vs, edge_grades(registry, name, assignment)))
-
-
 def resolve_matrix(
     registry: SystemRegistry, name: str, assignment: dict[str, float]
 ) -> tuple[tuple[str, ...], Matrix]:
@@ -130,11 +120,14 @@ def resolve_matrix(
 
     The grid is filled from the edges, not from the symbolic matrix: an
     n×n block of ``0.0`` with ``1.0`` on the diagonal, then each edge's
-    grade written to its two symmetric cells, at the indices of
-    ``system.vertices``.  That is an O(n²) allocation at C speed plus
+    grade written to its two symmetric cells, at the endpoint indices
+    ``edge_grades`` gives.  That is an O(n²) allocation at C speed plus
     O(E) resolution, with no per-cell dispatch.
     """
-    vertices, edges = _resolved_edges(registry, name, assignment)
+    from .recursion import edge_grades
+
+    edges = edge_grades(registry, name, assignment)
+    vertices = registry[name].vertices
     grid: Matrix = [[0.0] * len(vertices) for _ in vertices]
     for i, row in enumerate(grid):
         row[i] = 1.0
@@ -143,14 +136,16 @@ def resolve_matrix(
     return vertices, grid
 
 
-def terminal_cell(system: FuzzySystem, vertices: tuple[str, ...], grid: Matrix) -> float:
-    """The input-to-output cell of a grid whose rows follow ``vertices``."""
-    return grid[vertices.index(system.input_terminal)][vertices.index(system.output_terminal)]
+def terminal_cell(system: FuzzySystem, grid: Matrix) -> float:
+    """The input-to-output cell of a grid whose rows follow ``system.vertices``."""
+    plan = system._plan
+    return grid[plan.start][plan.goal]
 
 
 def transmission(registry: SystemRegistry, name: str, assignment: dict[str, float]) -> float:
     """Input-to-output grade: the cell of :func:`warshall_closure`, read
-    off the same Kruskal pass over the resolved edges.
+    off the same Kruskal pass over the edges
+    :func:`~fuzzchain.recursion.edge_grades` resolves.
 
     It is the grade of the first merge that puts the input terminal in
     one tree and the output terminal in the other, and ``0.0`` when no
@@ -159,11 +154,11 @@ def transmission(registry: SystemRegistry, name: str, assignment: dict[str, floa
     O(n + E), and the pass stops at that merge.  The call-unrolling
     oracle shares no code with it (``eval-closure-agree``).
     """
+    from .recursion import edge_grades
+
     system = registry[name]
-    vertices, edges = _resolved_edges(registry, name, assignment)
-    source = vertices.index(system.input_terminal)
-    target = vertices.index(system.output_terminal)
-    for grade, a, b in _merges(len(vertices), edges):
+    source, target = system._plan.start, system._plan.goal
+    for grade, a, b in _merges(len(system.vertices), edge_grades(registry, name, assignment)):
         if source in a and target in b or source in b and target in a:
             return grade
     return 0.0

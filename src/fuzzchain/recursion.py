@@ -253,17 +253,19 @@ def _grade(
     return best
 
 
-def edge_grades(registry: SystemRegistry, name: str, assignment: Mapping[str, float]) -> list[float]:
-    """Each edge's grade of ``name``, in declaration order, read through
-    the slots of its plan: a variable its checked grade; a call its
-    callee's value at the declared count, as :func:`resolve_call` gives
-    it, or ``0.0`` at count 0 (a call that may never run transmits
-    nothing)."""
+def edge_grades(
+    registry: SystemRegistry, name: str, assignment: Mapping[str, float]
+) -> list[tuple[int, int, float]]:
+    """Each edge of ``name`` as ``(u index, v index, grade)``, in
+    declaration order: the endpoint indices of its plan, and the grade
+    read through its slot, a variable's checked grade or a call's callee
+    value at the declared count, as :func:`resolve_call` gives it, or
+    ``0.0`` at count 0 (a call that may never run transmits nothing)."""
     grades, layers = call_layers(registry, name, assignment)
     top = len(layers) - 1
     plan = registry[name]._plan
     called = {c: layers[min(c.count, top)][c.target] if c.count >= 1 else 0.0 for c in plan.calls}
-    return list(map({**grades, **called}.__getitem__, plan.slots))
+    return list(zip(plan.us, plan.vs, map({**grades, **called}.__getitem__, plan.slots)))
 
 
 def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> Size:

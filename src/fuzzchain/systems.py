@@ -74,7 +74,7 @@ class FuzzySystem(_Record):
     """An undirected labeled graph with input and output terminals."""
 
     _fields = ("name", "input_terminal", "output_terminal", "vertices", "edges")
-    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached tables
+    __slots__ = (*_fields, "__dict__")  # the __dict__ holds the cached plan
 
     def __init__(
         self,
@@ -128,39 +128,22 @@ class FuzzySystem(_Record):
     def _plan(self) -> _Plan:
         return _Plan(self)
 
-    @cached_property
-    def _walk_table(self) -> tuple[tuple[tuple[tuple[int, Atom], ...], ...], int, int]:
-        """The chain walk's view of the edges, on integer vertex ids.
-
-        Entry i lists vertex ``vertices[i]``'s (neighbor index, atom)
-        pairs in edge-declaration order; the input and output indices
-        follow.  Built once per system from the :class:`_Plan`; the chain
-        walk in ``chains.py`` is its one reader.
-        """
-        plan = self._plan
-        table: list[list[tuple[int, Atom]]] = [[] for _ in self.vertices]
-        for u, v, edge in zip(plan.us, plan.vs, self.edges):
-            table[u].append((v, edge.atom))
-            table[v].append((u, edge.atom))
-        return (
-            tuple(map(tuple, table)),
-            self.vertices.index(self.input_terminal),
-            self.vertices.index(self.output_terminal),
-        )
-
     def call_atoms(self) -> tuple[Call, ...]:
         return self._plan.calls
 
 
 class _Plan:
     """A system's structure, derived once from its edges and read by every
-    numeric call: each edge's endpoint indices in ``vertices`` order
-    (``us``, ``vs``) and its *slot*, its variable's name or its
-    :class:`Call` (``slots``); the distinct variable names in first-met
-    order (``names``) and the call atoms (``calls``).  It holds no grade.
+    route: each edge's endpoint indices in ``vertices`` order (``us``,
+    ``vs``) and its *slot*, its variable's name or its :class:`Call`
+    (``slots``); the distinct variable names in first-met order
+    (``names``) and the call atoms (``calls``); the input and output
+    terminals' indices (``start``, ``goal``); and the chain walk's
+    :attr:`table`.  It holds no grade.
     """
 
-    __slots__ = ("us", "vs", "slots", "names", "calls")
+    __slots__ = ("us", "vs", "slots", "names", "calls", "start", "goal", "_edges", "_n")
+    __slots__ += ("__dict__",)  # the __dict__ holds the walk table
 
     def __init__(self, system: FuzzySystem) -> None:
         index = {v: i for i, v in enumerate(system.vertices)}
@@ -170,6 +153,21 @@ class _Plan:
         self.slots = tuple(a if isinstance(a, Call) else a.name for a in atoms)
         self.names = tuple(dict.fromkeys(s for s in self.slots if isinstance(s, str)))
         self.calls = tuple(s for s in self.slots if isinstance(s, Call))
+        self.start = index[system.input_terminal]
+        self.goal = index[system.output_terminal]
+        self._edges = system.edges
+        self._n = len(index)
+
+    @cached_property
+    def table(self) -> tuple[tuple[tuple[int, Atom], ...], ...]:
+        """Entry i lists vertex ``vertices[i]``'s (neighbor index, atom) pairs
+        in edge-declaration order.  It holds a tuple per edge end, so it is
+        built on first read: the matrix routes walk no chain of the system."""
+        table: list[list[tuple[int, Atom]]] = [[] for _ in range(self._n)]
+        for u, v, edge in zip(self.us, self.vs, self._edges):
+            table[u].append((v, edge.atom))
+            table[v].append((u, edge.atom))
+        return tuple(map(tuple, table))
 
 
 class SystemRegistry(_Record):
@@ -232,12 +230,11 @@ def validate_registry(registry: SystemRegistry) -> list[Diagnostic]:
                 diagnostics.append(
                     Diagnostic(system.name, "error", f"unknown call target {call.target!r}")
                 )
-        incident = {v for e in system.edges for v in (e.u, e.v)}
-        for terminal in (system.input_terminal, system.output_terminal):
-            if terminal not in incident:
-                diagnostics.append(
-                    Diagnostic(system.name, "warning", f"disconnected terminal {terminal!r}")
-                )
+        plan = system._plan
+        for terminal in (plan.start, plan.goal):
+            if not plan.table[terminal]:
+                message = f"disconnected terminal {system.vertices[terminal]!r}"
+                diagnostics.append(Diagnostic(system.name, "warning", message))
     return diagnostics
 
 

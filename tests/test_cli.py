@@ -54,6 +54,19 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
         assert "call budget must be >= 0, got -5" in err
     assert run_cli("power", "x + y", "0")[0] == 3
 
+    # counts and budgets past a C integer answer or are refused, with no
+    # traceback: 2**63 overflows the power's combinations
+    assert run_cli("power", "x", str(2**63)) == (
+        3, "", "error: input too deep or too large to evaluate (OverflowError)\n"
+    )
+    huge = str(2**64)
+    for argv in (
+        *((command, "--rec-count", huge) for command in ("eval", "expand", "trace", "closure")),
+        *((command, "--budget", huge) for command in ("eval", "expand")),
+    ):
+        code, _, err = run_cli(*argv)
+        assert code in (0, 3) and "Traceback" not in err, argv
+
     partial = tmp_path / "partial.values"
     partial.write_text("x = 0.5\n", encoding="utf-8")
     code, _, err = run_cli("eval", "--system", "psi1", "--assign", str(partial))

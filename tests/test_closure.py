@@ -299,18 +299,18 @@ def test_transmission_agrees_with_chain_evaluation(registry, fixture_assignment)
 
 
 def _closure_cell(registry, name, assignment):
-    vertices, grid = resolve_matrix(registry, name, assignment)
-    return terminal_cell(registry[name], vertices, warshall_closure(grid))
+    _vertices, grid = resolve_matrix(registry, name, assignment)
+    return terminal_cell(registry[name], warshall_closure(grid))
 
 
 def _swept_cell(registry, name, assignment):
     """The input-to-output cell after the last pivot of the ascending sweep,
     which shares no code with the Kruskal pass and keeps ``-0.0`` as the
     closure does."""
-    vertices, grid = resolve_matrix(registry, name, assignment)
+    _vertices, grid = resolve_matrix(registry, name, assignment)
     for _pivot, swept in warshall_steps(grid):
         pass
-    return terminal_cell(registry[name], vertices, swept)
+    return terminal_cell(registry[name], swept)
 
 
 def _signed_zero_assignment(rng):
@@ -401,6 +401,19 @@ def test_transmission_never_resolves_the_matrix(monkeypatch):
     monkeypatch.setattr(closure, "resolve_matrix", refuse)
     for (reg, name), answer in zip(cases, expected):
         assert repr(transmission(reg, name, assignment)) == answer, name
+
+
+def test_the_matrix_routes_build_no_walk_table():
+    # the walk table holds a tuple per edge end, so a system the route
+    # walks no chain of leaves it unbuilt; the callees are walked
+    for route in (transmission, resolve_matrix, _closure_cell):
+        rng = SplitMix64(29)
+        registry, names = _sparse_registry(rng, 80)
+        route(registry, "big", _sparse_assignment(rng, names))
+        plan = registry["big"]._plan
+        assert "table" not in vars(plan), route
+        assert "table" in vars(registry["psi1"]._plan), route
+        assert len(plan.table) == 80 and "table" in vars(plan)
 
 
 def test_transmission_memory_stays_far_below_the_grid():

@@ -12,8 +12,8 @@ builds its merges and grids from numbers only.
 Structure has one owner: ``systems.py`` derives each system's plan, and
 no other module maps vertices to indices or tells atoms apart to find
 a system's variables and calls.  Outside ``systems.py`` one function,
-the chain walk, reads the walk table, and the oracles read a system
-through its record fields alone.
+the chain walk, reads the plan's walk table, and the oracles read a
+system through its record fields alone.
 """
 
 from __future__ import annotations
@@ -115,10 +115,28 @@ def _index_maps(tree):
     ]
 
 
+def _system_class():
+    (system_class,) = [
+        node
+        for node in _tree("systems").body
+        if isinstance(node, ast.ClassDef) and node.name == "FuzzySystem"
+    ]
+    return system_class
+
+
 def test_structure_has_one_owner():
     modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
     owners = [m for m in modules for _ in _index_maps(_tree(m))]
     assert owners == ["systems"]  # the plan's vertex index, built once per system
+    scans = [m for m in modules if "vertices.index(" in (PACKAGE / f"{m}.py").read_text("utf-8")]
+    assert scans == []  # every route reads its indices, terminals included, from the plan
+    cached = [
+        node.name
+        for node in _system_class().body
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(d, "id", None) == "cached_property" for d in node.decorator_list)
+    ]
+    assert cached == ["_plan"]  # one derived table per system
     (require,) = [
         node
         for node in _nodes(_tree("systems"), ast.FunctionDef)
@@ -153,30 +171,21 @@ def test_one_function_reads_the_walk_table():
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "systems":
-            continue  # the table's owner
+            continue  # the plan's owner
         for function in _nodes(_tree(path.stem), (ast.FunctionDef, ast.AsyncFunctionDef)):
-            reads = [
-                node
-                for node in _nodes(function, ast.Attribute)
-                if node.attr == "_walk_table"
-            ]
+            reads = [node for node in _nodes(function, ast.Attribute) if node.attr == "table"]
             if reads:
                 readers.append(f"{path.stem}.{function.name}")
     assert readers == ["chains._walk"]
 
 
 def test_the_oracles_read_systems_through_their_fields():
-    (system_class,) = [
-        node
-        for node in _tree("systems").body
-        if isinstance(node, ast.ClassDef) and node.name == "FuzzySystem"
-    ]
     members = {
         node.name
-        for node in system_class.body
+        for node in _system_class().body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
     }
-    assert {"build", "call_atoms", "_plan", "_walk_table"} <= members
+    assert {"build", "call_atoms", "_plan"} <= members
     used = {node.attr for node in _nodes(_tree("oracles"), ast.Attribute)}
     assert not members & used
 

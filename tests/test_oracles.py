@@ -127,8 +127,7 @@ def test_walk_and_unroll_oracle_read_separate_adjacency(monkeypatch, registry, f
         assert derive_ftf(fresh["phi"]) == want[1]
         assert eval_system(fresh, "phi", fixture_assignment) == want[2]
     with monkeypatch.context() as patch:
-        # the oracle reads the record fields alone, none of the cached tables
-        patch.setattr(FuzzySystem, "_walk_table", property(unavailable))
+        # the oracle reads the record fields alone, not the cached plan
         patch.setattr(FuzzySystem, "_plan", property(unavailable))
         fresh = builtin_fixtures()
         assert oracle_unroll_eval(fresh, "phi", fixture_assignment) == want[3]

@@ -34,6 +34,7 @@ from fuzzchain.recursion import (
     Exit,
     PopReturn,
     PushReturn,
+    edge_grades,
     eval_system,
     expansion_tree,
     render_expansion,
@@ -338,6 +339,49 @@ def test_a_callee_whose_own_call_needs_budget_two():
     assert values == [oracle_unroll_eval(registry, "r", assignment, budget=k) for k in range(7)]
     assert eval_system(registry, "r", assignment) == 0.9
     assert resolve_matrix(registry, "r", assignment)[1] == [[1.0, 0.9], [0.9, 1.0]]
+
+
+EDGE_GRADES_TEXT = """
+system t {
+ terminals A -> B
+ edge A B x
+ edge A C y
+ edge C B z
+}
+system s {
+ terminals P -> Q
+ edge R Q x
+ edge P R call t 2
+ edge P Q call t 0
+ edge R S call s 3
+ edge S Q y
+ edge P S z
+}
+"""
+
+
+def test_edge_grades_resolve_each_edge_at_the_plan_indices():
+    registry = parse_registry(EDGE_GRADES_TEXT)
+    assignment = {"x": -0.0, "y": 1, "z": 0.4}
+    system = registry["s"]
+    got = edge_grades(registry, "s", assignment)
+    # one (u index, v index, grade) per edge, in declaration order
+    assert system.vertices == ("P", "Q", "R", "S")
+    assert [(u, v) for u, v, _grade in got] == [(2, 1), (0, 2), (0, 1), (2, 3), (3, 1), (0, 3)]
+    assert [(u, v) for u, v, _grade in got] == list(zip(system._plan.us, system._plan.vs))
+    # a variable reads its checked grade, a count-0 call 0.0 (though t
+    # itself answers 0.4 at budget 0), any other call its callee's value
+    # at the declared count
+    grades = [grade for _u, _v, grade in got]
+    assert grades == [0.0, 0.4, 0.0, 0.4, 1.0, 0.4]
+    assert resolve_call(registry, "t", 0, assignment) == 0.4
+    for (_u, _v, grade), edge in zip(got, system.edges):
+        if isinstance(edge.atom, Call) and edge.atom.count:
+            call = edge.atom
+            assert grade == resolve_call(registry, call.target, call.count, assignment)
+    # -0.0 and int bindings come back as plain floats
+    assert all(type(grade) is float for grade in grades)
+    assert "-0.0" not in repr(got)
 
 
 def test_self_call_budget_is_irrelevant(registry, fixture_assignment, deep_assignment):

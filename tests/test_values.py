@@ -232,7 +232,9 @@ def test_validation_runs_on_construction():
 
 def test_cached_tables_leave_the_system_value_alone():
     system = FuzzySystem("s", "A", "B", ("A", "B"), (EDGE,))
-    assert system._plan.slots == ("x",) and system._walk_table[1:] == (0, 1)
+    plan = system._plan
+    assert plan.slots == ("x",) and (plan.start, plan.goal) == (0, 1)
+    assert plan.table == (((1, X),), ((0, X),))
     assert system == SYSTEM and hash(system) == hash(SYSTEM)
     assert repr(system) == _SYSTEM_REPR
     for twin in (pickle.loads(pickle.dumps(system)), copy.copy(system), copy.deepcopy(system)):
