@@ -253,6 +253,17 @@ def check_eval_closure(seed: int, trials: int) -> CheckResult:
     return _run("eval-closure-agree", trials, one, seed)
 
 
+def _path_graph(m: Matrix) -> tuple[list[str], dict[tuple[str, str], float]]:
+    """The vertices ``"0" .. "n-1"`` of a grade matrix and each
+    off-diagonal cell keyed by its pair, as the path oracle reads them."""
+    n = len(m)
+    vertices = [str(i) for i in range(n)]
+    edge_value = {
+        (vertices[i], vertices[j]): m[i][j] for i in range(n) for j in range(n) if i != j
+    }
+    return vertices, edge_value
+
+
 def check_closure_power(seed: int, trials: int) -> CheckResult:
     """Closure of a symmetric reflexive matrix equals its (n-1)-th
     max-min power, and every entry matches brute-force path search.
@@ -270,10 +281,7 @@ def check_closure_power(seed: int, trials: int) -> CheckResult:
         powered = matrix_power(m, n - 1)
         if closed != powered:
             return f"n={n}: closure != power(n-1)"
-        vertices = [str(i) for i in range(n)]
-        edge_value = {
-            (vertices[i], vertices[j]): m[i][j] for i in range(n) for j in range(n) if i != j
-        }
+        vertices, edge_value = _path_graph(m)
         for i in range(n):
             for j in range(n):
                 want = 1.0 if i == j else oracle_path_enum(
@@ -393,10 +401,7 @@ def check_pivot_invariant(seed: int, trials: int) -> CheckResult:
     def one(rng: SplitMix64, _: int) -> str | None:
         n = rng.randint(2, 6)
         m = random_matrix(rng, n)
-        vertices = [str(i) for i in range(n)]
-        edge_value = {
-            (vertices[i], vertices[j]): m[i][j] for i in range(n) for j in range(n) if i != j
-        }
+        vertices, edge_value = _path_graph(m)
         for pivot, snapshot in warshall_steps(m):
             allowed = set(vertices[: pivot + 1])
             for i in range(n):

@@ -65,12 +65,10 @@ def _trial_count(text: str) -> int:
     return value
 
 
-_BUILTIN = object()  # `--fixtures` with no path means the built-in registry
-
-
 def _add_common(sub: argparse.ArgumentParser, system_default: str | None = "psi1") -> None:
-    sub.add_argument("--fixtures", nargs="?", const=_BUILTIN, default=_BUILTIN,
-                     metavar="FILE", help="registry file (bare flag or omitted: built-ins)")
+    # the bare flag and the omitted one both leave None: the built-in registry
+    sub.add_argument("--fixtures", nargs="?", metavar="FILE",
+                     help="registry file (bare flag or omitted: built-ins)")
     sub.add_argument("--rec-count", type=int, default=2, metavar="N",
                      help="self-call count for the built-in recursive fixture")
     if system_default is not None:
@@ -95,7 +93,7 @@ def _read_text(path: str) -> str:
 def _load_registry(args: argparse.Namespace):
     from .systems import FIXTURE_ASSIGNMENT, builtin_fixtures, parse_registry
 
-    if args.fixtures is not _BUILTIN:
+    if args.fixtures is not None:
         registry = parse_registry(_read_text(args.fixtures))
         base: dict[str, float] = {}
     else:
@@ -145,7 +143,7 @@ def _cmd_ftf(args) -> int:
 
 def _cmd_matrix(args) -> int:
     from .closure import render_numeric_matrix, render_symbolic_matrix, resolve_matrix
-    from .systems import cell_text, connection_matrix
+    from .systems import connection_matrix
 
     registry, base = _load_registry(args)
     if args.resolve:
@@ -157,7 +155,7 @@ def _cmd_matrix(args) -> int:
         payload = {
             "system": args.system,
             "vertices": list(matrix.vertices),
-            "cells": [[cell_text(cell) for cell in row] for row in matrix.cells],
+            "cells": [[str(cell) for cell in row] for row in matrix.cells],
         }
         _emit(payload, args.json, render_symbolic_matrix(matrix))
     return 0

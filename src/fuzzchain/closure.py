@@ -20,9 +20,10 @@ this module against.
 Both numeric routes read each edge as ``(u index, v index, grade)``
 from :func:`~fuzzchain.recursion.edge_grades`, and the terminals'
 indices from the system's plan; this module derives no structure.
-:func:`resolve_matrix` fills the numeric matrix from those edges: an
-O(n²) zero allocation at C speed plus O(E) edge resolution, with no
-per-cell dispatch over the symbolic connection matrix.
+:func:`resolve_matrix` fills the numeric matrix from those edges with
+the one fill that also builds the symbolic connection matrix
+(:func:`fuzzchain.systems.connection_matrix`), so the layout lives in
+one place.
 
 :func:`transmission` reads one cell, so it neither closes nor builds the
 matrix.  It stops at the merge that joins its two terminals: at most
@@ -32,9 +33,9 @@ O(E log E + n log n) work and O(n + E) memory.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, cell_text
+from .systems import ConnectionMatrix, FuzzySystem, SystemRegistry, _fill
 
 __all__ = [
     "warshall_closure",
@@ -114,26 +115,15 @@ def resolve_matrix(
 ) -> tuple[tuple[str, ...], Matrix]:
     """Numeric connection matrix of a system under an assignment.
 
-    Each edge's two cells take its grade from
-    :func:`~fuzzchain.recursion.edge_grades`.  Returns the vertex order
-    alongside the grid.
-
-    The grid is filled from the edges, not from the symbolic matrix: an
-    n×n block of ``0.0`` with ``1.0`` on the diagonal, then each edge's
-    grade written to its two symmetric cells, at the endpoint indices
-    ``edge_grades`` gives.  That is an O(n²) allocation at C speed plus
-    O(E) resolution, with no per-cell dispatch.
+    The symbolic matrix's layout over ``0.0`` and ``1.0``: each edge's
+    two cells hold its grade from
+    :func:`~fuzzchain.recursion.edge_grades`, and no symbolic matrix is
+    built.  Returns the vertex order alongside the grid.
     """
     from .recursion import edge_grades
 
-    edges = edge_grades(registry, name, assignment)
     vertices = registry[name].vertices
-    grid: Matrix = [[0.0] * len(vertices) for _ in vertices]
-    for i, row in enumerate(grid):
-        row[i] = 1.0
-    for u, v, grade in edges:
-        grid[u][v] = grid[v][u] = grade
-    return vertices, grid
+    return vertices, _fill(len(vertices), edge_grades(registry, name, assignment), 0.0, 1.0)
 
 
 def terminal_cell(system: FuzzySystem, grid: Matrix) -> float:
@@ -167,26 +157,13 @@ def transmission(registry: SystemRegistry, name: str, assignment: dict[str, floa
 # --- rendering --------------------------------------------------------------
 
 
-def _render_grid(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def render_numeric_matrix(vertices: tuple[str, ...], grid: Matrix) -> str:
-    header = [""] + list(vertices)
-    rows = [[v] + [repr(x) for x in grid[i]] for i, v in enumerate(vertices)]
-    return _render_grid(header, rows)
+def render_numeric_matrix(vertices: tuple[str, ...], grid: Sequence[Sequence[object]]) -> str:
+    """Any square grid over ``vertices`` as left-aligned columns, each
+    cell by ``str`` (a float's ``str`` is its ``repr``)."""
+    rows = [["", *vertices]] + [[v] + [str(x) for x in grid[i]] for i, v in enumerate(vertices)]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in rows)
 
 
 def render_symbolic_matrix(matrix: ConnectionMatrix) -> str:
-    header = [""] + list(matrix.vertices)
-    rows = [
-        [v] + [cell_text(c) for c in matrix.cells[i]] for i, v in enumerate(matrix.vertices)
-    ]
-    return _render_grid(header, rows)
+    return render_numeric_matrix(matrix.vertices, matrix.cells)

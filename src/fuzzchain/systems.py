@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import Atom, Call, Var, _Record, _set, check_grade, is_identifier, parse_count
 from .errors import BindingError, ParseError, UnknownSystemError
@@ -41,7 +41,6 @@ __all__ = [
     "ConnectionMatrix",
     "ONE",
     "ZERO",
-    "cell_text",
     "connection_matrix",
     "parse_registry",
     "format_registry",
@@ -287,32 +286,10 @@ def require_bindings(
 # --- connection matrices --------------------------------------------------
 
 
-class _UnitCell:
-    """Singleton diagonal cell of a symbolic connection matrix."""
-
-    def __repr__(self) -> str:
-        return "ONE"
-
-
-class _ZeroCell:
-    """Singleton no-edge cell of a symbolic connection matrix."""
-
-    def __repr__(self) -> str:
-        return "ZERO"
-
-
-ONE = _UnitCell()
-ZERO = _ZeroCell()
+ONE = 1  # the diagonal cell of a connection matrix
+ZERO = 0  # the cell between two vertices with no edge
 
 Cell = object  # ONE | ZERO | Atom
-
-
-def cell_text(cell: Cell) -> str:
-    if cell is ONE:
-        return "1"
-    if cell is ZERO:
-        return "0"
-    return str(cell)
 
 
 class ConnectionMatrix(_Record):
@@ -329,15 +306,25 @@ class ConnectionMatrix(_Record):
         _set(self, "cells", cells)
 
 
+def _fill(n: int, edges: Iterable[tuple[int, int, object]], zero: object, one: object) -> list:
+    """An n×n grid of ``zero`` with ``one`` on the diagonal, then each
+    ``(u index, v index, cell)`` edge written to its two symmetric
+    cells, later edges over earlier ones.  The n² allocation runs at C
+    speed and the edges cost O(E), with no per-cell dispatch."""
+    grid = [[zero] * n for _ in range(n)]
+    for i, row in enumerate(grid):
+        row[i] = one
+    for u, v, cell in edges:
+        grid[u][v] = grid[v][u] = cell
+    return grid
+
+
 def connection_matrix(system: FuzzySystem) -> ConnectionMatrix:
     """The symbolic vertex-by-vertex matrix of a system, filled from its edges."""
     plan = system._plan
-    rows: list[list[Cell]] = [[ZERO] * len(system.vertices) for _ in system.vertices]
-    for i, row in enumerate(rows):
-        row[i] = ONE
-    for u, v, edge in zip(plan.us, plan.vs, system.edges):
-        rows[u][v] = rows[v][u] = edge.atom
-    return ConnectionMatrix(tuple(system.vertices), tuple(tuple(row) for row in rows))
+    atoms = (edge.atom for edge in system.edges)
+    grid = _fill(len(system.vertices), zip(plan.us, plan.vs, atoms), ZERO, ONE)
+    return ConnectionMatrix(tuple(system.vertices), tuple(tuple(row) for row in grid))
 
 
 # --- definition files -----------------------------------------------------

@@ -44,7 +44,6 @@ from fuzzchain.recursion import (
 from fuzzchain.systems import (
     FIXTURE_ASSIGNMENT,
     builtin_fixtures,
-    cell_text,
     connection_matrix,
     format_registry,
     parse_registry,
@@ -114,7 +113,7 @@ def test_criterion_1_derived_transmission_and_matrices():
         matrix = connection_matrix(registry[name])
         if matrix.vertices != ("A", "B", "C", "D"):
             problems.append(f"{name} vertex order")
-        cells = [[cell_text(c) for c in row] for row in matrix.cells]
+        cells = [[str(c) for c in row] for row in matrix.cells]
         if cells != expected_cells:
             problems.append(f"{name} matrix cells")
     if connection_matrix(registry["phi"]).cells[2][3] != Call("psi1", 1):

@@ -13,7 +13,9 @@ Structure has one owner: ``systems.py`` derives each system's plan, and
 no other module maps vertices to indices or tells atoms apart to find
 a system's variables and calls.  Outside ``systems.py`` one function,
 the chain walk, reads the plan's walk table, and the oracles read a
-system through its record fields alone.
+system through its record fields alone.  Both connection matrices, the
+symbolic and the numeric, are laid out by one fill in ``systems.py`` and
+printed by one renderer.
 """
 
 from __future__ import annotations
@@ -165,6 +167,23 @@ def test_both_closure_routes_read_one_kruskal_pass():
     assert _calls_to(tree, "sorted") == _calls_to(functions["_merges"], "sorted") != []
     for route in ("warshall_closure", "transmission"):
         assert _calls_to(functions[route], "_merges"), route
+
+
+def test_both_connection_matrices_come_from_one_fill_and_one_printer():
+    systems, closure = (
+        {node.name: node for node in _tree(module).body if isinstance(node, ast.FunctionDef)}
+        for module in ("systems", "closure")
+    )
+    # the layout is written once, in systems.py, and both builders call it
+    assert "_fill" in systems and "_fill" not in closure
+    assert _calls_to(systems["connection_matrix"], "_fill")
+    assert _calls_to(closure["resolve_matrix"], "_fill")
+    # one printer: the symbolic renderer is the numeric one
+    assert [name for name in closure if "render" in name] == [
+        "render_numeric_matrix",
+        "render_symbolic_matrix",
+    ]
+    assert _calls_to(closure["render_symbolic_matrix"], "render_numeric_matrix")
 
 
 def test_one_function_reads_the_walk_table():

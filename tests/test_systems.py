@@ -15,7 +15,6 @@ from fuzzchain.systems import (
     FuzzySystem,
     SystemRegistry,
     builtin_fixtures,
-    cell_text,
     connection_matrix,
     format_assignment,
     format_registry,
@@ -245,7 +244,7 @@ def test_fixture_assignment_values():
 def test_connection_matrix_cells():
     matrix = connection_matrix(builtin_fixtures()["psi1"])
     assert matrix.vertices == ("A", "B", "C", "D")
-    text = [[cell_text(c) for c in row] for row in matrix.cells]
+    text = [[str(c) for c in row] for row in matrix.cells]
     assert text == [
         ["1", "0", "y", "x"],
         ["0", "1", "w", "z"],

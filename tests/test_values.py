@@ -16,6 +16,7 @@ import pytest
 
 from fuzzchain.algebra import Call, FtfExpr, MultinomialEntry, Term, Var
 from fuzzchain.checks import CheckResult
+from fuzzchain.closure import render_symbolic_matrix
 from fuzzchain.recursion import (
     BranchResult,
     Enter,
@@ -34,6 +35,8 @@ from fuzzchain.systems import (
     EdgeDef,
     FuzzySystem,
     SystemRegistry,
+    builtin_fixtures,
+    connection_matrix,
 )
 
 X = Var("x")
@@ -88,7 +91,7 @@ FROZEN = [
     (
         ConnectionMatrix,
         {"vertices": ("A", "B"), "cells": ((ONE, X), (X, ONE))},
-        "ConnectionMatrix(vertices=('A', 'B'), cells=((ONE, Var(name='x')), (Var(name='x'), ONE)))",
+        "ConnectionMatrix(vertices=('A', 'B'), cells=((1, Var(name='x')), (Var(name='x'), 1)))",
     ),
     (ExpansionBranch, {"chain": ("A", "B"), "segments": (X,), "atoms": (X,)}, _BRANCH_REPR),
     (
@@ -162,8 +165,14 @@ def test_copies_and_pickles_rebuild_the_record(case):
     cls, fields, text = case
     value = cls(**fields)
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        # a copied ONE cell is not the ONE singleton, so compare by repr
-        assert type(twin) is cls and repr(twin) == text
+        assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+def test_copied_and_pickled_connection_matrices_print_the_same():
+    matrix = connection_matrix(builtin_fixtures()["phi"])
+    text = render_symbolic_matrix(matrix)
+    for twin in (copy.copy(matrix), copy.deepcopy(matrix), pickle.loads(pickle.dumps(matrix))):
+        assert twin == matrix and render_symbolic_matrix(twin) == text
 
 
 def test_equal_fields_in_sibling_classes_are_not_equal():
