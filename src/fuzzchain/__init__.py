@@ -19,11 +19,9 @@ _EXPORTS = {
     "Var": "algebra",
     "canonicalize": "algebra",
     "eval_expr": "algebra",
-    "expr_concat": "algebra",
     "expr_power": "algebra",
     "format_expr": "algebra",
     "format_term": "algebra",
-    "multinomial_coefficient": "algebra",
     "multinomial_expand": "algebra",
     "parse_expr": "algebra",
     "derive_ftf": "chains",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import BindingError, ParseError
 
@@ -41,10 +41,8 @@ __all__ = [
     "check_grade",
     "eval_expr",
     "assignment_valuation",
-    "expr_concat",
     "canonicalize",
     "expr_power",
-    "multinomial_coefficient",
     "multinomial_expand",
     "parse_count",
     "parse_expr",
@@ -150,6 +148,7 @@ class Call(_Record):
 
     ``count`` is how many nested call activations the atom is allowed to
     spend, not an exponent; a count of 0 means the call can never run.
+    A ``bool`` is an ``int`` but not a count, so it is refused.
     """
 
     __slots__ = _fields = ("target", "count")
@@ -157,7 +156,7 @@ class Call(_Record):
     def __init__(self, target: str, count: int) -> None:
         if not is_identifier(target):
             raise ValueError(f"invalid call target: {target!r}")
-        if not isinstance(count, int) or count < 0:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ValueError(f"call count must be a non-negative integer: {count!r}")
         _set(self, "target", target)
         _set(self, "count", count)
@@ -274,15 +273,6 @@ def eval_expr(expr: FtfExpr, valuation: Valuation) -> float:
     return best
 
 
-def expr_concat(a: FtfExpr, b: FtfExpr) -> FtfExpr:
-    """Pairwise term concatenation; evaluates to min of the operands.
-
-    Term order is the cross product in operand order, so raw renderings
-    stay predictable.
-    """
-    return FtfExpr(tuple(Term(s.atoms + t.atoms) for s in a.terms for t in b.terms))
-
-
 def canonicalize(expr: FtfExpr, simplify: bool = False) -> FtfExpr:
     """Sorted, deduplicated form of ``expr``; optionally absorption-simplified.
 
@@ -337,19 +327,6 @@ def expr_power(expr: FtfExpr, k: int) -> FtfExpr:
             break
         out = grown
     return canonicalize(FtfExpr(tuple(Term(tuple(s)) for s in out)))
-
-
-def multinomial_coefficient(k: int, parts: Iterable[int]) -> int:
-    """Exact k! / (n1! * ... * nm!) for a composition of k."""
-    parts = tuple(parts)
-    if any(not isinstance(n, int) or n < 0 for n in parts):
-        raise ValueError(f"invalid composition: negative or non-integer part in {parts!r}")
-    if sum(parts) != k:
-        raise ValueError(f"invalid composition: parts {parts!r} do not sum to {k}")
-    coefficient = math.factorial(k)
-    for n in parts:
-        coefficient //= math.factorial(n)
-    return coefficient
 
 
 class MultinomialEntry(_Record):

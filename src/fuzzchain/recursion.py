@@ -6,20 +6,20 @@ runs with its full declared count.  One level down, a callee evaluated
 with remaining budget ``b`` grants each of its own calls an effective
 budget of ``min(declared, b - 1)``: entering the call consumes one unit,
 and the declaration caps what may be spent below it.  A call whose
-effective budget falls to zero is *dead* — every chain through it is
-dropped, contributing nothing to the max.  Budgets strictly decrease
-with depth, so evaluation always terminates, self-referential systems
-included.
+effective budget falls to zero is *dead*: it transmits ``0.0``, the
+max-min zero, so no chain through it adds to the max.  Budgets strictly
+decrease with depth, so evaluation always terminates, self-referential
+systems included.
 
-:func:`_live_chains` is the one place that applies that rule: it yields
-the chains of a system, each with its edge atoms, that survive a budget.
 One walker, :func:`_layers`, fills a table of budget layers bottom-up,
 without Python recursion, grading every callee at every budget in one
-loop: :func:`_grade` values a system for :func:`resolve_call` (whose
-top level is :func:`eval_system`), :func:`edge_grades` reads that table
-for the closure routes, and :func:`_size` counts what it unrolls to.  Each call
-enumerates a system's chains once (:class:`_Chains`), and every layer,
-and the expansion DAG, reads them from there.
+loop.  :func:`_call_grades` is the table's one numeric reader, the value of
+each call of a system at a budget: :func:`_grade` values a system from it
+for :func:`resolve_call` (whose top level is :func:`eval_system`), and
+:func:`edge_grades` reads its top level for the closure routes.  In what
+:func:`_size` counts and the expansion DAG holds, a dead call's chains
+vanish (:func:`_live_chains`).  Each call enumerates a system's chains
+once (:class:`_Chains`), and every layer, and the DAG, reads them there.
 
 The symbolic outputs unroll the call structure into one expansion DAG
 with a node per (system, budget) (:func:`expansion_tree`): ``expand``
@@ -62,7 +62,7 @@ from .algebra import (
     tnorm_min,
 )
 from .chains import Chain, enumerate_chains
-from .systems import SystemRegistry, require_bindings
+from .systems import SystemRegistry, _Plan, require_bindings
 
 __all__ = [
     "MAX_EXPANSION",
@@ -103,7 +103,11 @@ def _effective(declared: int, budget: Budget) -> int:
 
 
 def _check_budget(budget: Budget) -> None:
-    if budget is not None and budget < 0:
+    if budget is None:
+        return
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"call budget must be an integer or None, got {budget!r}")
+    if budget < 0:
         raise ValueError(f"call budget must be >= 0, got {budget}")
 
 
@@ -132,8 +136,8 @@ class _Chains(dict[str, ChainList]):
 def _live_chains(chains: ChainList, budget: Budget) -> Iterator[tuple[Chain, tuple[Atom, ...]]]:
     """The (chain, atoms) pairs among a system's ``chains`` that survive ``budget``.
 
-    This is the one place that applies the dead-call rule: a chain with
-    a call whose effective budget is below 1 is dropped.
+    The one place that drops a chain with a dead call, for the structural
+    routes: such a chain has no terms, nodes or events.
     """
     for chain, atoms in chains:
         for atom in atoms:
@@ -156,10 +160,9 @@ def resolve_call(
     the value stops changing.  ``budget=None`` is the top level, as in
     :func:`eval_system`.
     """
-    _check_budget(budget)
     chains = _Chains(registry)
     grades, layers = call_layers(registry, name, assignment, budget, chains)
-    return _grade(chains[name], budget, grades, layers)
+    return _grade(chains[name], grades, _call_grades(registry[name]._plan, budget, layers))
 
 
 def eval_system(
@@ -187,11 +190,14 @@ def call_layers(
     A caller that grades more systems itself passes the ``chains`` the
     table was graded from, so no system's chains are enumerated twice.
     """
+    _check_budget(budget)
     walked, grades = require_bindings(registry, name, assignment)
     chains = _Chains(registry) if chains is None else chains
-    return grades, _layers(
-        registry, walked, budget, lambda s, b, layers: _grade(chains[s], b, grades, layers)
-    )
+
+    def grade(s: str, b: int, layers: list[dict[str, float]]) -> float:
+        return _grade(chains[s], grades, _call_grades(registry[s]._plan, b, layers))
+
+    return grades, _layers(registry, walked, budget, grade)
 
 
 def _layers(
@@ -229,26 +235,29 @@ def _layers(
     return layers
 
 
-def _grade(
-    chains: ChainList,
-    budget: Budget,
-    grades: dict[str, float],
-    layers: list[dict[str, float]],
-) -> float:
-    """Max over the live ``chains`` of a system of the min over each chain's atoms.
-
-    A variable reads its checked grade from ``grades``; a call reads its
-    callee's layer.
-    """
+def _call_grades(plan: _Plan, budget: Budget, layers: list[dict[str, float]]) -> dict[Call, float]:
+    """The value each call of ``plan`` reads at ``budget``: its callee's
+    value in ``layers[min(effective budget, top)]``, or ``0.0`` when the
+    call is dead (a call that may never run transmits nothing)."""
     top = len(layers) - 1
+    called = {}
+    for call in plan.calls:
+        b = _effective(call.count, budget)
+        called[call] = layers[min(b, top)][call.target] if b >= 1 else 0.0
+    return called
+
+
+def _grade(chains: ChainList, grades: dict[str, float], called: dict[Call, float]) -> float:
+    """Max over a system's ``chains`` of the min over each chain's atoms.
+
+    A variable reads its checked grade from ``grades`` and a call its
+    value from ``called``; a dead call's ``0.0`` adds nothing to the max.
+    """
     best = 0.0
-    for _chain, atoms in _live_chains(chains, budget):
+    for _chain, atoms in chains:
         got = 1.0
         for atom in atoms:
-            if isinstance(atom, Var):
-                got = tnorm_min(got, grades[atom.name])
-            else:
-                got = tnorm_min(got, layers[min(_effective(atom.count, budget), top)][atom.target])
+            got = tnorm_min(got, grades[atom.name] if isinstance(atom, Var) else called[atom])
         best = snorm_max(best, got)
     return best
 
@@ -258,13 +267,12 @@ def edge_grades(
 ) -> list[tuple[int, int, float]]:
     """Each edge of ``name`` as ``(u index, v index, grade)``, in
     declaration order: the endpoint indices of its plan, and the grade
-    read through its slot, a variable's checked grade or a call's callee
-    value at the declared count, as :func:`resolve_call` gives it, or
-    ``0.0`` at count 0 (a call that may never run transmits nothing)."""
+    read through its slot, a variable's checked grade or a call's value
+    at the top level (:func:`_call_grades`), as :func:`resolve_call`
+    gives it."""
     grades, layers = call_layers(registry, name, assignment)
-    top = len(layers) - 1
     plan = registry[name]._plan
-    called = {c: layers[min(c.count, top)][c.target] if c.count >= 1 else 0.0 for c in plan.calls}
+    called = _call_grades(plan, None, layers)
     return list(zip(plan.us, plan.vs, map({**grades, **called}.__getitem__, plan.slots)))
 
 

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-from fuzzchain.algebra import FtfExpr, Var, _atom_key
+from fuzzchain.algebra import FtfExpr, Term, Var, _atom_key
 from fuzzchain.cli import main as cli_main
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
@@ -101,6 +103,28 @@ def reference_canonicalize(expr: FtfExpr, simplify: bool = False) -> FtfExpr:
         sets = [frozenset(t.atoms) for t in terms]
         terms = [t for t, mine in zip(terms, sets) if not any(other < mine for other in sets)]
     return FtfExpr(tuple(terms))
+
+
+def expr_concat(a: FtfExpr, b: FtfExpr) -> FtfExpr:
+    """Pairwise term concatenation; evaluates to min of the operands.
+
+    Term order is the cross product in operand order, so raw renderings
+    stay predictable.
+    """
+    return FtfExpr(tuple(Term(s.atoms + t.atoms) for s in a.terms for t in b.terms))
+
+
+def multinomial_coefficient(k: int, parts: Iterable[int]) -> int:
+    """Exact k! / (n1! * ... * nm!) for a composition of k."""
+    parts = tuple(parts)
+    if any(not isinstance(n, int) or n < 0 for n in parts):
+        raise ValueError(f"invalid composition: negative or non-integer part in {parts!r}")
+    if sum(parts) != k:
+        raise ValueError(f"invalid composition: parts {parts!r} do not sum to {k}")
+    coefficient = math.factorial(k)
+    for n in parts:
+        coefficient //= math.factorial(n)
+    return coefficient
 
 
 def lengthen_some_names(

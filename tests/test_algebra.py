@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import reference_canonicalize
+from conftest import expr_concat, multinomial_coefficient, reference_canonicalize
 
 from fuzzchain.algebra import (
     Call,
@@ -16,12 +16,10 @@ from fuzzchain.algebra import (
     canonicalize,
     check_grade,
     eval_expr,
-    expr_concat,
     expr_power,
     format_expr,
     format_term,
     is_identifier,
-    multinomial_coefficient,
     multinomial_expand,
     parse_expr,
     snorm_max,
@@ -105,6 +103,13 @@ def test_atom_validation():
         Call("psi1", -1)
     with pytest.raises(ValueError, match="non-negative integer"):
         Call("psi1", 1.5)
+
+
+def test_call_refuses_a_bool_count():
+    # ``call s True`` would not reparse, as ``check_grade`` refuses a bool grade
+    for count in (True, False):
+        with pytest.raises(ValueError, match=rf"^call count must be a non-negative integer: {count}$"):
+            Call("psi1", count)
 
 
 def test_term_canonical_sorts_and_dedups():

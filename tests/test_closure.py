@@ -6,6 +6,8 @@ import tracemalloc
 
 import pytest
 
+from conftest import grid_system
+
 from fuzzchain import closure, oracles, systems
 from fuzzchain.algebra import Call, Var
 from fuzzchain.checks import check_pivot_invariant, random_assignment, random_registry
@@ -320,6 +322,29 @@ def _signed_zero_assignment(rng):
         if rng.chance(1, 3):
             assignment[var] = 0.0 if rng.chance(1, 2) else -0.0
     return assignment
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_eval_reads_the_closure_cell_on_grids_with_calls(k):
+    """Past the oracles' vertex cap: a k x k grid with about a fifth of
+    its edges calling ``psi1_rec`` at counts 0 to 3, and grades that
+    include ``0.0`` and ``-0.0``.  The chain max of ``eval`` and the
+    ``closure`` command's terminal cell agree by ``repr``."""
+    dead = 0
+    for seed in (11, 12, 13):
+        rng = SplitMix64(seed)
+        edges = [
+            (e.u, e.v, Call("psi1_rec", rng.below(4)) if rng.chance(1, 5) else e.atom)
+            for e in grid_system(k).edges
+        ]
+        dead += sum(isinstance(atom, Call) and atom.count == 0 for _u, _v, atom in edges)
+        registry = builtin_fixtures(rec_count=3)
+        registry.add(FuzzySystem.build("grid", "G0_0", f"G{k - 1}_{k - 1}", edges))
+        names = [a.name for _u, _v, a in edges if isinstance(a, Var)] + ["x", "y", "z", "w"]
+        assignment = {name: rng.choice((0.0, -0.0, 0.25, 0.5, 0.75, 1.0)) for name in names}
+        got = eval_system(registry, "grid", assignment)
+        assert repr(got) == repr(_closure_cell(registry, "grid", assignment)), seed
+    assert dead > 0  # some calls may never run
 
 
 def _sparse_registry(rng, n):

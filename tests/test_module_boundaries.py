@@ -237,3 +237,22 @@ def test_only_the_expansion_builder_recurses():
         if name in reached:
             recursive.append(name)
     assert recursive == ["_expansion_node"]
+
+
+def test_each_call_is_read_by_one_rule_and_dead_chains_drop_in_one_place():
+    """Numerically every call is read through ``_call_grades``, which
+    gives a dead call ``0.0``; ``_grade`` grades every chain and
+    ``edge_grades`` is the top-level case.  Only the structural routes,
+    the sizer and the expansion builder, drop a dead call's chains."""
+    tree = _tree("recursion")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    grade_names = {node.id for node in _nodes(functions["_grade"], ast.Name)}
+    assert not {"_live_chains", "_effective", "layers", "top"} & grade_names
+    for reader in ("resolve_call", "call_layers", "edge_grades"):
+        assert _calls_to(functions[reader], "_call_grades"), reader
+    edges = functions["edge_grades"]
+    assert [node for node in _nodes(edges, ast.Attribute) if node.attr == "count"] == []
+    assert _nodes(edges, ast.Compare) == []  # no count test of its own
+    for caller in ("_size", "_expansion_node"):
+        assert len(_calls_to(functions[caller], "_live_chains")) == 1, caller
+    assert len(_calls_to(tree, "_live_chains")) == 2  # and nothing else calls it

@@ -110,7 +110,9 @@ def test_layers_never_grade_budget_one_and_match_a_table_that_does(seed):
         for name in registry.names():
             walked, grades = require_bindings(registry, name, assignment)
             graders = {
-                "grade": lambda s, b, layers: recursion._grade(chains[s], b, grades, layers),
+                "grade": lambda s, b, layers: recursion._grade(
+                    chains[s], grades, recursion._call_grades(registry[s]._plan, b, layers)
+                ),
                 "size": lambda s, b, layers: recursion._size(chains[s], b, layers),
             }
             for budget in (None, 0, 1, 2, 3, 5):
@@ -137,6 +139,25 @@ def test_unknown_system_and_bad_budget(registry, fixture_assignment):
     for expand in (expansion_tree, symbolic_expand):
         with pytest.raises(ValueError, match=r"^call budget must be >= 0, got -5$"):
             expand(registry, "psi1_rec", -5)
+
+
+BUDGETED = {
+    "resolve_call": lambda r, b: resolve_call(r, "psi1_rec", b, FIXTURE_ASSIGNMENT),
+    "call_layers": lambda r, b: recursion.call_layers(r, "psi1_rec", FIXTURE_ASSIGNMENT, b),
+    "expansion_tree": lambda r, b: expansion_tree(r, "psi1_rec", b),
+    "symbolic_expand": lambda r, b: symbolic_expand(r, "psi1_rec", b),
+}
+
+
+@pytest.mark.parametrize("budget", [2.5, 2.0, True, "3", -5])
+@pytest.mark.parametrize("route", sorted(BUDGETED))
+def test_every_budgeted_entry_point_refuses_what_is_not_a_budget(registry, route, budget):
+    if budget == -5:
+        want = "call budget must be >= 0, got -5"
+    else:  # a float, a bool or a string is not a count of calls
+        want = f"call budget must be an integer or None, got {budget!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        BUDGETED[route](registry, budget)
 
 
 # Every route that takes an assignment, called the same way.
