@@ -34,6 +34,7 @@ _EXPORTS = {
     "ParseError": "errors",
     "UnknownSystemError": "errors",
     "eval_system": "recursion",
+    "paper_expansion": "recursion",
     "render_expansion": "recursion",
     "resolve_call": "recursion",
     "stabilization_budget": "recursion",

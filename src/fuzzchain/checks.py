@@ -15,12 +15,23 @@ from __future__ import annotations
 import string
 from typing import Callable, Sequence
 
-from .algebra import Call, FtfExpr, Term, Var, _Record, eval_expr, expr_power, multinomial_expand
+from .algebra import (
+    Call,
+    FtfExpr,
+    Term,
+    Var,
+    _Record,
+    eval_expr,
+    expr_power,
+    format_expr,
+    multinomial_expand,
+)
 from .chains import derive_ftf
 from .closure import Matrix, resolve_matrix, terminal_cell, transmission, warshall_closure
 from .errors import FuzzchainError
 from .oracles import (
     matrix_power,
+    oracle_cut_eval,
     oracle_path_enum,
     oracle_power_eval,
     oracle_unroll_eval,
@@ -28,6 +39,7 @@ from .oracles import (
 )
 from .recursion import (
     eval_system,
+    paper_expansion,
     resolve_call,
     stabilization_budget,
     symbolic_expand,
@@ -205,9 +217,10 @@ def _closed_cell(registry: SystemRegistry, name: str, assignment: dict[str, floa
 
 
 def check_eval_closure(seed: int, trials: int) -> CheckResult:
-    """Chain DFS, the connection-matrix routes and the call-unrolling
-    oracle (:func:`oracle_unroll_eval`) must agree, with and without call
-    edges in the graph.  The matrix routes are :func:`transmission` (the
+    """Chain DFS, the connection-matrix routes, the call-unrolling oracle
+    (:func:`oracle_unroll_eval`) and the α-cut oracle
+    (:func:`oracle_cut_eval`) must agree, with and without call edges in
+    the graph.  The matrix routes are :func:`transmission` (the
     grade of the Kruskal merge that joins the two terminals, over the
     resolved edges, with no n×n grid) and the ``closure`` command's
     terminal cell of the closed matrix (:func:`_closed_cell`).  A third of
@@ -239,10 +252,12 @@ def check_eval_closure(seed: int, trials: int) -> CheckResult:
                     )
                 continue
             via_oracle = oracle_unroll_eval(registry, name, assignment)
-            if len({repr(got) for got in (via_chains, via_closure, via_cell, via_oracle)}) > 1:
+            via_cut = oracle_cut_eval(registry, name, assignment)
+            routes = (via_chains, via_closure, via_cell, via_oracle, via_cut)
+            if len({repr(got) for got in routes}) > 1:
                 return (
                     f"{name}: chains={via_chains!r} closure={via_closure!r} "
-                    f"cell={via_cell!r} oracle={via_oracle!r}"
+                    f"cell={via_cell!r} oracle={via_oracle!r} cut={via_cut!r}"
                 )
             if not system.call_atoms():
                 via_ftf = eval_expr(derive_ftf(system), lambda v: assignment[v.name])
@@ -370,7 +385,9 @@ def check_budget_laws(seed: int, trials: int, self_only: bool | None = None) -> 
 
 def check_expansion(seed: int, trials: int) -> CheckResult:
     """Flattened symbolic expansion and the narrated trace both agree
-    with plain evaluation, which in turn agrees with the naive unroll."""
+    with plain evaluation, which in turn agrees with the naive unroll,
+    and the ``paper`` text composed with no term built
+    (:func:`paper_expansion`) is the flat expansion's."""
 
     def one(rng: SplitMix64, _: int) -> str | None:
         registry = random_registry(
@@ -386,6 +403,9 @@ def check_expansion(seed: int, trials: int) -> CheckResult:
         via_expand = eval_expr(flat, lambda v: assignment[v.name])
         if repr(via_expand) != repr(top):
             return f"{name}: expand={via_expand!r} top={top!r}"
+        composed, formatted = paper_expansion(registry, name), format_expr(flat, "paper")
+        if composed != formatted:
+            return f"{name}: paper text {composed!r} != formatted {formatted!r}"
         traced = trace_eval(registry, name, assignment)
         if repr(traced.value) != repr(top):
             return f"{name}: trace={traced.value!r} top={top!r}"

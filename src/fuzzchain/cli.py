@@ -207,17 +207,19 @@ def _cmd_trace(args) -> int:
 
 def _cmd_expand(args) -> int:
     from .algebra import canonicalize, format_expr
-    from .recursion import expansion_tree, render_expansion, symbolic_expand
+    from .recursion import expansion_tree, paper_expansion, render_expansion, symbolic_expand
 
     registry, _ = _load_registry(args)
-    if args.mode == "raw" and not args.simplify:
-        text = render_expansion(expansion_tree(registry, args.system, args.budget))
-    else:
+    if args.simplify or args.mode == "canonical":
         expr = symbolic_expand(registry, args.system, args.budget)
         if args.simplify:
             expr = canonicalize(expr, simplify=True)
         # a simplified expression is flat, so raw mode prints it canonically
         text = format_expr(expr, "canonical" if args.mode == "raw" else args.mode)
+    elif args.mode == "paper":
+        text = paper_expansion(registry, args.system, args.budget)
+    else:
+        text = render_expansion(expansion_tree(registry, args.system, args.budget))
     _emit({"system": args.system, "mode": args.mode, "expr": text}, args.json, text)
     return 0
 
@@ -294,7 +296,7 @@ def _cmd_validate(args) -> int:
             for d in diagnostics
         ],
     }
-    plain = "\n".join(f"{d.severity}: {d.system}: {d.message}" for d in diagnostics)
+    plain = "\n".join(map(str, diagnostics))
     _emit(payload, args.json, plain or f"ok: {len(registry)} systems")
     if any(d.severity == "error" for d in diagnostics):
         return VALIDATION_ERROR

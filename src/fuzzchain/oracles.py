@@ -12,7 +12,9 @@ or sweep, against which the ``closure-power-agree`` and
 ``pivot-invariant`` suites check the Kruskal-pass closure and each
 other.  The path, unrolling and power oracles run in exponential time,
 so their instance sizes are capped (the constants below); they exist
-only to cross-examine the fast code on small cases.
+only to cross-examine the fast code on small cases.  The α-cut oracle
+(:func:`oracle_cut_eval`) walks no chain and has no cap: it checks the
+routes on systems of hundreds of vertices.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "warshall_steps",
     "oracle_path_enum",
     "oracle_unroll_eval",
+    "oracle_cut_eval",
     "oracle_power_eval",
 ]
 
@@ -201,6 +204,89 @@ def oracle_unroll_eval(
         return best
 
     return unroll(name, budget)
+
+
+def oracle_cut_eval(
+    registry: SystemRegistry,
+    name: str,
+    assignment: dict[str, float],
+    budget: int | None = None,
+) -> float:
+    """A system's transmission grade by α-cuts, with no size cap.
+
+    A max-min answer is the largest grade α such that the edges graded at
+    least α join the input terminal to the output terminal: the α-cut
+    view of a fuzzy relation (Zadeh 1971, "Similarity relations and fuzzy
+    orderings"; Rosenfeld 1975, "Fuzzy graphs").  With calls, fix α: a
+    call edge with declared count m is in the cut at budget b when its
+    callee reaches at α with allowance min(m, b - 1), and a call whose
+    allowance is not positive never is.  ``budget=None`` is the top
+    level, where a call's allowance is m.
+
+    For one α, a table of boolean budget layers answers every system
+    reached from ``name``: layer b holds whether each reaches at budget b,
+    by plain reachability over its cut, with its calls read in the
+    layers below.  The table is filled bottom-up until a layer past 1
+    repeats, after which every layer is that one.  α is binary-searched
+    over the distinct positive bindings, as Punnen 1991 ("A linear time
+    algorithm for the maximum capacity path problem") searches
+    thresholds, and ``0.0`` answers when none reaches.  Each system is
+    read through ``edges``, ``vertices`` and its terminals alone.
+    """
+    systems: dict[str, FuzzySystem] = {}
+    pending = [name]
+    while pending:
+        target = pending.pop()
+        if target not in systems:
+            systems[target] = registry[target]
+            pending.extend(e.atom.target for e in systems[target].edges if isinstance(e.atom, Call))
+    grades = set()
+    for system in systems.values():
+        for edge in system.edges:
+            if isinstance(edge.atom, Var):
+                try:
+                    grades.add(float(assignment[edge.atom.name]))
+                except KeyError:
+                    raise BindingError(f"missing binding for variable {edge.atom.name!r}") from None
+
+    def reaches(
+        system: FuzzySystem, alpha: float, at: int | None, layers: list[dict[str, bool]]
+    ) -> bool:
+        """Whether the α-cut of ``system`` at budget ``at`` joins its terminals."""
+        joined: dict[str, list[str]] = {v: [] for v in system.vertices}
+        for edge in system.edges:
+            atom = edge.atom
+            if isinstance(atom, Var):
+                inside = assignment[atom.name] >= alpha
+            else:
+                allowance = atom.count if at is None else min(atom.count, at - 1)
+                inside = allowance >= 1 and layers[min(allowance, len(layers) - 1)][atom.target]
+            if inside:
+                joined[edge.u].append(edge.v)
+                joined[edge.v].append(edge.u)
+        seen, stack = {system.input_terminal}, [system.input_terminal]
+        while stack:
+            for nxt in joined[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return system.output_terminal in seen
+
+    def cut_reaches(alpha: float) -> bool:
+        layers: list[dict[str, bool]] = []
+        while len(layers) < 3 or layers[-1] != layers[-2]:
+            layers.append({s: reaches(systems[s], alpha, len(layers), layers) for s in systems})
+        return reaches(systems[name], alpha, budget, layers)
+
+    candidates = sorted(grade for grade in grades if grade > 0.0)
+    lo, hi, best = 0, len(candidates), 0.0  # every grade below lo reaches, none from hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cut_reaches(candidates[mid]):
+            lo, best = mid + 1, candidates[mid]
+        else:
+            hi = mid
+    return best
 
 
 def oracle_power_eval(expr: FtfExpr, k: int, assignment: dict[str, float]) -> float:

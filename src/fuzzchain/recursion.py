@@ -22,20 +22,25 @@ vanish (:func:`_live_chains`).  Each call enumerates a system's chains
 once (:class:`_Chains`), and every layer, and the DAG, reads them there.
 
 The symbolic outputs unroll the call structure into one expansion DAG
-with a node per (system, budget) (:func:`expansion_tree`): ``expand``
-renders it nested (:func:`render_expansion`) or flattened
-(:func:`symbolic_expand`), and :func:`trace_eval` narrates it as a
-stream of enter/push/branch/pop/exit events.  The DAG's records hold
-structure only.  Each route computes what it prints once per node,
-callees first, looping over the builder's node memo or, from a bare
-node, over :func:`_callees_first`: :func:`symbolic_expand` distributes
-atom tuples, :func:`render_expansion` nests its children's texts, and
-a trace builds no flat :class:`~fuzzchain.algebra.Term` but composes
-the ``paper`` texts of the flat terms from segments' texts
-(:func:`_paper_texts`) and splices each callee's events into its
-caller's.  Those outputs grow exponentially with the call depth, so
-each is sized on the layer table and refused with ``ValueError`` past
-:data:`MAX_EXPANSION` before any node is built.  Only the builder,
+with a node per (system, budget): ``expand`` renders it nested
+(:func:`render_expansion` of :func:`expansion_tree`) or flattened
+(:func:`symbolic_expand`, and its ``paper`` text
+:func:`paper_expansion`), and :func:`trace_eval` narrates it as a
+stream of enter/push/branch/pop/exit events.  Those outputs grow
+exponentially with the call depth, so each comes through one entry,
+:func:`_unroll`: it sizes the output on a layer table of :func:`_size`,
+refuses it with ``ValueError`` past :data:`MAX_EXPANSION`, and only then
+builds the nodes.  The DAG's records hold structure only.  Each route
+computes what it prints once per node, callees first, looping over the
+node memo or, from a bare node, over :func:`_callees_first`.
+:func:`render_expansion` nests its children's texts.  The flat forms
+distribute only the nodes whose terms reach the root, read off the size
+table (:func:`_distributed`), so a node behind an empty factor never
+is: :func:`symbolic_expand` into atom tuples, :func:`paper_expansion`
+into ``paper`` texts composed from segments' texts with no
+:class:`~fuzzchain.algebra.Term` built (:func:`_paper_texts`).  A trace
+composes the same texts for every node below the root and splices each
+callee's events into its caller's.  Only the builder,
 :func:`_expansion_node`, recurses, so a narrow call chain deep enough
 can still exhaust the recursion limit while it builds.
 
@@ -58,6 +63,7 @@ from .algebra import (
     Var,
     _Record,
     _set,
+    format_term,
     snorm_max,
     tnorm_min,
 )
@@ -75,6 +81,7 @@ __all__ = [
     "ExpansionBranch",
     "expansion_tree",
     "symbolic_expand",
+    "paper_expansion",
     "render_expansion",
     "TraceEvent",
     "Enter",
@@ -304,18 +311,20 @@ def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> S
     return min(terms, over), min(nodes, over), min(events, over), min(live, over)
 
 
-def _output_size(
-    registry: SystemRegistry, name: str, budget: Budget, chains: _Chains | None = None
-) -> Size:
-    """The :func:`_size` of ``name`` at ``budget``, for the routes that bind nothing."""
+def _output_size(registry: SystemRegistry, name: str, budget: Budget) -> Size:
+    """What :func:`_unroll` sizes ``name`` to at ``budget``, with no node built."""
+    return _sized(registry, name, budget, None)[0]
+
+
+def _sized(
+    registry: SystemRegistry, name: str, budget: Budget, assignment: Mapping[str, float] | None
+) -> tuple[Size, list[dict[str, Size]], dict[str, float], _Chains]:
+    """Check the budget and bindings, then size: (size, layers, grades, chains)."""
     _check_budget(budget)
-    chains = _Chains(registry) if chains is None else chains
-    layers = _size_layers(chains, require_bindings(registry, name, None)[0], budget)
-    return _size(chains[name], budget, layers)
-
-
-def _size_layers(chains: _Chains, walked: list[str], budget: Budget) -> list[dict[str, Size]]:
-    return _layers(chains.registry, walked, budget, lambda s, b, layers: _size(chains[s], b, layers))
+    walked, grades = require_bindings(registry, name, assignment)
+    chains = _Chains(registry)
+    layers = _layers(registry, walked, budget, lambda s, b, layers: _size(chains[s], b, layers))
+    return _size(chains[name], budget, layers), layers, grades, chains
 
 
 # --------------------------------------------------------------------------
@@ -437,9 +446,21 @@ def expansion_tree(registry: SystemRegistry, name: str, budget: Budget = None) -
     Nodes are built once per (system, budget), and not at all when the
     nested rendering would pass the cap.
     """
-    chains = _Chains(registry)
-    _check_size(_output_size(registry, name, budget, chains)[1], "nested nodes")
-    return _expansion_node(chains, {}, name, budget)
+    return _unroll(registry, name, budget, None, 1, "nested nodes")[0][-1]
+
+
+def _unroll(
+    registry: SystemRegistry, name: str, budget: Budget,
+    assignment: Mapping[str, float] | None, output: int, what: str,
+) -> tuple[list[ExpansionNode], dict[str, float], list[dict[str, Size]]]:
+    """The one way into the expansion DAG: size ``name`` at ``budget``, refuse
+    it when ``size[output]`` passes the cap, and only then build it.  Gives
+    the node memo (callees first, root last), the grades and the size layers."""
+    size, layers, grades, chains = _sized(registry, name, budget, assignment)
+    _check_size(size[output], what)
+    nodes: dict[tuple[str, Budget], ExpansionNode] = {}
+    _expansion_node(chains, nodes, name, budget)
+    return list(nodes.values()), grades, layers
 
 
 def _expansion_node(
@@ -456,13 +477,14 @@ def _expansion_node(
     if node is None:
         branches = []
         for chain, atoms in _live_chains(chains[name], budget):
-            segments = tuple(
-                _expansion_node(chains, nodes, a.target, _effective(a.count, budget))
-                if isinstance(a, Call)
-                else a
-                for a in atoms
-            )
-            branches.append(ExpansionBranch(chain, segments, atoms))
+            segments: list[Union[Var, ExpansionNode]] = []
+            for a in atoms:  # a loop, not a generator: one frame per call level
+                if isinstance(a, Call):
+                    b = _effective(a.count, budget)
+                    segments.append(_expansion_node(chains, nodes, a.target, b))
+                else:
+                    segments.append(a)
+            branches.append(ExpansionBranch(chain, tuple(segments), atoms))
         node = nodes[key] = ExpansionNode(name, budget, tuple(branches))
     return node
 
@@ -472,48 +494,47 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
 
     Raw form: term order follows the expansion tree and duplicates are
     kept, so evaluating it reproduces :func:`eval_system` exactly.
-
-    The node memo lists callees first, so three loops over it do the
-    work.  Callees first, a branch is *full* when every child node is,
-    and a node is full when some branch is.  Callers first, from the
-    root, the nodes a full branch calls are collected.  Callees first,
-    each collected node distributes its full branches, in presentation
-    order, into atom tuples.  A node behind an empty factor is never
-    distributed.
+    Each node :func:`_distributed` gives becomes atom tuples, callees first.
     """
-    chains = _Chains(registry)
-    _check_size(_output_size(registry, name, budget, chains)[0], "flat terms")
-    nodes: dict[tuple[str, Budget], ExpansionNode] = {}
-    root = _expansion_node(chains, nodes, name, budget)
-    full: dict[int, list[ExpansionBranch]] = {}  # id(node) -> its full branches, if any
-    for node in nodes.values():
-        kept = [
-            branch
-            for branch in node.presentation_order()
-            if all(id(seg) in full for seg in branch.segments if isinstance(seg, ExpansionNode))
-        ]
-        if kept:
-            full[id(node)] = kept
-    needed = {id(root)} & full.keys()
-    for node in reversed(nodes.values()):
-        if id(node) in needed:
-            for branch in full[id(node)]:
-                needed.update(id(seg) for seg in branch.segments if isinstance(seg, ExpansionNode))
+    nodes, _grades, layers = _unroll(registry, name, budget, None, 0, "flat terms")
     flat: dict[int, list[tuple[Atom, ...]]] = {}  # id(node) -> its flat terms' atoms
-    for node in nodes.values():
-        if id(node) not in needed:
-            continue
+    for node in _distributed(nodes, layers):
         out = flat[id(node)] = []
-        for branch in full[id(node)]:
-            factors = [
-                ((seg,),) if isinstance(seg, Var) else flat[id(seg)] for seg in branch.segments
+        for branch in node.presentation_order():
+            factors = [  # a node left out of flat has no terms here
+                ((seg,),) if isinstance(seg, Var) else flat.get(id(seg), ())
+                for seg in branch.segments
             ]
             for pick in itertools.product(*factors):
                 atoms: tuple[Atom, ...] = ()
                 for part in pick:
                     atoms += part
                 out.append(atoms)
-    return FtfExpr(tuple(map(Term, flat.get(id(root), ()))))
+    return FtfExpr(tuple(map(Term, flat[id(nodes[-1])])))
+
+
+def paper_expansion(registry: SystemRegistry, name: str, budget: Budget = None) -> str:
+    """``format_expr(symbolic_expand(registry, name, budget), "paper")``,
+    composed by :func:`_paper_texts` over the nodes :func:`symbolic_expand`
+    distributes, under the same cap, with no :class:`~fuzzchain.algebra.Term`
+    built."""
+    nodes, _grades, layers = _unroll(registry, name, budget, None, 0, "flat terms")
+    return _paper_texts(_distributed(nodes, layers))[id(nodes[-1])]
+
+
+def _distributed(nodes: list[ExpansionNode], layers: list[dict[str, Size]]) -> list[ExpansionNode]:
+    """The nodes a flat output distributes, callees first: the root, and each
+    node a distributed node's branch calls when all it calls have flat terms
+    (in the size layers).  A node behind an empty factor is never distributed."""
+    top = len(layers) - 1
+    needed = {id(nodes[-1])}
+    for node in reversed(nodes):  # callers first
+        if id(node) in needed:
+            for branch in node.branches:
+                called = [seg for seg in branch.segments if isinstance(seg, ExpansionNode)]
+                if all(layers[min(seg.budget, top)][seg.system][0] > 0 for seg in called):
+                    needed.update(map(id, called))
+    return [node for node in nodes if id(node) in needed]
 
 
 def _check_size(count: int, what: str) -> None:
@@ -638,9 +659,7 @@ def _chain_id(chain: Chain) -> str:
 
 
 def _return_label(atoms: tuple[Atom, ...]) -> str:
-    if not atoms:
-        return "-"
-    return "*".join(str(a) if isinstance(a, Call) else a.name for a in atoms)
+    return format_term(Term(atoms)) if atoms else "-"
 
 
 def trace_eval(
@@ -660,20 +679,15 @@ def trace_eval(
     reports each callee alternative on its own ``sub=`` line before the
     chain's summary; chains with several calls get the summary only.
     """
-    chains = _Chains(registry)
-    walked, grades = require_bindings(registry, name, assignment)
-    layers = _size_layers(chains, walked, None)
-    _check_size(_size(chains[name], None, layers)[2], "trace events")
-    nodes: dict[tuple[str, Budget], ExpansionNode] = {}
-    root = _expansion_node(chains, nodes, name, None)
+    nodes, grades, layers = _unroll(registry, name, None, assignment, 2, "trace events")
     # every other node is flattened into the trace's expr= text
     top = len(layers) - 1
-    widest = max((layers[min(b, top)][s][0] for s, b in nodes if b is not None), default=0)
+    widest = max((layers[min(n.budget, top)][n.system][0] for n in nodes[:-1]), default=0)
     _check_size(widest, "flat terms in one call")
-    texts = _paper_texts(node for node in nodes.values() if node is not root)
+    texts = _paper_texts(nodes[:-1])
     told: dict[int, tuple[list[TraceEvent], float]] = {}  # id(node) -> its events, value
     values: dict[int, float] = {}  # id(branch) -> value
-    for node in nodes.values():
+    for node in nodes:
         events: list[TraceEvent] = [Enter(node.system, node.budget)]
         best = 0.0
         for branch in node.branches:
@@ -704,7 +718,7 @@ def trace_eval(
             best = snorm_max(best, value)
         events.append(Exit(node.system, best))
         told[id(node)] = events, best
-    events, value = told[id(root)]
+    events, value = told[id(nodes[-1])]
     return TraceResult(value, tuple(events))
 
 
@@ -714,7 +728,8 @@ def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
 
     No term is built and nothing is formatted.  A term is *tight* when
     every atom is a one-character variable.  A variable segment is one
-    term; a child node brings its own.  Tight factors juxtapose; a pick
+    term; a child node brings its own, and one not given brings none (see
+    :func:`_distributed`).  Tight factors juxtapose; a pick
     with a loose factor joins every atom with ``*``, as
     :func:`~fuzzchain.algebra.format_term` does.  A node's terms are its
     branches', in presentation order.
@@ -725,7 +740,9 @@ def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
         node_terms = terms[id(node)] = []
         for branch in node.presentation_order():
             factors = [
-                ((seg.name, len(seg.name) == 1),) if isinstance(seg, Var) else terms[id(seg)]
+                ((seg.name, len(seg.name) == 1),)
+                if isinstance(seg, Var)
+                else terms.get(id(seg), ())
                 for seg in branch.segments
             ]
             if all(tight for factor in factors for _, tight in factor):

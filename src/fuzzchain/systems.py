@@ -217,7 +217,7 @@ class Diagnostic(_Record):
         _set(self, "message", message)
 
     def __str__(self) -> str:
-        return f"{self.severity}: system {self.system!r}: {self.message}"
+        return f"{self.severity}: {self.system}: {self.message}"
 
 
 def validate_registry(registry: SystemRegistry) -> list[Diagnostic]:

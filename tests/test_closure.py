@@ -19,7 +19,7 @@ from fuzzchain.closure import (
     transmission,
     warshall_closure,
 )
-from fuzzchain.oracles import matrix_power, maxmin_matmul, warshall_steps
+from fuzzchain.oracles import matrix_power, maxmin_matmul, oracle_cut_eval, warshall_steps
 from fuzzchain.recursion import call_layers, eval_system, resolve_call
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
@@ -326,10 +326,11 @@ def _signed_zero_assignment(rng):
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_eval_reads_the_closure_cell_on_grids_with_calls(k):
-    """Past the oracles' vertex cap: a k x k grid with about a fifth of
-    its edges calling ``psi1_rec`` at counts 0 to 3, and grades that
-    include ``0.0`` and ``-0.0``.  The chain max of ``eval`` and the
-    ``closure`` command's terminal cell agree by ``repr``."""
+    """Past the path and unroll oracles' vertex cap: a k x k grid with
+    about a fifth of its edges calling ``psi1_rec`` at counts 0 to 3, and
+    grades that include ``0.0`` and ``-0.0``.  The chain max of ``eval``,
+    the ``closure`` command's terminal cell and the α-cut oracle agree by
+    ``repr``."""
     dead = 0
     for seed in (11, 12, 13):
         rng = SplitMix64(seed)
@@ -344,13 +345,15 @@ def test_eval_reads_the_closure_cell_on_grids_with_calls(k):
         assignment = {name: rng.choice((0.0, -0.0, 0.25, 0.5, 0.75, 1.0)) for name in names}
         got = eval_system(registry, "grid", assignment)
         assert repr(got) == repr(_closure_cell(registry, "grid", assignment)), seed
+        assert repr(got) == repr(oracle_cut_eval(registry, "grid", assignment)), seed
     assert dead > 0  # some calls may never run
 
 
-def _sparse_registry(rng, n):
+def _sparse_registry(rng, n, hang=False):
     """The fixtures plus a connected n-vertex system ``big`` with about 1.5n
     edges, a few of them calls into the fixtures; returns it and the
-    variables of ``big``."""
+    variables of ``big``.  With ``hang``, the output terminal is one more
+    vertex, ``T``, joined to the rest by one edge, ``tail``."""
     edges = {}
     for v in range(1, n):
         edges.setdefault(frozenset((v, rng.below(v))), None)
@@ -366,8 +369,12 @@ def _sparse_registry(rng, n):
         else:
             atom = Var(f"e{idx}")
         named.append((f"N{u}", f"N{v}", atom))
+    output = f"N{n - 1}"
+    if hang:
+        named.append((output, "T", Var("tail")))
+        output = "T"
     registry = builtin_fixtures()
-    registry.add(FuzzySystem.build("big", "N0", f"N{n - 1}", named))
+    registry.add(FuzzySystem.build("big", "N0", output, named))
     return registry, [atom.name for _u, _v, atom in named if isinstance(atom, Var)]
 
 
@@ -410,6 +417,27 @@ def test_transmission_reads_the_closure_cell_on_large_sparse_systems(reference_c
         answers.append(repr(got))
     assert len(set(answers)) > 3  # the systems answer with several grades
     assert "0.0" in answers  # an output the input does not reach
+
+
+def test_the_closure_cell_reads_the_cut_oracle_on_large_sparse_systems():
+    """Past the path and unroll oracles' vertex cap, sparse systems of 40
+    to 600 vertices with call edges.  The last hangs its output terminal
+    off the rest by one edge graded below every other, so its terminals
+    join at the Kruskal pass's last merge: a closure that lost that merge
+    would read ``0.0`` there, and so would ``transmission``, which reads
+    the same pass."""
+    rng = SplitMix64(31)
+    answers = []
+    for n in (40, 64, 80, 120, 300, 600):
+        registry, names = _sparse_registry(rng, n, hang=n == 600)
+        assignment = _sparse_assignment(rng, names)
+        if n == 600:
+            assignment["tail"] = 0.01  # every other grade is a multiple of 0.05
+        got = _closure_cell(registry, "big", assignment)
+        assert repr(got) == repr(oracle_cut_eval(registry, "big", assignment)), n
+        answers.append(repr(got))
+    assert answers[-1] == "0.01"  # the terminals join at the last merge
+    assert len(set(answers)) > 2 and "0.0" in answers
 
 
 def test_transmission_never_resolves_the_matrix(monkeypatch):

@@ -239,6 +239,23 @@ def test_only_the_expansion_builder_recurses():
     assert recursive == ["_expansion_node"]
 
 
+def test_the_expansion_is_built_through_one_sized_entry():
+    """Only ``_unroll`` names the builder ``_expansion_node`` (which calls
+    itself), so every symbolic output is sized and refused past the cap
+    before any node is built: ``_unroll`` checks the size first."""
+    tree = _tree("recursion")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def mentions(node):
+        return [name for name in _nodes(node, ast.Name) if name.id == "_expansion_node"]
+
+    inside = mentions(functions["_unroll"]) + mentions(functions["_expansion_node"])
+    assert {id(name) for name in mentions(tree)} == {id(name) for name in inside}
+    (build,) = _calls_to(functions["_unroll"], "_expansion_node")
+    (check,) = _calls_to(functions["_unroll"], "_check_size")
+    assert check.lineno < build.lineno
+
+
 def test_each_call_is_read_by_one_rule_and_dead_chains_drop_in_one_place():
     """Numerically every call is read through ``_call_grades``, which
     gives a dead call ``0.0``; ``_grade`` grades every chain and

@@ -7,15 +7,18 @@ from collections import Counter
 from fuzzchain import oracles
 from fuzzchain.algebra import Var, assignment_valuation, eval_expr, parse_expr
 from fuzzchain.chains import derive_ftf, enumerate_chains
+from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.errors import BindingError
 from fuzzchain.oracles import (
     MAX_POWER_K,
     MAX_VERTICES,
+    oracle_cut_eval,
     oracle_path_enum,
     oracle_power_eval,
     oracle_unroll_eval,
 )
-from fuzzchain.recursion import eval_system
+from fuzzchain.recursion import eval_system, resolve_call
+from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import FuzzySystem, SystemRegistry, builtin_fixtures, parse_registry
 
 
@@ -131,6 +134,59 @@ def test_walk_and_unroll_oracle_read_separate_adjacency(monkeypatch, registry, f
         patch.setattr(FuzzySystem, "_plan", property(unavailable))
         fresh = builtin_fixtures()
         assert oracle_unroll_eval(fresh, "phi", fixture_assignment) == want[3]
+
+
+def test_cut_eval_fixture_values(registry, fixture_assignment, deep_assignment):
+    for name in registry.names():
+        for assignment in (fixture_assignment, dict(deep_assignment, xbar=0.5)):
+            for budget in (None, 0, 1, 2, 3):
+                want = oracle_unroll_eval(registry, name, assignment, budget)
+                assert repr(oracle_cut_eval(registry, name, assignment, budget)) == repr(want)
+    assert oracle_cut_eval(registry, "psi1_rec", deep_assignment) == 0.2
+    assert oracle_cut_eval(registry, "phi", fixture_assignment, budget=0) == 0.0
+
+
+def test_cut_eval_drops_dead_calls_and_answers_an_unsigned_zero():
+    registry = parse_registry(
+        """
+        system base {
+          terminals A -> B
+          edge A B x
+        }
+        system outer {
+          terminals A -> B
+          edge A C call base 0
+          edge C B call base 1
+          edge A B y
+        }
+        """
+    )
+    assert oracle_cut_eval(registry, "outer", {"x": 0.9, "y": 0.4}) == 0.4
+    assert oracle_cut_eval(registry, "outer", {"x": 0.9, "y": 0.4}, budget=1) == 0.4
+    assert repr(oracle_cut_eval(registry, "outer", {"x": 0.9, "y": -0.0})) == "0.0"
+    assert repr(oracle_cut_eval(registry, "base", {"x": 1})) == "1.0"
+    with pytest.raises(BindingError, match="missing binding for variable 'x'"):
+        oracle_cut_eval(registry, "outer", {"y": 0.4})
+
+
+def test_cut_eval_agrees_with_the_evaluator_at_every_budget():
+    rng = SplitMix64(314)
+    values = set()
+    for _ in range(200):
+        registry = random_registry(
+            rng, n_systems=rng.randint(1, 3), max_vertices=6, max_count=4, call_chance=(1, 2)
+        )
+        assignment = random_assignment(rng)
+        for var in assignment:
+            if rng.chance(1, 5):
+                assignment[var] = 0.0 if rng.chance(1, 2) else -0.0
+        for name in registry.names():
+            for budget in (None, 0, 1, 2, 3, 5):
+                want = resolve_call(registry, name, budget, assignment)
+                got = oracle_cut_eval(registry, name, assignment, budget)
+                assert repr(got) == repr(want), (name, budget)
+                values.add(repr(got))
+    assert "0.0" in values and len(values) > 10
 
 
 def test_power_eval_equals_plain_evaluation():

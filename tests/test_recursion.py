@@ -10,7 +10,7 @@ import pytest
 
 from conftest import grid_system, lengthen_some_names, reference_canonicalize
 
-from fuzzchain import algebra, recursion
+from fuzzchain import recursion
 from fuzzchain.algebra import (
     Call,
     FtfExpr,
@@ -24,6 +24,7 @@ from fuzzchain.algebra import (
 )
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
+from fuzzchain.cli import main
 from fuzzchain.closure import resolve_matrix, transmission, warshall_closure
 from fuzzchain.errors import BindingError, UnknownSystemError
 from fuzzchain.oracles import oracle_unroll_eval
@@ -37,6 +38,7 @@ from fuzzchain.recursion import (
     edge_grades,
     eval_system,
     expansion_tree,
+    paper_expansion,
     render_expansion,
     resolve_call,
     stabilization_budget,
@@ -49,6 +51,7 @@ from fuzzchain.systems import (
     FuzzySystem,
     SystemRegistry,
     builtin_fixtures,
+    format_registry,
     parse_registry,
     require_bindings,
 )
@@ -509,7 +512,7 @@ def test_trace_composes_its_texts_without_building_or_formatting_terms(
     monkeypatch, fixture_assignment
 ):
     formatted = []
-    format_term = algebra.format_term
+    format_term = recursion.format_term
 
     def counting(*args):
         formatted.append(args)
@@ -536,7 +539,7 @@ def test_trace_composes_its_texts_without_building_or_formatting_terms(
         built.append(args)
         term_init(self, *args)
 
-    monkeypatch.setattr(algebra, "format_term", counting)
+    monkeypatch.setattr(recursion, "format_term", counting)
     monkeypatch.setattr(Term, "__init__", counting_terms)
     monkeypatch.setattr(Enter, "__init__", counting_enters)
     monkeypatch.setattr(recursion, "_branch_pieces", recording)
@@ -545,7 +548,16 @@ def test_trace_composes_its_texts_without_building_or_formatting_terms(
     # each of the 9 nodes and 34 branches is narrated once
     assert len(entered) == len(set(entered)) == 9
     assert len(narrated) == len({id(b) for b in narrated}) == 34
-    assert built == [] and formatted == []
+    # the only terms built and formatted are the return labels, the atoms
+    # after each call of a narrated branch
+    labels = [
+        branch.atoms[i + 1 :]
+        for branch in narrated
+        for i, seg in enumerate(branch.segments)
+        if isinstance(seg, ExpansionNode) and branch.atoms[i + 1 :]
+    ]
+    assert labels and built == [(atoms,) for atoms in labels]
+    assert formatted == [(Term(atoms),) for atoms in labels]
 
 
 def _branch_terms(registry, branch) -> list[Term]:
@@ -567,10 +579,9 @@ def test_paper_texts_equal_the_formatted_flat_terms():
         registry = random_registry(rng, n_systems=3, max_vertices=5, max_count=3, call_chance=(1, 2))
         registry, _ = lengthen_some_names(rng, registry, random_assignment(rng))
         name = registry.names()[-1]
-        nodes = {}
-        recursion._expansion_node(recursion._Chains(registry), nodes, name, None)
-        texts = recursion._paper_texts(nodes.values())  # the memo lists callees first
-        for node in nodes.values():
+        nodes = recursion._unroll(registry, name, None, None, 0, "flat terms")[0]
+        texts = recursion._paper_texts(nodes)  # the memo lists callees first
+        for node in nodes:
             flat = symbolic_expand(registry, node.system, node.budget)
             for record, terms in [
                 (node, flat.terms),
@@ -581,6 +592,66 @@ def test_paper_texts_equal_the_formatted_flat_terms():
                 tight += sum(flags)
                 loose += len(flags) - sum(flags)
     assert tight >= 300 and loose >= 300
+
+
+def test_the_paper_expansion_is_the_formatted_flat_expansion():
+    rng = SplitMix64(5)
+    cases = skipping = 0
+    for _ in range(150):
+        registry = random_registry(rng, n_systems=3, max_vertices=5, max_count=3, call_chance=(1, 2))
+        registry, _ = lengthen_some_names(rng, registry, random_assignment(rng))
+        for name in registry.names():
+            for budget in (None, 0, 2, 3):
+                flat = symbolic_expand(registry, name, budget)
+                assert paper_expansion(registry, name, budget) == format_expr(flat, "paper")
+                nodes, _grades, layers = recursion._unroll(registry, name, budget, None, 0, "")
+                skipping += len(recursion._distributed(nodes, layers)) < len(nodes)
+                cases += 1
+    assert cases >= 1000 and skipping >= 50  # many leave a node undistributed
+    for count in (2, 8, 12):
+        registry = builtin_fixtures(rec_count=count)
+        flat = symbolic_expand(registry, "psi1_rec")
+        assert paper_expansion(registry, "psi1_rec") == format_expr(flat, "paper")
+
+
+def test_expand_in_paper_mode_builds_no_term(monkeypatch, capsys):
+    want = format_expr(symbolic_expand(builtin_fixtures(rec_count=8), "psi1_rec"), "paper")
+
+    def no_terms(self, *args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(Term, "__init__", no_terms)
+    assert main(["expand", "--rec-count", "8", "--mode", "paper"]) == 0
+    assert capsys.readouterr().out == want + "\n"
+
+
+def test_expand_in_paper_mode_distributes_no_node_behind_an_empty_factor(
+    monkeypatch, tmp_path, capsys
+):
+    # psi1_rec@20 has about 2^22 flat terms, but dead has none, so the
+    # chain through both has none and psi1_rec's must never be composed
+    registry = builtin_fixtures(rec_count=20)
+    registry.add(FuzzySystem.build("dead", "A", "B", [("A", "C", Var("x"))]))
+    registry.add(
+        FuzzySystem.build(
+            "top", "A", "B", [("A", "C", Call("psi1_rec", 20)), ("C", "B", Call("dead", 1))]
+        )
+    )
+    path = tmp_path / "registry.fz"
+    path.write_text(format_registry(registry), encoding="utf-8")
+    given = []
+    paper_texts = recursion._paper_texts
+
+    def only_the_root(nodes):
+        given.append([(node.system, node.budget) for node in nodes])
+        assert given == [[("top", None)]]  # checked before any text is composed
+        return paper_texts(nodes)
+
+    monkeypatch.setattr(recursion, "_paper_texts", only_the_root)
+    argv = ["expand", "--fixtures", str(path), "--system", "top", "--mode", "paper"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert given == [[("top", None)]]
 
 
 def test_canonicalize_sorts_one_term_per_atom_identity_set(monkeypatch):
@@ -653,6 +724,7 @@ def test_deep_self_call_is_refused_before_any_node_is_built(monkeypatch, fixture
         ("flat terms", lambda: symbolic_expand(registry, "psi1_rec")),
         ("nested nodes", lambda: expansion_tree(registry, "psi1_rec")),
         ("trace events", lambda: trace_eval(registry, "psi1_rec", fixture_assignment)),
+        ("flat terms", lambda: paper_expansion(registry, "psi1_rec")),
     ]
     for what, route in routes:
         with pytest.raises(ValueError, match=f"^{cap} {what}$"):
@@ -730,7 +802,7 @@ def _reference_nested(node: ExpansionNode) -> str:
 
 def _deep_tree(depth: int) -> ExpansionNode:
     """The narrow chain's tree.  The builder recurses, and from a fresh
-    process it reaches depth 495 under the default limit; the test
+    process it reaches depth 992 under the default limit; the test
     runner's frames sit below this one, so it builds under a raised
     limit, and the limit is back to its value before the tree is read."""
     limit = sys.getrecursionlimit()
@@ -813,7 +885,7 @@ def test_a_branch_with_an_empty_factor_builds_no_callee_terms():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     # the DAG symbolic_expand flattens; its nested rendering is over the cap
-    root = recursion._expansion_node(recursion._Chains(registry), {}, "top", None)
+    root = recursion._unroll(registry, "top", None, None, 0, "flat terms")[0][-1]
     rec_nodes = [node for node in _dag_nodes(root).values() if node.system == "psi1_rec"]
     assert len(rec_nodes) == 20
 

@@ -373,9 +373,9 @@ def test_validate_registry_diagnostics():
     diagnostics = validate_registry(registry)
     rendered = [str(d) for d in diagnostics]
     assert rendered == [
-        "error: system 's': unknown call target 'ghost'",
-        "warning: system 't': disconnected terminal 'A'",
-        "warning: system 't': disconnected terminal 'B'",
+        "error: s: unknown call target 'ghost'",
+        "warning: t: disconnected terminal 'A'",
+        "warning: t: disconnected terminal 'B'",
     ]
     assert validate_registry(builtin_fixtures()) == []
 
