@@ -21,6 +21,7 @@ from .algebra import (
     Term,
     Var,
     _Record,
+    _set,
     eval_expr,
     expr_power,
     format_expr,
@@ -63,15 +64,12 @@ _VAR_POOL = tuple(string.ascii_lowercase[:12])
 
 class CheckResult(_Record):
     __slots__ = _fields = ("name", "trials", "failures", "detail")
-    __setattr__ = object.__setattr__  # mutable: plain assignment, and no hash
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, name: str, trials: int, failures: int, detail: str = "") -> None:
-        self.name = name
-        self.trials = trials
-        self.failures = failures
-        self.detail = detail
+        _set(self, "name", name)
+        _set(self, "trials", trials)
+        _set(self, "failures", failures)
+        _set(self, "detail", detail)
 
     @property
     def passed(self) -> bool:

@@ -14,7 +14,9 @@ other.  The path, unrolling and power oracles run in exponential time,
 so their instance sizes are capped (the constants below); they exist
 only to cross-examine the fast code on small cases.  The α-cut oracle
 (:func:`oracle_cut_eval`) walks no chain and has no cap: it checks the
-routes on systems of hundreds of vertices.
+routes on systems of hundreds of vertices.  The antichain closure
+(:func:`oracle_symbolic_closure`) reads a system's chains off its closed
+symbolic connection matrix, with no chain walked.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "oracle_path_enum",
     "oracle_unroll_eval",
     "oracle_cut_eval",
+    "oracle_symbolic_closure",
     "oracle_power_eval",
 ]
 
@@ -287,6 +290,44 @@ def oracle_cut_eval(
         else:
             hi = mid
     return best
+
+
+def _minimal(sets: set[frozenset[Atom]]) -> set[frozenset[Atom]]:
+    """The sets of ``sets`` that hold no other one: an antichain."""
+    return {s for s in sets if not any(t < s for t in sets)}
+
+
+def oracle_symbolic_closure(system: FuzzySystem) -> set[frozenset[Atom]]:
+    """The minimal atom sets of a system's chains, by closing its symbolic
+    connection matrix.
+
+    A cell holds an antichain of atom sets, no set holding another: the
+    free distributive lattice over the atoms, where a chain is the min of
+    its atoms and a cell the max of its chains.  A sum is the union of two
+    antichains and a product the pairwise unions of their sets, each cut
+    back to its minimal sets; the empty antichain is 0 and ``{∅}`` is 1,
+    the diagonal.  Every element is idempotent and 1 absorbs, so the
+    Warshall–Kleene elimination (Carré 1971, "An algebra for network
+    routing problems"; Backhouse & Carré 1975, "Regular algebra applied
+    to path-finding problems") needs no star: at pivot k, each cell (i, j)
+    gains cell (i, k) times cell (k, j).  A call atom is one more opaque
+    atom.  The terminal cell then holds the minimal atom sets of the walks
+    joining the terminals, which are those of its simple chains.  The
+    system is read through ``edges``, ``vertices`` and its terminals alone.
+    """
+    vertices = system.vertices
+    if len(vertices) > MAX_VERTICES:
+        raise ValueError(f"oracle_symbolic_closure capped at {MAX_VERTICES} vertices")
+    cells = {u: {v: {frozenset()} if u == v else set() for v in vertices} for u in vertices}
+    for edge in system.edges:
+        cells[edge.u][edge.v] = cells[edge.v][edge.u] = {frozenset((edge.atom,))}
+    for k in vertices:
+        for i in vertices:
+            into = cells[i][k]
+            for j in vertices:
+                via = {s | t for s in into for t in cells[k][j]}
+                cells[i][j] = _minimal(cells[i][j] | via)
+    return cells[system.input_terminal][system.output_terminal]
 
 
 def oracle_power_eval(expr: FtfExpr, k: int, assignment: dict[str, float]) -> float:

@@ -30,9 +30,10 @@ stream of enter/push/branch/pop/exit events.  Those outputs grow
 exponentially with the call depth, so each comes through one entry,
 :func:`_unroll`: it sizes the output on a layer table of :func:`_size`,
 refuses it with ``ValueError`` past :data:`MAX_EXPANSION`, and only then
-builds the nodes.  The DAG's records hold structure only.  Each route
-computes what it prints once per node, callees first, looping over the
-node memo or, from a bare node, over :func:`_callees_first`.
+builds the nodes.  The DAG's records hold structure only, and each
+equals only itself, so each route keys its tables by the node or branch
+and computes what it prints once per node, callees first, looping over
+the node memo or, from a bare node, over :func:`_callees_first`.
 :func:`render_expansion` nests its children's texts.  The flat forms
 distribute only the nodes whose terms reach the root, read off the size
 table (:func:`_distributed`), so a node behind an empty factor never
@@ -332,46 +333,15 @@ def _sized(
 
 
 class _Dag(_Record):
-    """Base of the expansion records.  Nodes are shared, so a record
-    hashes as its field tuple once and caches it, and equality compares
-    each pair of shared records once, on an explicit stack."""
+    """Base of the expansion records.  The builder makes one node per
+    (system, budget) and shares it between every call that reaches it, so
+    a record is hash-consed: it equals only itself and hashes by identity
+    (Filliâtre & Conchon 2006), and no comparison or hash walks the DAG.
+    Two separately built trees are not equal; compare their renderings."""
 
-    __slots__ = ("__dict__",)  # the __dict__ holds the cached hash
-
-    def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            # a node first caches the hash of each node below it, callees
-            # first, so no field tuple's hash goes deeper than a branch
-            for node in _callees_first(self) if isinstance(self, ExpansionNode) else ():
-                node.__dict__["_hash"] = hash(node._values())
-            cached = self.__dict__["_hash"] = hash(self._values())
-        return cached
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        pairs, seen = [(self, other)], set()
-        while pairs:
-            a, b = pairs.pop()
-            if a is b or (id(a), id(b)) in seen:
-                continue
-            seen.add((id(a), id(b)))
-            if a.__class__ is not b.__class__:
-                return False
-            for x, y in zip(a._values(), b._values()):
-                if not isinstance(x, tuple) or not isinstance(y, tuple):
-                    if x != y:
-                        return False
-                elif len(x) != len(y):
-                    return False
-                else:
-                    for p, q in zip(x, y):
-                        if isinstance(p, _Dag):
-                            pairs.append((p, q))
-                        elif p != q:
-                            return False
-        return True
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class ExpansionBranch(_Dag):
@@ -426,14 +396,14 @@ def _callees_first(root: ExpansionNode) -> list[ExpansionNode]:
     """Every node ``root`` reaches, ``root`` last, each once and after
     every node it calls: a post-order walk on an explicit stack."""
     order: list[ExpansionNode] = []
-    seen = {id(root)}
+    seen = {root}
     stack = [(root, _called(root))]
     while stack:
-        child = next((c for c in stack[-1][1] if id(c) not in seen), None)
+        child = next((c for c in stack[-1][1] if c not in seen), None)
         if child is None:
             order.append(stack.pop()[0])
         else:
-            seen.add(id(child))
+            seen.add(child)
             stack.append((child, _called(child)))
     return order
 
@@ -497,12 +467,12 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
     Each node :func:`_distributed` gives becomes atom tuples, callees first.
     """
     nodes, _grades, layers = _unroll(registry, name, budget, None, 0, "flat terms")
-    flat: dict[int, list[tuple[Atom, ...]]] = {}  # id(node) -> its flat terms' atoms
+    flat: dict[ExpansionNode, list[tuple[Atom, ...]]] = {}  # each node's flat terms' atoms
     for node in _distributed(nodes, layers):
-        out = flat[id(node)] = []
+        out = flat[node] = []
         for branch in node.presentation_order():
             factors = [  # a node left out of flat has no terms here
-                ((seg,),) if isinstance(seg, Var) else flat.get(id(seg), ())
+                ((seg,),) if isinstance(seg, Var) else flat.get(seg, ())
                 for seg in branch.segments
             ]
             for pick in itertools.product(*factors):
@@ -510,7 +480,7 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
                 for part in pick:
                     atoms += part
                 out.append(atoms)
-    return FtfExpr(tuple(map(Term, flat[id(nodes[-1])])))
+    return FtfExpr(tuple(map(Term, flat[nodes[-1]])))
 
 
 def paper_expansion(registry: SystemRegistry, name: str, budget: Budget = None) -> str:
@@ -519,7 +489,7 @@ def paper_expansion(registry: SystemRegistry, name: str, budget: Budget = None) 
     distributes, under the same cap, with no :class:`~fuzzchain.algebra.Term`
     built."""
     nodes, _grades, layers = _unroll(registry, name, budget, None, 0, "flat terms")
-    return _paper_texts(_distributed(nodes, layers))[id(nodes[-1])]
+    return _paper_texts(_distributed(nodes, layers))[nodes[-1]]
 
 
 def _distributed(nodes: list[ExpansionNode], layers: list[dict[str, Size]]) -> list[ExpansionNode]:
@@ -527,14 +497,14 @@ def _distributed(nodes: list[ExpansionNode], layers: list[dict[str, Size]]) -> l
     node a distributed node's branch calls when all it calls have flat terms
     (in the size layers).  A node behind an empty factor is never distributed."""
     top = len(layers) - 1
-    needed = {id(nodes[-1])}
+    needed = {nodes[-1]}
     for node in reversed(nodes):  # callers first
-        if id(node) in needed:
+        if node in needed:
             for branch in node.branches:
                 called = [seg for seg in branch.segments if isinstance(seg, ExpansionNode)]
                 if all(layers[min(seg.budget, top)][seg.system][0] > 0 for seg in called):
-                    needed.update(map(id, called))
-    return [node for node in nodes if id(node) in needed]
+                    needed.update(called)
+    return [node for node in nodes if node in needed]
 
 
 def _check_size(count: int, what: str) -> None:
@@ -555,24 +525,24 @@ def _compose(pieces: Iterable[tuple[bool, str]]) -> str:
     return sep.join(text for _, text in pieces)
 
 
-def _branch_pieces(branch: ExpansionBranch, texts: dict[int, str]) -> list[tuple[bool, str]]:
+def _branch_pieces(branch: ExpansionBranch, texts: dict[_Dag, str]) -> list[tuple[bool, str]]:
     out: list[tuple[bool, str]] = []
     for seg in branch.segments:
         if isinstance(seg, Var):
             out.append((True, seg.name))
         else:
-            out.append((False, "(" + texts[id(seg)] + ")"))
+            out.append((False, "(" + texts[seg] + ")"))
     return out
 
 
 def render_expansion(node: ExpansionNode) -> str:
     """Nested rendering: one alternative per branch, children in parens.
     Each node is rendered once, callees first, and reused at every call."""
-    texts: dict[int, str] = {}  # id(node) -> its nested text
+    texts: dict[_Dag, str] = {}  # each node's nested text
     for each in _callees_first(node):
         rendered = (_compose(_branch_pieces(b, texts)) for b in each.presentation_order())
-        texts[id(each)] = " + ".join(rendered) or "0"
-    return texts[id(node)]
+        texts[each] = " + ".join(rendered) or "0"
+    return texts[node]
 
 
 # --------------------------------------------------------------------------
@@ -685,8 +655,8 @@ def trace_eval(
     widest = max((layers[min(n.budget, top)][n.system][0] for n in nodes[:-1]), default=0)
     _check_size(widest, "flat terms in one call")
     texts = _paper_texts(nodes[:-1])
-    told: dict[int, tuple[list[TraceEvent], float]] = {}  # id(node) -> its events, value
-    values: dict[int, float] = {}  # id(branch) -> value
+    told: dict[ExpansionNode, tuple[list[TraceEvent], float]] = {}  # each node's events, value
+    values: dict[ExpansionBranch, float] = {}
     for node in nodes:
         events: list[TraceEvent] = [Enter(node.system, node.budget)]
         best = 0.0
@@ -696,7 +666,7 @@ def trace_eval(
             value = 1.0
             for i, child in calls:
                 label = _return_label(atoms[i + 1 :])
-                child_events, child_value = told[id(child)]
+                child_events, child_value = told[child]
                 events.append(PushReturn(label))
                 events.extend(child_events)
                 events.append(PopReturn(label))
@@ -705,26 +675,26 @@ def trace_eval(
             for atom in atoms:
                 if isinstance(atom, Var):
                     around = tnorm_min(around, grades[atom.name])
-            value = values[id(branch)] = tnorm_min(value, around)
+            value = values[branch] = tnorm_min(value, around)
             cid, pieces = _chain_id(branch.chain), _branch_pieces(branch, texts)
             summary = _compose(pieces)
             if len(calls) == 1:
                 ((slot, child),) = calls
                 for sub in child.presentation_order():
-                    pieces[slot] = (False, "(" + texts[id(sub)] + ")")
-                    sub_value, sub_id = tnorm_min(around, values[id(sub)]), _chain_id(sub.chain)
+                    pieces[slot] = (False, "(" + texts[sub] + ")")
+                    sub_value, sub_id = tnorm_min(around, values[sub]), _chain_id(sub.chain)
                     events.append(BranchResult(cid, _compose(pieces), sub_value, sub=sub_id))
             events.append(BranchResult(cid, summary, value))
             best = snorm_max(best, value)
         events.append(Exit(node.system, best))
-        told[id(node)] = events, best
-    events, value = told[id(nodes[-1])]
+        told[node] = events, best
+    events, value = told[nodes[-1]]
     return TraceResult(value, tuple(events))
 
 
-def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
+def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[_Dag, str]:
     """The ``paper`` text of the flat terms of each of ``nodes``, given
-    callees first, and of each of their branches, keyed by ``id``.
+    callees first, and of each of their branches, keyed by the record.
 
     No term is built and nothing is formatted.  A term is *tight* when
     every atom is a one-character variable.  A variable segment is one
@@ -734,15 +704,15 @@ def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
     :func:`~fuzzchain.algebra.format_term` does.  A node's terms are its
     branches', in presentation order.
     """
-    terms: dict[int, list[tuple[str, bool]]] = {}  # id(node) -> each term's text, and if tight
-    texts: dict[int, str] = {}
+    terms: dict[ExpansionNode, list[tuple[str, bool]]] = {}  # each term's text, and if tight
+    texts: dict[_Dag, str] = {}
     for node in nodes:
-        node_terms = terms[id(node)] = []
+        node_terms = terms[node] = []
         for branch in node.presentation_order():
             factors = [
                 ((seg.name, len(seg.name) == 1),)
                 if isinstance(seg, Var)
-                else terms.get(id(seg), ())
+                else terms.get(seg, ())
                 for seg in branch.segments
             ]
             if all(tight for factor in factors for _, tight in factor):
@@ -757,7 +727,7 @@ def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[int, str]:
                         text = "*".join("*".join(t) if tight else t for t, tight in pick)
                         out.append((text, False))
             # every term has an atom, so only an empty sum joins to ""
-            texts[id(branch)] = " + ".join(t for t, _ in out) or "0"
+            texts[branch] = " + ".join(t for t, _ in out) or "0"
             node_terms.extend(out)
-        texts[id(node)] = " + ".join(t for t, _ in node_terms) or "0"
+        texts[node] = " + ".join(t for t, _ in node_terms) or "0"
     return texts

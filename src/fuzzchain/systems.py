@@ -172,13 +172,10 @@ class _Plan:
 class SystemRegistry(_Record):
     """An ordered collection of named systems; call targets resolve here."""
 
-    __slots__ = _fields = ("systems",)
-    __setattr__ = object.__setattr__  # mutable: plain assignment, and no hash
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
+    __slots__ = _fields = ("systems",)  # unhashable: its field is a dict
 
     def __init__(self, systems: dict[str, FuzzySystem] | None = None) -> None:
-        self.systems = {} if systems is None else systems
+        _set(self, "systems", {} if systems is None else systems)
 
     def add(self, system: FuzzySystem) -> None:
         if system.name in self.systems:

@@ -143,6 +143,28 @@ def lengthen_some_names(
     return out, {renamed[v]: grade for v, grade in assignment.items()}
 
 
+def lattice_relations(route, assignment: dict[str, float], probes: Iterable[str]) -> int:
+    """Check the exact relations every max-min answer ``route(assignment)``
+    keeps, by ``repr``, with no oracle; give how many of ``probes`` move it.
+
+    The answer is ``0.0`` or one of the bindings (selection), and squaring
+    every binding squares it (an increasing map commutes with max and min).
+    For each probed binding x, raising x to 1.0 never lowers the answer,
+    and the median law p(a) == max(p(a[x:=0]), min(a[x], p(a[x:=1]))) holds.
+    """
+    got = route(assignment)
+    assert repr(got) in {"0.0", *(repr(v + 0.0) for v in assignment.values())}
+    squared = route({var: v * v for var, v in assignment.items()})
+    assert repr(squared) == repr(got * got)
+    moved = 0
+    for x in probes:
+        low, high = (route({**assignment, x: v}) for v in (0.0, 1.0))
+        assert high >= got, x
+        assert repr(got) == repr(max(low, min(assignment[x] + 0.0, high))), x
+        moved += low != high
+    return moved
+
+
 @pytest.fixture
 def registry():
     return builtin_fixtures()

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 import tracemalloc
 
 import pytest
 
-from conftest import grid_system
+from conftest import grid_system, lattice_relations
 
 from fuzzchain import closure, oracles, systems
 from fuzzchain.algebra import Call, Var
@@ -324,29 +325,49 @@ def _signed_zero_assignment(rng):
     return assignment
 
 
-@pytest.mark.parametrize("k", [4, 5])
-def test_eval_reads_the_closure_cell_on_grids_with_calls(k):
-    """Past the path and unroll oracles' vertex cap: a k x k grid with
-    about a fifth of its edges calling ``psi1_rec`` at counts 0 to 3, and
-    grades that include ``0.0`` and ``-0.0``.  The chain max of ``eval``,
-    the ``closure`` command's terminal cell and the α-cut oracle agree by
-    ``repr``."""
-    dead = 0
+def _grids_with_calls(k):
+    """Past the path and unroll oracles' vertex cap, for seeds 11 to 13: a
+    k x k grid ``grid`` with about a fifth of its edges calling ``psi1_rec``
+    at counts 0 to 3, and grades that include ``0.0`` and ``-0.0``.  Yields
+    the registry, the assignment, the grid's variables and its dead calls."""
     for seed in (11, 12, 13):
         rng = SplitMix64(seed)
         edges = [
             (e.u, e.v, Call("psi1_rec", rng.below(4)) if rng.chance(1, 5) else e.atom)
             for e in grid_system(k).edges
         ]
-        dead += sum(isinstance(atom, Call) and atom.count == 0 for _u, _v, atom in edges)
+        dead = sum(isinstance(atom, Call) and atom.count == 0 for _u, _v, atom in edges)
         registry = builtin_fixtures(rec_count=3)
         registry.add(FuzzySystem.build("grid", "G0_0", f"G{k - 1}_{k - 1}", edges))
-        names = [a.name for _u, _v, a in edges if isinstance(a, Var)] + ["x", "y", "z", "w"]
+        variables = [a.name for _u, _v, a in edges if isinstance(a, Var)]
+        names = variables + ["x", "y", "z", "w"]
         assignment = {name: rng.choice((0.0, -0.0, 0.25, 0.5, 0.75, 1.0)) for name in names}
+        yield registry, assignment, variables, dead
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_eval_reads_the_closure_cell_on_grids_with_calls(k):
+    """The chain max of ``eval``, the ``closure`` command's terminal cell
+    and the α-cut oracle agree by ``repr``."""
+    dead = 0
+    for registry, assignment, _variables, grid_dead in _grids_with_calls(k):
         got = eval_system(registry, "grid", assignment)
-        assert repr(got) == repr(_closure_cell(registry, "grid", assignment)), seed
-        assert repr(got) == repr(oracle_cut_eval(registry, "grid", assignment)), seed
+        assert repr(got) == repr(_closure_cell(registry, "grid", assignment))
+        assert repr(got) == repr(oracle_cut_eval(registry, "grid", assignment))
+        dead += grid_dead
     assert dead > 0  # some calls may never run
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_eval_keeps_the_lattice_relations_on_grids_with_calls(k):
+    """No oracle reaches these grids cheaply, but the exact relations of a
+    max-min answer do: probed on a grid variable and on ``w``, which the
+    called ``psi1_rec`` reads."""
+    moved = 0
+    for registry, assignment, variables, _dead in _grids_with_calls(k):
+        probes = (variables[len(variables) // 2], "w")
+        moved += lattice_relations(functools.partial(eval_system, registry, "grid"), assignment, probes)
+    assert moved > 0
 
 
 def _sparse_registry(rng, n, hang=False):
@@ -419,25 +440,44 @@ def test_transmission_reads_the_closure_cell_on_large_sparse_systems(reference_c
     assert "0.0" in answers  # an output the input does not reach
 
 
-def test_the_closure_cell_reads_the_cut_oracle_on_large_sparse_systems():
+def _hung_sparse_systems():
     """Past the path and unroll oracles' vertex cap, sparse systems of 40
-    to 600 vertices with call edges.  The last hangs its output terminal
-    off the rest by one edge graded below every other, so its terminals
-    join at the Kruskal pass's last merge: a closure that lost that merge
-    would read ``0.0`` there, and so would ``transmission``, which reads
-    the same pass."""
+    to 600 vertices with call edges, as (n, registry, assignment, the
+    variables of ``big``).  The last hangs its output terminal off the rest
+    by one edge graded below every other, so its terminals join at the
+    Kruskal pass's last merge."""
     rng = SplitMix64(31)
-    answers = []
     for n in (40, 64, 80, 120, 300, 600):
         registry, names = _sparse_registry(rng, n, hang=n == 600)
         assignment = _sparse_assignment(rng, names)
         if n == 600:
             assignment["tail"] = 0.01  # every other grade is a multiple of 0.05
+        yield n, registry, assignment, names
+
+
+def test_the_closure_cell_reads_the_cut_oracle_on_large_sparse_systems():
+    """A closure that lost the last merge would read ``0.0`` on the hung
+    system, and so would ``transmission``, which reads the same pass."""
+    answers = []
+    for n, registry, assignment, _names in _hung_sparse_systems():
         got = _closure_cell(registry, "big", assignment)
         assert repr(got) == repr(oracle_cut_eval(registry, "big", assignment)), n
         answers.append(repr(got))
     assert answers[-1] == "0.01"  # the terminals join at the last merge
     assert len(set(answers)) > 2 and "0.0" in answers
+
+
+@pytest.mark.parametrize("route", [_closure_cell, transmission])
+def test_the_closure_routes_keep_the_lattice_relations_on_large_sparse_systems(route):
+    """Probed on a variable of ``big`` and on the first three whose grade
+    is the answer, among which a bottleneck may be (on the hung system,
+    ``tail``)."""
+    moved = 0
+    for _n, registry, assignment, names in _hung_sparse_systems():
+        got = route(registry, "big", assignment)
+        probes = [names[0], *[x for x in names if assignment[x] + 0.0 == got][:3]]
+        moved += lattice_relations(functools.partial(route, registry, "big"), assignment, probes)
+    assert moved >= 4
 
 
 def test_transmission_never_resolves_the_matrix(monkeypatch):

@@ -273,3 +273,24 @@ def test_each_call_is_read_by_one_rule_and_dead_chains_drop_in_one_place():
     for caller in ("_size", "_expansion_node"):
         assert len(_calls_to(functions[caller], "_live_chains")) == 1, caller
     assert len(_calls_to(tree, "_live_chains")) == 2  # and nothing else calls it
+
+
+def test_shared_expansion_records_compare_by_identity():
+    """The builder shares one node per (system, budget), so an expansion
+    record equals only itself and hashes by identity: ``_Dag`` defines no
+    function and takes ``object``'s ``__eq__`` and ``__hash__``, and
+    ``recursion.py`` keys its tables by the records, with no ``id()``."""
+    tree = _tree("recursion")
+    (dag,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Dag"]
+    assert _nodes(dag, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) == []
+    assigned = {
+        node.targets[0].id: ast.unparse(node.value)
+        for node in dag.body
+        if isinstance(node, ast.Assign)
+    }
+    assert assigned == {
+        "__slots__": "()",
+        "__eq__": "object.__eq__",
+        "__hash__": "object.__hash__",
+    }
+    assert _calls_to(tree, "id") == []

@@ -5,7 +5,7 @@ import pytest
 from collections import Counter
 
 from fuzzchain import oracles
-from fuzzchain.algebra import Var, assignment_valuation, eval_expr, parse_expr
+from fuzzchain.algebra import Call, Var, assignment_valuation, canonicalize, eval_expr, parse_expr
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.errors import BindingError
@@ -15,6 +15,7 @@ from fuzzchain.oracles import (
     oracle_cut_eval,
     oracle_path_enum,
     oracle_power_eval,
+    oracle_symbolic_closure,
     oracle_unroll_eval,
 )
 from fuzzchain.recursion import eval_system, resolve_call
@@ -187,6 +188,45 @@ def test_cut_eval_agrees_with_the_evaluator_at_every_budget():
                 assert repr(got) == repr(want), (name, budget)
                 values.add(repr(got))
     assert "0.0" in values and len(values) > 10
+
+
+def _minimal_chain_sets(system: FuzzySystem) -> set[frozenset]:
+    return {frozenset(t.atoms) for t in canonicalize(derive_ftf(system), simplify=True).terms}
+
+
+def test_symbolic_closure_hand_cases_and_fixtures():
+    x, y = Var("x"), Var("y")
+    triangle = FuzzySystem.build("t", "A", "B", [("A", "C", x), ("C", "B", y), ("A", "B", x)])
+    assert oracle_symbolic_closure(triangle) == {frozenset({x})}  # {x, y} holds {x}
+    apart = FuzzySystem.build("t", "A", "B", [("A", "C", x), ("D", "B", Call("t", 2))])
+    assert oracle_symbolic_closure(apart) == set()
+    for count in (0, 3):
+        for system in builtin_fixtures(rec_count=count):
+            assert oracle_symbolic_closure(system) == _minimal_chain_sets(system), system.name
+
+
+def test_symbolic_closure_vertex_cap():
+    vertices = [f"v{i}" for i in range(MAX_VERTICES + 1)]
+    edges = [(u, v, Var("x")) for u, v in zip(vertices, vertices[1:])]
+    with pytest.raises(ValueError, match="capped"):
+        oracle_symbolic_closure(FuzzySystem.build("big", vertices[0], vertices[-1], edges))
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+def test_symbolic_closure_equals_the_simplified_ftf(seed):
+    """The antichain closure walks no chain, so it checks ``derive_ftf``'s
+    minimal chains on 340 random systems per seed, calls as opaque atoms."""
+    rng = SplitMix64(seed)
+    systems = calls = absorbed = 0
+    for _ in range(170):
+        registry = random_registry(rng, n_systems=2, max_vertices=8, max_edges=14)
+        for system in registry:
+            want = _minimal_chain_sets(system)
+            assert oracle_symbolic_closure(system) == want, (seed, system)
+            systems += 1
+            calls += any(isinstance(a, Call) for atoms in want for a in atoms)
+            absorbed += len(want) < len(derive_ftf(system).terms)
+    assert systems == 340 and calls > 100 and absorbed > 40
 
 
 def test_power_eval_equals_plain_evaluation():

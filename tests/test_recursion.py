@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import re
@@ -8,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import grid_system, lengthen_some_names, reference_canonicalize
+from conftest import grid_system, lattice_relations, lengthen_some_names, reference_canonicalize
 
 from fuzzchain import recursion
 from fuzzchain.algebra import (
@@ -488,24 +489,39 @@ def _ladder(depth: int, bottom: str) -> SystemRegistry:
     return parse_registry("\n".join(lines))
 
 
-def test_expansion_dags_compare_and_hash_once_per_shared_node(monkeypatch):
-    # a walk per path would take 2**40 steps on each of these
+def test_expansion_dags_compare_and_hash_by_identity(monkeypatch):
+    # each of these trees has 2**40 paths, and no == or hash may walk it
     monkeypatch.setattr(recursion, "MAX_EXPANSION", 2**64)
 
     def psi1_rec(count: int) -> ExpansionNode:
         return expansion_tree(builtin_fixtures(rec_count=count), "psi1_rec")
 
+    def unavailable(root):
+        raise AssertionError("walked the DAG")
+
     first, second = psi1_rec(40), psi1_rec(40)
-    assert first is not second
-    assert first == second and hash(first) == hash(second)
-    assert hash(first) == hash((first.system, first.budget, first.branches))
-    assert first != psi1_rec(39)
+    with monkeypatch.context() as patch:
+        patch.setattr(recursion, "_callees_first", unavailable)
+        assert first is not second and not hasattr(first, "__dict__")
+        assert first == first and hash(first) == hash(first)
+        assert first != second and len({first, second}) == 2
+        assert first.branches[1] != second.branches[1]  # branches too
+        bottom = expansion_tree(_ladder(40, "x"), "s40")
+        assert bottom == bottom and len({bottom, expansion_tree(_ladder(40, "x"), "s40")}) == 2
 
-    def ladder(bottom: str) -> ExpansionNode:
-        return expansion_tree(_ladder(40, bottom), "s40")
+    # separately built trees compare through their renderings, which
+    # hold every path, so at counts whose texts fit
+    def rendered(registry: SystemRegistry, name: str) -> str:
+        return render_expansion(expansion_tree(registry, name))
 
-    assert ladder("x") == ladder("x")
-    assert ladder("x") != ladder("y")  # the trees differ only at the bottom
+    assert rendered(builtin_fixtures(rec_count=8), "psi1_rec") == rendered(
+        builtin_fixtures(rec_count=8), "psi1_rec"
+    )
+    assert rendered(builtin_fixtures(rec_count=8), "psi1_rec") != rendered(
+        builtin_fixtures(rec_count=7), "psi1_rec"
+    )
+    assert rendered(_ladder(12, "x"), "s12") == rendered(_ladder(12, "x"), "s12")
+    assert rendered(_ladder(12, "x"), "s12") != rendered(_ladder(12, "y"), "s12")
 
 
 def test_trace_composes_its_texts_without_building_or_formatting_terms(
@@ -587,7 +603,7 @@ def test_paper_texts_equal_the_formatted_flat_terms():
                 (node, flat.terms),
                 *((branch, _branch_terms(registry, branch)) for branch in node.branches),
             ]:
-                assert texts[id(record)] == format_expr(FtfExpr(tuple(terms)), "paper")
+                assert texts[record] == format_expr(FtfExpr(tuple(terms)), "paper")
                 flags = [all(len(a.name) == 1 for a in t.atoms) for t in terms]
                 tight += sum(flags)
                 loose += len(flags) - sum(flags)
@@ -817,15 +833,6 @@ def _deep_tree(depth: int) -> ExpansionNode:
 def test_nested_rendering_of_a_narrow_chain_does_not_recurse(depth):
     tree = _deep_tree(depth)
     assert render_expansion(tree) == "y + x(" * depth + "y" + ")" * depth
-
-
-def test_deep_expansion_dags_hash_without_recursing():
-    first, second = _deep_tree(495), _deep_tree(495)
-    assert first is not second
-    assert hash(first) == hash(second)
-    assert hash(first) == hash((first.system, first.budget, first.branches))
-    branch = first.branches[1]  # a branch hashes its child nodes first too
-    assert hash(branch) == hash((branch.chain, branch.segments, branch.atoms))
 
 
 def test_nested_rendering_matches_a_recursive_reference():
@@ -1085,6 +1092,27 @@ def test_budget_variation_sweeps_random_systems():
             assert lo <= hi
         assert values[-1] == values[ceiling]
         assert eval_system(registry, name, assignment) == values[ceiling]
+
+
+def test_resolve_call_keeps_the_lattice_relations_at_every_budget():
+    """The exact relations of a max-min answer, which need no oracle, at
+    budgets top and 0 to 3; a fifth of the bindings are ``0.0`` or
+    ``-0.0``, and two variables the registry reads are probed."""
+    rng = SplitMix64(2024)
+    moved = 0
+    for _ in range(200):
+        registry = random_registry(rng, n_systems=3, max_vertices=6, max_count=4, call_chance=(1, 2))
+        name = registry.names()[-1]
+        assignment = random_assignment(rng)
+        for var in assignment:
+            if rng.chance(1, 5):
+                assignment[var] = 0.0 if rng.chance(1, 2) else -0.0
+        read = sorted({e.atom.name for s in registry for e in s.edges if isinstance(e.atom, Var)})
+        probes = {rng.choice(read), rng.choice(read)} if read else ()
+        for budget in (None, 0, 1, 2, 3):
+            route = functools.partial(resolve_call, registry, name, budget)
+            moved += lattice_relations(route, assignment, probes)
+    assert moved > 200
 
 
 @pytest.mark.parametrize("rec_count", [2, 20, 10**6])
