@@ -159,6 +159,7 @@ def test_equal_only_to_the_exact_class(case):
     cls, fields, _ = case
     value = cls(**fields)
     assert value == cls(**fields) and not value != cls(**fields)
+    assert cls(*fields.values()) == value
     as_tuple = tuple(fields.values())
     assert value != as_tuple and as_tuple != value
     assert value.__eq__(as_tuple) is NotImplemented
