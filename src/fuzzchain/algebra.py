@@ -50,6 +50,10 @@ __all__ = [
     "is_identifier",
 ]
 
+MAX_EXPANSION = 2**20
+"""Most flat terms, nested node occurrences or trace events an output may
+hold, and most atoms in a power's table."""
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -349,12 +353,22 @@ def multinomial_expand(expr: FtfExpr, k: int) -> list[MultinomialEntry]:
     """All compositions (n1..nm) of k over the m terms of ``expr``.
 
     Entries are ordered with the leading part descending, so ``(k,0,..)``
-    comes first and ``(0,..,k)`` last.  The caller is expected to keep m
-    and k small; the list has C(k+m-1, m-1) entries.
+    comes first and ``(0,..,k)`` last.  The list has C(k+m-1, m-1)
+    entries, and its longest term is k times the longest base term (a row
+    is built from a k-tuple of term indices, so a base term counts at
+    least one atom).  When that term, or that many of it, passes
+    :data:`MAX_EXPANSION` atoms, the power is refused with ``ValueError``
+    before any row is built.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"undefined power: k must be an integer >= 1, got {k!r}")
     terms = expr.terms
+    if not terms:
+        return []  # no term to pick
+    # a row holds k base terms, and a k-tuple of their indices while it is built
+    row = k * max(1, *(len(t.atoms) for t in terms))
+    _check_power(row, "atoms in one row")  # bounds k before the rows are counted
+    _check_power(math.comb(k + len(terms) - 1, len(terms) - 1) * row, "atoms in the table")
     entries = []
     # each sorted multiset of k term indices is one composition, (k, 0, ..) first
     for pick in itertools.combinations_with_replacement(range(len(terms)), k):
@@ -370,6 +384,11 @@ def multinomial_expand(expr: FtfExpr, k: int) -> list[MultinomialEntry]:
         atoms = tuple(itertools.chain.from_iterable(t.atoms * n for t, n in zip(terms, parts)))
         entries.append(MultinomialEntry(tuple(parts), coefficient, Term(atoms)))
     return entries
+
+
+def _check_power(count: int, what: str) -> None:
+    if count > MAX_EXPANSION:
+        raise ValueError(f"expansion too large: over the cap of {MAX_EXPANSION} {what}")
 
 
 # --- parsing -------------------------------------------------------------

@@ -16,7 +16,9 @@ without Python recursion, grading every callee at every budget in one
 loop.  :func:`_call_grades` is the table's one numeric reader, the value of
 each call of a system at a budget: :func:`_grade` values a system from it
 for :func:`resolve_call` (whose top level is :func:`eval_system`), and
-:func:`edge_grades` reads its top level for the closure routes.  In what
+:func:`edge_grades` reads its top level for the closure routes.
+:func:`_grade` takes the max over chains of each chain's min, and a
+chain's scan stops at the first grade that cannot raise the max.  In what
 :func:`_size` counts and the expansion DAG holds, a dead call's chains
 vanish (:func:`_live_chains`).  Each call enumerates a system's chains
 once (:class:`_Chains`), and every layer, and the DAG, reads them there.
@@ -41,7 +43,8 @@ is: :func:`symbolic_expand` into atom tuples, :func:`paper_expansion`
 into ``paper`` texts composed from segments' texts with no
 :class:`~fuzzchain.algebra.Term` built (:func:`_paper_texts`).  A trace
 composes the same texts for every node below the root and splices each
-callee's events into its caller's.  Only the builder,
+callee's events into its caller's.  Each flat route drops a callee's
+terms or events after its last caller (:func:`_release`).  Only the builder,
 :func:`_expansion_node`, recurses, so a narrow call chain deep enough
 can still exhaust the recursion limit while it builds.
 
@@ -54,9 +57,11 @@ same ``repr``.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .algebra import (
+    MAX_EXPANSION,
     Atom,
     Call,
     FtfExpr,
@@ -98,9 +103,6 @@ Budget = Union[int, None]  # None marks the top level
 ChainList = list[tuple[Chain, tuple[Atom, ...]]]
 Size = tuple[int, int, int, int]  # flat terms, nested node occurrences, trace events, live chains
 T = TypeVar("T")
-
-MAX_EXPANSION = 2**20
-"""Most flat terms, nested node occurrences or trace events an output may hold."""
 
 
 def _effective(declared: int, budget: Budget) -> int:
@@ -260,13 +262,24 @@ def _grade(chains: ChainList, grades: dict[str, float], called: dict[Call, float
 
     A variable reads its checked grade from ``grades`` and a call its
     value from ``called``; a dead call's ``0.0`` adds nothing to the max.
+    A chain's scan stops at the first grade that cannot raise the max,
+    one no greater than the best chain so far: its min can only fall
+    (branch and bound, Land & Doig 1960).  Only a chain scanned to its
+    end sets a new best, so ties keep the earlier value, as
+    :func:`~fuzzchain.algebra.snorm_max` does, and every value it may
+    skip was already checked or computed.
     """
     best = 0.0
     for _chain, atoms in chains:
         got = 1.0
         for atom in atoms:
-            got = tnorm_min(got, grades[atom.name] if isinstance(atom, Var) else called[atom])
-        best = snorm_max(best, got)
+            value = grades[atom.name] if isinstance(atom, Var) else called[atom]
+            if value <= best:
+                break
+            if value < got:
+                got = value
+        else:
+            best = got
     return best
 
 
@@ -392,6 +405,23 @@ def _called(node: ExpansionNode) -> Iterator[ExpansionNode]:
     return (seg for b in node.branches for seg in b.segments if isinstance(seg, ExpansionNode))
 
 
+def _callers(nodes: list[ExpansionNode]) -> Counter[ExpansionNode]:
+    """How many branch segments of ``nodes`` call each node."""
+    return Counter(child for node in nodes for child in _called(node))
+
+
+def _release(
+    memo: dict[ExpansionNode, T], callers: Counter[ExpansionNode], branch: ExpansionBranch
+) -> None:
+    """Count off the calls ``branch`` makes, and drop each callee's ``memo``
+    entry after its last: a callee's terms or events outlive no caller."""
+    for seg in branch.segments:
+        if isinstance(seg, ExpansionNode):
+            callers[seg] -= 1
+            if not callers[seg]:
+                memo.pop(seg, None)
+
+
 def _callees_first(root: ExpansionNode) -> list[ExpansionNode]:
     """Every node ``root`` reaches, ``root`` last, each once and after
     every node it calls: a post-order walk on an explicit stack."""
@@ -467,8 +497,10 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
     Each node :func:`_distributed` gives becomes atom tuples, callees first.
     """
     nodes, _grades, layers = _unroll(registry, name, budget, None, 0, "flat terms")
+    distributed = _distributed(nodes, layers)
+    callers = _callers(distributed)
     flat: dict[ExpansionNode, list[tuple[Atom, ...]]] = {}  # each node's flat terms' atoms
-    for node in _distributed(nodes, layers):
+    for node in distributed:
         out = flat[node] = []
         for branch in node.presentation_order():
             factors = [  # a node left out of flat has no terms here
@@ -480,6 +512,7 @@ def symbolic_expand(registry: SystemRegistry, name: str, budget: Budget = None) 
                 for part in pick:
                     atoms += part
                 out.append(atoms)
+            _release(flat, callers, branch)
     return FtfExpr(tuple(map(Term, flat[nodes[-1]])))
 
 
@@ -657,6 +690,7 @@ def trace_eval(
     texts = _paper_texts(nodes[:-1])
     told: dict[ExpansionNode, tuple[list[TraceEvent], float]] = {}  # each node's events, value
     values: dict[ExpansionBranch, float] = {}
+    callers = _callers(nodes)
     for node in nodes:
         events: list[TraceEvent] = [Enter(node.system, node.budget)]
         best = 0.0
@@ -671,6 +705,7 @@ def trace_eval(
                 events.extend(child_events)
                 events.append(PopReturn(label))
                 value = tnorm_min(value, child_value)
+            _release(told, callers, branch)
             around = 1.0
             for atom in atoms:
                 if isinstance(atom, Var):
@@ -692,7 +727,7 @@ def trace_eval(
     return TraceResult(value, tuple(events))
 
 
-def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[_Dag, str]:
+def _paper_texts(nodes: list[ExpansionNode]) -> dict[_Dag, str]:
     """The ``paper`` text of the flat terms of each of ``nodes``, given
     callees first, and of each of their branches, keyed by the record.
 
@@ -702,12 +737,15 @@ def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[_Dag, str]:
     :func:`_distributed`).  Tight factors juxtapose; a pick
     with a loose factor joins every atom with ``*``, as
     :func:`~fuzzchain.algebra.format_term` does.  A node's terms are its
-    branches', in presentation order.
+    branches', in presentation order, kept only until the last branch
+    of ``nodes`` that calls the node has composed them.
     """
     terms: dict[ExpansionNode, list[tuple[str, bool]]] = {}  # each term's text, and if tight
     texts: dict[_Dag, str] = {}
+    callers = _callers(nodes)
     for node in nodes:
-        node_terms = terms[node] = []
+        node_terms: list[tuple[str, bool]] | None = [] if callers[node] else None
+        summed: list[str] = []  # the texts of the branches that have terms
         for branch in node.presentation_order():
             factors = [
                 ((seg.name, len(seg.name) == 1),)
@@ -727,7 +765,13 @@ def _paper_texts(nodes: Iterable[ExpansionNode]) -> dict[_Dag, str]:
                         text = "*".join("*".join(t) if tight else t for t, tight in pick)
                         out.append((text, False))
             # every term has an atom, so only an empty sum joins to ""
-            texts[branch] = " + ".join(t for t, _ in out) or "0"
-            node_terms.extend(out)
-        texts[node] = " + ".join(t for t, _ in node_terms) or "0"
+            text = texts[branch] = " + ".join(t for t, _ in out) or "0"
+            if out:
+                summed.append(text)
+            if node_terms is not None:
+                node_terms.extend(out)
+            _release(terms, callers, branch)
+        texts[node] = " + ".join(summed) or "0"
+        if node_terms is not None:
+            terms[node] = node_terms
     return texts

@@ -10,11 +10,12 @@ import contextlib
 import io
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 
 from fuzzchain.algebra import FtfExpr, Term, Var, _atom_key
+from fuzzchain.checks import random_assignment, random_registry
 from fuzzchain.cli import main as cli_main
 from fuzzchain.rng import SplitMix64
 from fuzzchain.systems import (
@@ -163,6 +164,22 @@ def lattice_relations(route, assignment: dict[str, float], probes: Iterable[str]
         assert repr(got) == repr(max(low, min(assignment[x] + 0.0, high))), x
         moved += low != high
     return moved
+
+
+def budget_registries() -> Iterator[tuple[SystemRegistry, str, dict[str, float], set[str]]]:
+    """200 seeded registries of 3 systems with calls at counts up to 4: each
+    with its last system's name, an assignment with about a fifth of its
+    bindings ``0.0`` or ``-0.0``, and up to two variables it reads, to probe."""
+    rng = SplitMix64(2024)
+    for _ in range(200):
+        registry = random_registry(rng, n_systems=3, max_vertices=6, max_count=4, call_chance=(1, 2))
+        assignment = random_assignment(rng)
+        for var in assignment:
+            if rng.chance(1, 5):
+                assignment[var] = 0.0 if rng.chance(1, 2) else -0.0
+        read = sorted({e.atom.name for s in registry for e in s.edges if isinstance(e.atom, Var)})
+        probes = {rng.choice(read), rng.choice(read)} if read else set()
+        yield registry, registry.names()[-1], assignment, probes
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import expr_concat, multinomial_coefficient, reference_canonicalize
 
+from fuzzchain import algebra, recursion
 from fuzzchain.algebra import (
     Call,
     FtfExpr,
@@ -405,6 +407,39 @@ def test_compositions_of_many_parts_need_no_recursion():
     assert len(entries) == parts
     for i, entry in enumerate(entries):
         assert entry.composition[i] == 1 and sum(entry.composition) == 1
+
+
+CAP = 2**20  # algebra.MAX_EXPANSION
+
+
+@pytest.mark.parametrize(
+    "text, k, what",
+    [
+        ("x", 4_000_000, "atoms in one row"),
+        ("x", 2**63, "atoms in one row"),
+        ("1", 2**63, "atoms in one row"),  # an empty term still holds its k-tuple
+        ("x*y + z", CAP // 2 + 1, "atoms in one row"),
+        ("x + y", 2**10, "atoms in the table"),  # 1025 rows of 1024 atoms
+        ("x + y + z + w + v", 60, "atoms in the table"),
+        (" + ".join(f"v{i}" for i in range(11)), 20, "atoms in the table"),
+    ],
+)
+def test_power_tables_past_the_cap_are_refused_before_any_row(monkeypatch, text, k, what):
+    def refuse(*_args):
+        raise AssertionError("multinomial_expand built a k-tuple")
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
+    with pytest.raises(ValueError, match=f"^expansion too large: over the cap of {CAP} {what}$"):
+        multinomial_expand(parse_expr(text), k)
+
+
+def test_power_tables_at_the_cap_are_built():
+    assert algebra.MAX_EXPANSION == CAP and recursion.MAX_EXPANSION is algebra.MAX_EXPANSION
+    (entry,) = multinomial_expand(parse_expr("x"), CAP)
+    assert entry.composition == (CAP,) and len(entry.term.atoms) == CAP
+    entries = multinomial_expand(parse_expr("x + y"), 2**10 - 1)  # 1024 rows of 1023 atoms
+    assert len(entries) == 2**10
+    assert multinomial_expand(parse_expr("0"), 2**63) == []  # no terms, no rows
 
 
 def test_multinomial_terms_evaluate_like_the_power():

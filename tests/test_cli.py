@@ -55,9 +55,9 @@ def test_validation_errors_exit_3(run_cli, tmp_path):
     assert run_cli("power", "x + y", "0")[0] == 3
 
     # counts and budgets past a C integer answer or are refused, with no
-    # traceback: 2**63 overflows the power's combinations
+    # traceback: a power of 2**63 is refused by its size
     assert run_cli("power", "x", str(2**63)) == (
-        3, "", "error: input too deep or too large to evaluate (OverflowError)\n"
+        3, "", "error: expansion too large: over the cap of 1048576 atoms in one row\n"
     )
     huge = str(2**64)
     for argv in (

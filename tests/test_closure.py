@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import grid_system, lattice_relations
+from conftest import budget_registries, grid_system, lattice_relations
 
 from fuzzchain import closure, oracles, systems
 from fuzzchain.algebra import Call, Var
@@ -29,8 +29,10 @@ from fuzzchain.systems import (
     ZERO,
     EdgeDef,
     FuzzySystem,
+    SystemRegistry,
     builtin_fixtures,
     connection_matrix,
+    format_registry,
     parse_registry,
 )
 
@@ -368,6 +370,70 @@ def test_eval_keeps_the_lattice_relations_on_grids_with_calls(k):
         probes = (variables[len(variables) // 2], "w")
         moved += lattice_relations(functools.partial(eval_system, registry, "grid"), assignment, probes)
     assert moved > 0
+
+
+def _shuffled(rng, items):
+    """A seeded Fisher-Yates shuffle of ``items``, as a list."""
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def _renamings(rng, registry):
+    """``registry`` rebuilt with every system's edges declared in reverse,
+    then in a seeded shuffle, then as declared over a shuffled vertex order."""
+
+    def rebuilt(remake):
+        out = SystemRegistry()
+        for system in registry:
+            out.add(remake(system))
+        return out
+
+    def redeclared(order):
+        return lambda s: FuzzySystem.build(
+            s.name, s.input_terminal, s.output_terminal, [(e.u, e.v, e.atom) for e in order(s.edges)]
+        )
+
+    yield rebuilt(redeclared(lambda edges: edges[::-1]))
+    yield rebuilt(redeclared(functools.partial(_shuffled, rng)))
+    yield rebuilt(
+        lambda s: FuzzySystem(
+            s.name, s.input_terminal, s.output_terminal, tuple(_shuffled(rng, s.vertices)), s.edges
+        )
+    )
+
+
+def _order_free_answers(registry, name, assignment):
+    """``eval``, ``resolve_call`` at budgets 0 to 3 and the ``closure``
+    command's terminal cell, by ``repr``."""
+    values = [eval_system(registry, name, assignment)]
+    values += [resolve_call(registry, name, budget, assignment) for budget in range(4)]
+    return [*map(repr, values), repr(_closure_cell(registry, name, assignment))]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_no_edge_or_vertex_order_changes_an_answer_on_grids_with_calls(k):
+    """Renaming: the chain order changes with the edge order, and the
+    chain bound prunes in chain order, yet no answer may move."""
+    rng = SplitMix64(k)
+    for registry, assignment, _variables, _dead in _grids_with_calls(k):
+        want = _order_free_answers(registry, "grid", assignment)
+        for renamed in _renamings(rng, registry):
+            assert _order_free_answers(renamed, "grid", assignment) == want
+
+
+def test_no_edge_or_vertex_order_changes_an_answer_on_random_registries():
+    """Renaming on the registries the budget lattice test draws."""
+    rng = SplitMix64(7)
+    reordered = 0
+    for registry, name, assignment, _probes in budget_registries():
+        want = _order_free_answers(registry, name, assignment)
+        for renamed in _renamings(rng, registry):
+            assert _order_free_answers(renamed, name, assignment) == want, format_registry(registry)
+            reordered += [s.edges for s in renamed] != [s.edges for s in registry]
+    assert reordered > 300  # most rebuilds declare some system's edges in a new order
 
 
 def _sparse_registry(rng, n, hang=False):

@@ -9,7 +9,13 @@ import tracemalloc
 
 import pytest
 
-from conftest import grid_system, lattice_relations, lengthen_some_names, reference_canonicalize
+from conftest import (
+    budget_registries,
+    grid_system,
+    lattice_relations,
+    lengthen_some_names,
+    reference_canonicalize,
+)
 
 from fuzzchain import recursion
 from fuzzchain.algebra import (
@@ -901,6 +907,27 @@ def test_symbolic_expand_evaluates_like_the_engine(registry, fixture_assignment,
             assert value == eval_system(registry, name, assignment)
 
 
+def test_flat_routes_drop_each_callee_after_its_last_caller(monkeypatch):
+    """On a narrow call chain every node has one caller, so the trace's
+    event lists and the flat routes' term lists hold at most two nodes at
+    a time, not one per call level."""
+    registry = parse_registry(
+        "system s {\n  terminals A -> B\n  edge A B y\n  edge A C x\n  edge C B call s 60\n}\n"
+    )
+    held = []
+    release = recursion._release
+
+    def watching(memo, callers, branch):
+        release(memo, callers, branch)
+        held.append(len(memo))
+
+    monkeypatch.setattr(recursion, "_release", watching)
+    trace_eval(registry, "s", {"x": 0.5, "y": 0.25})
+    symbolic_expand(registry, "s")
+    paper_expansion(registry, "s")
+    assert len(held) > 3 * 60 and max(held) <= 2
+
+
 def test_trace_on_a_call_free_system(registry, fixture_assignment):
     result = trace_eval(registry, "psi1", fixture_assignment)
     assert result.value == 0.6
@@ -1094,17 +1121,8 @@ def test_resolve_call_keeps_the_lattice_relations_at_every_budget():
     """The exact relations of a max-min answer, which need no oracle, at
     budgets top and 0 to 3; a fifth of the bindings are ``0.0`` or
     ``-0.0``, and two variables the registry reads are probed."""
-    rng = SplitMix64(2024)
     moved = 0
-    for _ in range(200):
-        registry = random_registry(rng, n_systems=3, max_vertices=6, max_count=4, call_chance=(1, 2))
-        name = registry.names()[-1]
-        assignment = random_assignment(rng)
-        for var in assignment:
-            if rng.chance(1, 5):
-                assignment[var] = 0.0 if rng.chance(1, 2) else -0.0
-        read = sorted({e.atom.name for s in registry for e in s.edges if isinstance(e.atom, Var)})
-        probes = {rng.choice(read), rng.choice(read)} if read else ()
+    for registry, name, assignment, probes in budget_registries():
         for budget in (None, 0, 1, 2, 3):
             route = functools.partial(resolve_call, registry, name, budget)
             moved += lattice_relations(route, assignment, probes)
@@ -1164,6 +1182,37 @@ def _grid_case(k: int) -> tuple[SystemRegistry, str, dict[str, float]]:
     registry = SystemRegistry()
     registry.add(system)
     return registry, "grid", {f"e{i}": (i * 7 % 11) / 10 for i in range(len(system.edges))}
+
+
+class _CountingGrades(dict):
+    """Grades that count how many times they are read."""
+
+    reads = 0
+
+    def __getitem__(self, name):
+        self.reads += 1
+        return super().__getitem__(name)
+
+
+def test_the_chain_bound_reads_a_pinned_share_of_the_5x5_grid():
+    """``_grade`` stops each chain at its first grade no greater than the
+    best chain so far.  A plain max-min reads all 148 432 atom slots of the
+    5x5 grid's 8 512 chains; at one seeded 1000-point assignment the bound
+    reads 19 319 of them and gives the plain answer."""
+    system = grid_system(5)
+    chains = enumerate_chains(system)
+    assert (len(chains), sum(len(atoms) for _chain, atoms in chains)) == (8512, 148_432)
+    rng = SplitMix64(5)
+    values = {f"e{i}": rng.grade(1000) for i in range(len(system.edges))}
+    plain = max(min(values[a.name] for a in atoms) for _chain, atoms in chains)
+    grades = _CountingGrades(values)
+    got = recursion._grade(chains, grades, {})
+    assert (repr(got), grades.reads) == (repr(plain), 19_319)
+    # a tie with the best stops a chain too: with every grade 1.0, each
+    # chain after the first stops at its first read
+    ones = _CountingGrades(dict.fromkeys(values, 1.0))
+    assert recursion._grade(chains, ones, {}) == 1.0
+    assert ones.reads == len(chains[0][1]) + len(chains) - 1 == 8535
 
 
 ACYCLIC_CASES = {
