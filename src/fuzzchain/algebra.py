@@ -52,7 +52,16 @@ __all__ = [
 
 MAX_EXPANSION = 2**20
 """Most flat terms, nested node occurrences or trace events an output may
-hold, and most atoms in a power's table."""
+hold, and most atoms in a power or its table; :func:`_check_size` is its
+one check."""
+
+
+def _check_size(count: int, what: str) -> None:
+    """Refuse an output of ``count`` ``what`` past :data:`MAX_EXPANSION`:
+    the one check of the bound, made before any of the output is built."""
+    if count > MAX_EXPANSION:
+        raise ValueError(f"expansion too large: over the cap of {MAX_EXPANSION} {what}")
+
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -320,10 +329,21 @@ def expr_power(expr: FtfExpr, k: int) -> FtfExpr:
     already holds is itself, so the sets only grow, and the first step
     that adds none is a fixpoint.  That is at most 2ᵐ sets for m base
     terms, where concatenating first builds mᵏ raw terms.
+
+    The power is refused with ``ValueError`` before any union is built
+    when a bound on its atoms passes :data:`MAX_EXPANSION`: a union of
+    at most k of the m base sets is one of the Σᵢ₌₁^min(k,m) C(m, i)
+    choices and one of the 2ᴬ − 1 non-empty sets of the A atoms, and
+    holds at most min(k·L, A) atoms, L the longest base set's.  That
+    bound never passes :func:`multinomial_expand`'s.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"undefined power: k must be an integer >= 1, got {k!r}")
     base = {frozenset(t.atoms) for t in expr.terms}
+    m, atoms = len(base), len(frozenset().union(*base))
+    unions = min(2**atoms, sum(math.comb(m, i) for i in range(min(k, m) + 1))) - 1
+    widest = min(k * max(map(len, base), default=0), atoms)
+    _check_size(unions * widest, "atoms in the power")
     out = base
     for _ in range(k - 1):
         grown = {s | t for s in out for t in base}
@@ -367,8 +387,8 @@ def multinomial_expand(expr: FtfExpr, k: int) -> list[MultinomialEntry]:
         return []  # no term to pick
     # a row holds k base terms, and a k-tuple of their indices while it is built
     row = k * max(1, *(len(t.atoms) for t in terms))
-    _check_power(row, "atoms in one row")  # bounds k before the rows are counted
-    _check_power(math.comb(k + len(terms) - 1, len(terms) - 1) * row, "atoms in the table")
+    _check_size(row, "atoms in one row")  # bounds k before the rows are counted
+    _check_size(math.comb(k + len(terms) - 1, len(terms) - 1) * row, "atoms in the table")
     entries = []
     # each sorted multiset of k term indices is one composition, (k, 0, ..) first
     for pick in itertools.combinations_with_replacement(range(len(terms)), k):
@@ -384,11 +404,6 @@ def multinomial_expand(expr: FtfExpr, k: int) -> list[MultinomialEntry]:
         atoms = tuple(itertools.chain.from_iterable(t.atoms * n for t, n in zip(terms, parts)))
         entries.append(MultinomialEntry(tuple(parts), coefficient, Term(atoms)))
     return entries
-
-
-def _check_power(count: int, what: str) -> None:
-    if count > MAX_EXPANSION:
-        raise ValueError(f"expansion too large: over the cap of {MAX_EXPANSION} {what}")
 
 
 # --- parsing -------------------------------------------------------------

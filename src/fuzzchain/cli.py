@@ -235,13 +235,15 @@ def _cmd_power(args) -> int:
     )
 
     expr = parse_expr(args.expr)
+    # the table sizes itself before any row, and its bound covers the power's
+    table = multinomial_expand(expr, args.k)
     powered_expr = expr_power(expr, args.k)
     if args.simplify:
         powered_expr = canonicalize(powered_expr, simplify=True)
     powered = format_expr(powered_expr, args.mode)
     lines = [powered]
     rows = []
-    for entry in multinomial_expand(expr, args.k):
+    for entry in table:
         composition = ",".join(str(c) for c in entry.composition)
         term = format_term(entry.term, "canonical")
         rows.append({"composition": composition, "coefficient": entry.coefficient,

@@ -31,8 +31,9 @@ with a node per (system, budget): ``expand`` renders it nested
 stream of enter/push/branch/pop/exit events.  Those outputs grow
 exponentially with the call depth, so each comes through one entry,
 :func:`_unroll`: it sizes the output on a layer table of :func:`_size`,
-refuses it with ``ValueError`` past :data:`MAX_EXPANSION`, and only then
-builds the nodes.  The DAG's records hold structure only, and each
+refuses it with ``ValueError`` past ``algebra.MAX_EXPANSION`` (through
+the bound's one check, ``algebra._check_size``), and only then builds the
+nodes.  The DAG's records hold structure only, and each
 equals only itself, so each route keys its tables by the node or branch
 and computes what it prints once per node, callees first, looping over
 the node memo or, from a bare node, over :func:`_callees_first`.
@@ -60,14 +61,15 @@ import itertools
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
+from . import algebra
 from .algebra import (
-    MAX_EXPANSION,
     Atom,
     Call,
     FtfExpr,
     Term,
     Var,
     _Record,
+    _check_size,
     _set,
     format_term,
     snorm_max,
@@ -77,7 +79,6 @@ from .chains import Chain, enumerate_chains
 from .systems import SystemRegistry, _Plan, require_bindings
 
 __all__ = [
-    "MAX_EXPANSION",
     "eval_system",
     "resolve_call",
     "call_layers",
@@ -267,7 +268,8 @@ def _grade(chains: ChainList, grades: dict[str, float], called: dict[Call, float
     (branch and bound, Land & Doig 1960).  Only a chain scanned to its
     end sets a new best, so ties keep the earlier value, as
     :func:`~fuzzchain.algebra.snorm_max` does, and every value it may
-    skip was already checked or computed.
+    skip was already checked or computed.  A chain that ends at 1.0, the
+    lattice top, answers at once: no later chain can raise it.
     """
     best = 0.0
     for _chain, atoms in chains:
@@ -279,6 +281,8 @@ def _grade(chains: ChainList, grades: dict[str, float], called: dict[Call, float
             if value < got:
                 got = value
         else:
+            if got == 1.0:
+                return got
             best = got
     return best
 
@@ -307,7 +311,7 @@ def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> S
     and, with exactly one call, one ``sub=`` event per callee chain.  The
     system adds one occurrence, ENTER and EXIT.
     """
-    over = MAX_EXPANSION + 1
+    over = algebra.MAX_EXPANSION + 1
     top = len(layers) - 1
     terms, nodes, events, live = 0, 1, 2, 0
     for _chain, atoms in _live_chains(chains, budget):
@@ -323,11 +327,6 @@ def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> S
         events += 1 + (subs if calls == 1 else 0)
         live += 1
     return min(terms, over), min(nodes, over), min(events, over), min(live, over)
-
-
-def _output_size(registry: SystemRegistry, name: str, budget: Budget) -> Size:
-    """What :func:`_unroll` sizes ``name`` to at ``budget``, with no node built."""
-    return _sized(registry, name, budget, None)[0]
 
 
 def _sized(
@@ -540,11 +539,6 @@ def _distributed(nodes: list[ExpansionNode], layers: list[dict[str, Size]]) -> l
     return [node for node in nodes if node in needed]
 
 
-def _check_size(count: int, what: str) -> None:
-    if count > MAX_EXPANSION:
-        raise ValueError(f"expansion too large: over the cap of {MAX_EXPANSION} {what}")
-
-
 def _compose(pieces: Iterable[tuple[bool, str]]) -> str:
     """Join rendered pieces; (is_plain_var, text) pairs.
 
@@ -687,7 +681,7 @@ def trace_eval(
     top = len(layers) - 1
     widest = max((layers[min(n.budget, top)][n.system][0] for n in nodes[:-1]), default=0)
     _check_size(widest, "flat terms in one call")
-    texts = _paper_texts(nodes[:-1])
+    texts = _paper_texts(nodes[:-1], every=True)
     told: dict[ExpansionNode, tuple[list[TraceEvent], float]] = {}  # each node's events, value
     values: dict[ExpansionBranch, float] = {}
     callers = _callers(nodes)
@@ -727,9 +721,11 @@ def trace_eval(
     return TraceResult(value, tuple(events))
 
 
-def _paper_texts(nodes: list[ExpansionNode]) -> dict[_Dag, str]:
-    """The ``paper`` text of the flat terms of each of ``nodes``, given
-    callees first, and of each of their branches, keyed by the record.
+def _paper_texts(nodes: list[ExpansionNode], every: bool = False) -> dict[_Dag, str]:
+    """The ``paper`` text of the flat terms of the last of ``nodes``, given
+    callees first, keyed by the record; with ``every``, as the trace's
+    ``expr=`` and ``sub=`` lines read them, that of each node and of each
+    of their branches too.
 
     No term is built and nothing is formatted.  A term is *tight* when
     every atom is a one-character variable.  A variable segment is one
@@ -745,6 +741,7 @@ def _paper_texts(nodes: list[ExpansionNode]) -> dict[_Dag, str]:
     callers = _callers(nodes)
     for node in nodes:
         node_terms: list[tuple[str, bool]] | None = [] if callers[node] else None
+        shown = every or node is nodes[-1]  # whether the node's text is kept
         summed: list[str] = []  # the texts of the branches that have terms
         for branch in node.presentation_order():
             factors = [
@@ -764,14 +761,18 @@ def _paper_texts(nodes: list[ExpansionNode]) -> dict[_Dag, str]:
                     else:
                         text = "*".join("*".join(t) if tight else t for t, tight in pick)
                         out.append((text, False))
-            # every term has an atom, so only an empty sum joins to ""
-            text = texts[branch] = " + ".join(t for t, _ in out) or "0"
-            if out:
-                summed.append(text)
+            if shown:
+                # every term has an atom, so only an empty sum joins to ""
+                text = " + ".join(t for t, _ in out) or "0"
+                if every:
+                    texts[branch] = text
+                if out:
+                    summed.append(text)
             if node_terms is not None:
                 node_terms.extend(out)
             _release(terms, callers, branch)
-        texts[node] = " + ".join(summed) or "0"
+        if shown:
+            texts[node] = " + ".join(summed) or "0"
         if node_terms is not None:
             terms[node] = node_terms
     return texts

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import expr_concat, multinomial_coefficient, reference_canonicalize
 
-from fuzzchain import algebra, recursion
+from fuzzchain import algebra
 from fuzzchain.algebra import (
     Call,
     FtfExpr,
@@ -434,12 +434,53 @@ def test_power_tables_past_the_cap_are_refused_before_any_row(monkeypatch, text,
 
 
 def test_power_tables_at_the_cap_are_built():
-    assert algebra.MAX_EXPANSION == CAP and recursion.MAX_EXPANSION is algebra.MAX_EXPANSION
+    assert algebra.MAX_EXPANSION == CAP
     (entry,) = multinomial_expand(parse_expr("x"), CAP)
     assert entry.composition == (CAP,) and len(entry.term.atoms) == CAP
     entries = multinomial_expand(parse_expr("x + y"), 2**10 - 1)  # 1024 rows of 1023 atoms
     assert len(entries) == 2**10
     assert multinomial_expand(parse_expr("0"), 2**63) == []  # no terms, no rows
+
+
+def test_powers_past_the_cap_are_refused_before_any_union():
+    # 17 one-letter terms may have 2^17 - 1 unions of up to 17 atoms each,
+    # over the cap; 16 would be 2^20 - 16 atoms, under it
+    terms = " + ".join(f"v{i}" for i in range(17))
+    refusal = f"^expansion too large: over the cap of {CAP} atoms in the power$"
+    with pytest.raises(ValueError, match=refusal):
+        expr_power(parse_expr(terms), 17)
+    # a huge k is bounded by the atoms: 3 unions of at most 3 atoms
+    assert format_expr(expr_power(parse_expr("x*y + z"), 2**63)) == "x*y + x*y*z + z"
+    assert expr_power(FtfExpr.one(), 2**63) == FtfExpr.one()
+
+
+def test_the_power_bound_holds_the_power_and_never_passes_the_table(monkeypatch):
+    """The bound ``expr_power`` refuses on is at least the atoms of the
+    power it builds, and at most the atoms the table's bound counts, so
+    ``power`` never reaches it after the table."""
+    rng = SplitMix64(36)
+    atoms = (Var("p"), Var("q"), Var("r"), Var("s"), Call("f", 2))
+    refused = 0
+    for _ in range(300):
+        expr = FtfExpr(
+            tuple(
+                Term(tuple(rng.choice(atoms) for _ in range(rng.randint(0, 3))))
+                for _ in range(rng.randint(1, 5))
+            )
+        )
+        k = rng.randint(1, 6)
+        built = sum(len(t.atoms) for t in expr_power(expr, k).terms)
+        longest = max(len(t.atoms) for t in expr.terms)
+        table = len(multinomial_expand(expr, k)) * k * max(1, longest)
+        monkeypatch.setattr(algebra, "MAX_EXPANSION", table)
+        expr_power(expr, k)  # the table fits, so the power does
+        if built:
+            monkeypatch.setattr(algebra, "MAX_EXPANSION", built - 1)
+            with pytest.raises(ValueError, match="atoms in the power$"):
+                expr_power(expr, k)
+            refused += 1
+        monkeypatch.undo()
+    assert refused >= 250
 
 
 def test_multinomial_terms_evaluate_like_the_power():

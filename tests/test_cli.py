@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -444,6 +445,22 @@ def test_power_of_a_long_sum_runs_without_recursion_limit(run_cli):
     lines = out.splitlines()
     assert len(lines) == 1 + len(terms)  # the power, then one table row per term
     assert lines[1] == "1 * (1" + ",0" * 1199 + ") -> v0"
+
+
+def test_power_refuses_its_table_before_it_builds_the_power(run_cli):
+    # 18 one-letter terms at k = 18: the power would hold 2^18 - 1 unions,
+    # but the table's size, C(35, 17) rows of 18 atoms, refuses it first
+    terms = "+".join("abcdefghijklmnopqr")
+    tracemalloc.start()
+    try:
+        refused = run_cli("power", terms, "18")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refused == (
+        3, "", "error: expansion too large: over the cap of 1048576 atoms in the table\n"
+    )
+    assert peak < 4 * 2**20
 
 
 def test_numeric_routes_answer_at_any_self_call_count(run_cli):

@@ -16,6 +16,10 @@ the chain walk, reads the plan's walk table, and the oracles read a
 system through its record fields alone.  Both connection matrices, the
 symbolic and the numeric, are laid out by one fill in ``systems.py`` and
 printed by one renderer.
+
+The output bound has one owner: ``algebra.MAX_EXPANSION`` and the one
+function that refuses past it, which every exponential producer calls
+before it builds its output.
 """
 
 from __future__ import annotations
@@ -294,3 +298,38 @@ def test_shared_expansion_records_compare_by_identity():
         "__hash__": "object.__hash__",
     }
     assert _calls_to(tree, "id") == []
+
+
+def test_the_output_bound_has_one_owner():
+    """Exactly one function in the package raises ``expansion too large``:
+    ``algebra._check_size``.  Each producer of an exponential output calls
+    it, no module imports the cap's binding, and ``power`` sizes its table,
+    which sizes itself before any row, before it builds the power."""
+    trees = {path.stem: ast.parse(path.read_text("utf-8")) for path in PACKAGE.glob("*.py")}
+    functions = {
+        module: {node.name: node for node in _nodes(tree, ast.FunctionDef)}
+        for module, tree in trees.items()
+    }
+    ((module, refusal),) = [
+        (module, node)
+        for module, tree in trees.items()
+        for node in _nodes(tree, ast.Raise)
+        if "expansion too large" in ast.unparse(node)
+    ]
+    assert module == "algebra" and refusal in _nodes(functions[module]["_check_size"], ast.Raise)
+    for module, producers in (
+        ("algebra", ("expr_power", "multinomial_expand")),
+        ("recursion", ("_unroll", "trace_eval")),
+    ):
+        for producer in producers:
+            assert _calls_to(functions[module][producer], "_check_size"), producer
+    imported = {
+        alias.name
+        for tree in trees.values()
+        for node in _nodes(tree, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "MAX_EXPANSION" not in imported
+    (table,) = _calls_to(functions["cli"]["_cmd_power"], "multinomial_expand")
+    (power,) = _calls_to(functions["cli"]["_cmd_power"], "expr_power")
+    assert table.lineno < power.lineno

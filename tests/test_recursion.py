@@ -17,7 +17,7 @@ from conftest import (
     reference_canonicalize,
 )
 
-from fuzzchain import recursion
+from fuzzchain import algebra, recursion
 from fuzzchain.algebra import (
     Call,
     FtfExpr,
@@ -498,7 +498,7 @@ def _ladder(depth: int, bottom: str) -> SystemRegistry:
 def test_expansion_dags_compare_and_hash_by_identity(monkeypatch):
     # the tree has 2**40 paths, and no == or hash may walk it; each
     # answer is kept as a bool, so a failing assert prints no tree
-    monkeypatch.setattr(recursion, "MAX_EXPANSION", 2**64)
+    monkeypatch.setattr(algebra, "MAX_EXPANSION", 2**64)
 
     def unavailable(root):
         raise AssertionError("walked the DAG")
@@ -598,7 +598,9 @@ def test_paper_texts_equal_the_formatted_flat_terms():
         registry, _ = lengthen_some_names(rng, registry, random_assignment(rng))
         name = registry.names()[-1]
         nodes = recursion._unroll(registry, name, None, None, 0, "flat terms")[0]
-        texts = recursion._paper_texts(nodes)  # the memo lists callees first
+        texts = recursion._paper_texts(nodes, every=True)  # the memo: callees first
+        # the paper route keeps the root's text alone
+        assert recursion._paper_texts(nodes) == {nodes[-1]: texts[nodes[-1]]}
         for node in nodes:
             flat = symbolic_expand(registry, node.system, node.budget)
             for record, terms in [
@@ -705,7 +707,7 @@ def test_sizes_predict_every_output_of_the_expansion(fixture_assignment):
     seen = {}
     for count in range(9):
         registry = builtin_fixtures(rec_count=count)
-        size = recursion._output_size(registry, "psi1_rec", None)
+        size = recursion._sized(registry, "psi1_rec", None, None)[0]
         assert size[:3] == _outputs(registry, "psi1_rec", None, fixture_assignment)
         seen[count] = (size[0], size[2])
     assert (seen[3], seen[5], seen[8]) == ((30, 142), (126, 622), (1022, 5102))
@@ -719,7 +721,7 @@ def test_layered_size_matches_the_outputs_of_random_registries():
         assignment = random_assignment(rng)
         for name in registry.names():
             budget = rng.choice([None, None, 0, 1, 2, 3, 4])
-            size = recursion._output_size(registry, name, budget)
+            size = recursion._sized(registry, name, budget, None)[0]
             if size[0] > 5000:
                 continue  # keep the flattening cheap
             assert size[: 3 if budget is None else 2] == _outputs(
@@ -757,9 +759,9 @@ def test_expansion_past_the_cap_is_refused(monkeypatch, fixture_assignment):
         (142, "trace events", lambda: trace_eval(registry, "psi1_rec", fixture_assignment)),
     ]
     for size, what, route in routes:
-        monkeypatch.setattr(recursion, "MAX_EXPANSION", size)
+        monkeypatch.setattr(algebra, "MAX_EXPANSION", size)
         route()  # at the cap is allowed
-        monkeypatch.setattr(recursion, "MAX_EXPANSION", size - 1)
+        monkeypatch.setattr(algebra, "MAX_EXPANSION", size - 1)
         refusal = f"expansion too large: over the cap of {size - 1} {what}"
         with pytest.raises(ValueError, match=refusal):
             route()
@@ -779,11 +781,11 @@ def test_doubly_exponential_expansion_is_sized_without_blowing_up(fixture_assign
             """
         )
 
-    assert recursion._output_size(squaring(60), "s", None)[0] == recursion.MAX_EXPANSION + 1
+    assert recursion._sized(squaring(60), "s", None, None)[0][0] == algebra.MAX_EXPANSION + 1
     # at count 7 the trace tells a short story, but each call's expr= text
     # would list the callee's 2 * 10^11 flat terms
     registry = squaring(7)
-    assert recursion._output_size(registry, "s", None)[2] == 1400
+    assert recursion._sized(registry, "s", None, None)[0][2] == 1400
     with pytest.raises(ValueError, match="over the cap of 1048576 flat terms in one call"):
         trace_eval(registry, "s", fixture_assignment)
     with pytest.raises(ValueError, match="over the cap of 1048576 flat terms$"):
@@ -885,7 +887,7 @@ def test_a_branch_with_an_empty_factor_builds_no_callee_terms():
             "top", "A", "B", [("A", "C", Call("psi1_rec", 20)), ("C", "B", Call("dead", 1))]
         )
     )
-    assert recursion._output_size(registry, "psi1_rec", 20)[0] > recursion.MAX_EXPANSION
+    assert recursion._sized(registry, "psi1_rec", 20, None)[0][0] > algebra.MAX_EXPANSION
     tracemalloc.start()
     try:
         assert symbolic_expand(registry, "top") == FtfExpr(())
@@ -1061,7 +1063,7 @@ def _calls(branch) -> int:
 def test_replayed_trace_matches_its_size_and_the_evaluator(fixture_assignment):
     def agrees(registry, name, assignment):
         result = trace_eval(registry, name, assignment)
-        assert len(result.events) == recursion._output_size(registry, name, None)[2]
+        assert len(result.events) == recursion._sized(registry, name, None, None)[0][2]
         assert result.value == eval_system(registry, name, assignment)
 
     for count in range(9):
@@ -1208,11 +1210,11 @@ def test_the_chain_bound_reads_a_pinned_share_of_the_5x5_grid():
     grades = _CountingGrades(values)
     got = recursion._grade(chains, grades, {})
     assert (repr(got), grades.reads) == (repr(plain), 19_319)
-    # a tie with the best stops a chain too: with every grade 1.0, each
-    # chain after the first stops at its first read
+    # a chain that ends at 1.0, the lattice top, answers at once: with
+    # every grade 1.0 only the first chain is read
     ones = _CountingGrades(dict.fromkeys(values, 1.0))
     assert recursion._grade(chains, ones, {}) == 1.0
-    assert ones.reads == len(chains[0][1]) + len(chains) - 1 == 8535
+    assert ones.reads == len(chains[0][1]) == 24
 
 
 ACYCLIC_CASES = {
