@@ -51,14 +51,15 @@ __all__ = [
 ]
 
 MAX_EXPANSION = 2**20
-"""Most flat terms, nested node occurrences or trace events an output may
-hold, and most atoms in a power or its table; :func:`_check_size` is its
-one check."""
+"""Most flat terms, nested node occurrences, trace events or chains an
+output may hold, and most atoms in a power or its table;
+:func:`_check_size` is its one check."""
 
 
 def _check_size(count: int, what: str) -> None:
     """Refuse an output of ``count`` ``what`` past :data:`MAX_EXPANSION`:
-    the one check of the bound, made before any of the output is built."""
+    the one check of the bound, made before any of the output is built,
+    or, for a transmission function, one chain past the bound."""
     if count > MAX_EXPANSION:
         raise ValueError(f"expansion too large: over the cap of {MAX_EXPANSION} {what}")
 

@@ -14,10 +14,10 @@ the on-path vertex names and the edge atoms crossed so far in two lists
 that grow and shrink with its stack, and hands out each chain as those
 live lists plus the atom of the edge into the output, so no caller
 looks an edge up again.  :func:`enumerate_chains` copies both into a
-(chain, atoms) pair; :func:`derive_ftf` reads the atoms alone and
-builds no vertex tuple.  This is backtracking path listing as in Read
-& Tarjan 1975, "Bounds on backtrack algorithms for listing cycles,
-paths, and spanning trees".
+(chain, atoms) pair; :func:`derive_ftf` reads the atoms alone, builds
+no vertex tuple, and stops one chain past the output bound.  This is
+backtracking path listing as in Read & Tarjan 1975, "Bounds on
+backtrack algorithms for listing cycles, paths, and spanning trees".
 
 Only simple paths matter: repeating a vertex can only extend the min
 over a walk's edges, never raise it, so every walk is dominated by the
@@ -26,9 +26,11 @@ simple path it shortcuts to.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
-from .algebra import Atom, FtfExpr, Term
+from . import algebra
+from .algebra import Atom, FtfExpr, Term, _check_size
 from .systems import FuzzySystem
 
 __all__ = [
@@ -104,6 +106,10 @@ def derive_ftf(system: FuzzySystem) -> FtfExpr:
 
     The result is kept raw (chain order, path-ordered atoms) so that
     displays can reproduce the authored form; canonicalize it for
-    comparisons.
+    comparisons.  The walk stops one chain past ``algebra.MAX_EXPANSION``,
+    and a system with more chains is refused with ``ValueError``.
     """
-    return FtfExpr(tuple([Term((*atoms, atom)) for _path, atoms, atom in _walk(system)]))
+    walk = itertools.islice(_walk(system), algebra.MAX_EXPANSION + 1)
+    terms = tuple([Term((*atoms, atom)) for _path, atoms, atom in walk])
+    _check_size(len(terms), "chains")
+    return FtfExpr(terms)

@@ -39,6 +39,8 @@ from .oracles import (
     warshall_steps,
 )
 from .recursion import (
+    _size,
+    _table,
     eval_system,
     paper_expansion,
     resolve_call,
@@ -384,8 +386,9 @@ def check_budget_laws(seed: int, trials: int, self_only: bool | None = None) -> 
 def check_expansion(seed: int, trials: int) -> CheckResult:
     """Flattened symbolic expansion and the narrated trace both agree
     with plain evaluation, which in turn agrees with the naive unroll,
-    and the ``paper`` text composed with no term built
-    (:func:`paper_expansion`) is the flat expansion's."""
+    the ``paper`` text composed with no term built
+    (:func:`paper_expansion`) is the flat expansion's, and the flat terms
+    and trace events are as many as the size layers predict."""
 
     def one(rng: SplitMix64, _: int) -> str | None:
         registry = random_registry(
@@ -407,6 +410,10 @@ def check_expansion(seed: int, trials: int) -> CheckResult:
         traced = trace_eval(registry, name, assignment)
         if repr(traced.value) != repr(top):
             return f"{name}: trace={traced.value!r} top={top!r}"
+        terms, _nodes, events, _live = _table(registry, name, None, None, _size)[2](name, None)
+        if (terms, events) != (len(flat.terms), len(traced.events)):
+            emitted = f"{len(flat.terms)} terms, {len(traced.events)} events"
+            return f"{name}: sized {terms} terms, {events} events; emitted {emitted}"
         return None
 
     return _run("expansion-agree", trials, one, seed)

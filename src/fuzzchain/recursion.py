@@ -11,17 +11,20 @@ max-min zero, so no chain through it adds to the max.  Budgets strictly
 decrease with depth, so evaluation always terminates, self-referential
 systems included.
 
-One walker, :func:`_layers`, fills a table of budget layers bottom-up,
-without Python recursion, grading every callee at every budget in one
-loop.  :func:`_call_grades` is the table's one numeric reader, the value of
-each call of a system at a budget: :func:`_grade` values a system from it
-for :func:`resolve_call` (whose top level is :func:`eval_system`), and
-:func:`edge_grades` reads its top level for the closure routes.
-:func:`_grade` takes the max over chains of each chain's min, and a
-chain's scan stops at the first grade that cannot raise the max.  In what
-:func:`_size` counts and the expansion DAG holds, a dead call's chains
-vanish (:func:`_live_chains`).  Each call enumerates a system's chains
-once (:class:`_Chains`), and every layer, and the DAG, reads them there.
+One entry, :func:`_table`, serves every layered route: it checks the
+budget and the bindings, enumerates each system's chains once per call,
+and fills a table of budget layers bottom-up, without Python recursion,
+grading every callee at every budget in one loop.  It gives back its
+grader bound to the table, so a route grades its root as the callees
+were graded: by :func:`_value` for :func:`resolve_call` and
+:func:`call_layers` (the paper's sequence of grade memberships), by
+:func:`_size` for the symbolic outputs.  :func:`_at` reads a system at
+a budget, the top layer past the table.  :func:`_call_grades` gives
+each call of a system its value, and :func:`edge_grades` reads its top
+level for the closure routes.  :func:`_grade` takes the max over chains
+of each chain's min, and a chain's scan stops at the first grade that
+cannot raise the max.  In what :func:`_size` counts and the expansion
+DAG holds, a dead call's chains vanish (:func:`_live_chains`).
 
 The symbolic outputs unroll the call structure into one expansion DAG
 with a node per (system, budget): ``expand`` renders it nested
@@ -30,7 +33,7 @@ with a node per (system, budget): ``expand`` renders it nested
 :func:`paper_expansion`), and :func:`trace_eval` narrates it as a
 stream of enter/push/branch/pop/exit events.  Those outputs grow
 exponentially with the call depth, so each comes through one entry,
-:func:`_unroll`: it sizes the output on a layer table of :func:`_size`,
+:func:`_unroll`: it sizes the output on the layer table of :func:`_size`,
 refuses it with ``ValueError`` past ``algebra.MAX_EXPANSION`` (through
 the bound's one check, ``algebra._check_size``), and only then builds the
 nodes.  The DAG's records hold structure only, and each
@@ -49,10 +52,10 @@ terms or events after its last caller (:func:`_release`).  Only the builder,
 :func:`_expansion_node`, recurses, so a narrow call chain deep enough
 can still exhaust the recursion limit while it builds.
 
-Every entry point that takes an assignment checks it first with
-:func:`~fuzzchain.systems.require_bindings` and then reads only the
-grades it returns, floats with no ``-0.0``, so every route gives the
-same ``repr``.
+Every entry point that takes an assignment checks it first, in
+:func:`_table`, with :func:`~fuzzchain.systems.require_bindings` and
+then reads only the grades it returns, floats with no ``-0.0``, so
+every route gives the same ``repr``.
 """
 
 from __future__ import annotations
@@ -104,6 +107,8 @@ Budget = Union[int, None]  # None marks the top level
 ChainList = list[tuple[Chain, tuple[Atom, ...]]]
 Size = tuple[int, int, int, int]  # flat terms, nested node occurrences, trace events, live chains
 T = TypeVar("T")
+Chains = Callable[[str], ChainList]  # a system's chains, enumerated once per call
+Grader = Callable[[_Plan, ChainList, dict[str, float], Budget, list[dict[str, T]]], T]
 
 
 def _effective(declared: int, budget: Budget) -> int:
@@ -131,19 +136,6 @@ def stabilization_budget(registry: SystemRegistry) -> int:
     return 1 + registry.max_declared_count()
 
 
-class _Chains(dict[str, ChainList]):
-    """Each system's chains, as :func:`enumerate_chains` gives them,
-    enumerated the first time one call reads them."""
-
-    def __init__(self, registry: SystemRegistry):
-        super().__init__()
-        self.registry = registry
-
-    def __missing__(self, name: str) -> ChainList:
-        chains = self[name] = enumerate_chains(self.registry[name])
-        return chains
-
-
 def _live_chains(chains: ChainList, budget: Budget) -> Iterator[tuple[Chain, tuple[Atom, ...]]]:
     """The (chain, atoms) pairs among a system's ``chains`` that survive ``budget``.
 
@@ -156,6 +148,61 @@ def _live_chains(chains: ChainList, budget: Budget) -> Iterator[tuple[Chain, tup
                 break  # a dead call drops the chain
         else:
             yield chain, atoms
+
+
+def _table(
+    registry: SystemRegistry,
+    name: str,
+    budget: Budget,
+    assignment: Mapping[str, float] | None,
+    grader: Grader[T],
+) -> tuple[dict[str, float], list[dict[str, T]], Callable[[str, Budget], T], Chains]:
+    """The one entry of every layered route: check ``budget`` and the
+    bindings, then fill the budget layers of ``name`` with ``grader``.
+
+    Gives the checked grades, the layers, ``grade(system, budget)``, which
+    is ``grader`` bound to the table, and the memo of chains it reads, each
+    system's enumerated the first time it is read.  Layer b holds
+    ``grade(s, b)`` of every system ``s`` that ``name`` reaches through
+    a call edge, read over the layers below it.  Every call is dead
+    below budget 2, so layer 1 is a copy of layer 0 and nothing is
+    graded at budget 1.  Filling stops at the last budget the root
+    grants a call (its largest declared count at the top level,
+    ``budget - 1`` below it), or at the first b >= 2 whose layer equals
+    layer b - 1: every later layer is that one (:func:`_at`).
+    """
+    _check_budget(budget)
+    walked, grades = require_bindings(registry, name, assignment)
+    memo: dict[str, ChainList] = {}
+
+    def chains(s: str) -> ChainList:
+        if s not in memo:
+            memo[s] = enumerate_chains(registry[s])
+        return memo[s]
+
+    def grade(s: str, b: Budget) -> T:
+        return grader(registry[s]._plan, chains(s), grades, b, layers)
+
+    calls = {s: registry[s]._plan.calls for s in walked}
+    called = {call.target for atoms in calls.values() for call in atoms}
+    last = max((call.count for call in calls[name]), default=0) if budget is None else budget - 1
+    callees = [s for s in walked if s in called]
+    layers: list[dict[str, T]] = []
+    while len(layers) <= last:
+        if len(layers) == 1:
+            layer = dict(layers[0])  # every call is dead below budget 2
+        else:
+            layer = {s: grade(s, len(layers)) for s in callees}
+            if len(layers) >= 2 and layer == layers[-1]:
+                break
+        layers.append(layer)
+    return grades, layers, grade, chains
+
+
+def _at(layers: list[dict[str, T]], system: str, budget: int) -> T:
+    """``system`` in the layer of ``budget``; a budget past the table reads
+    its top layer, which every later layer repeats."""
+    return layers[min(budget, len(layers) - 1)][system]
 
 
 def resolve_call(
@@ -171,9 +218,7 @@ def resolve_call(
     the value stops changing.  ``budget=None`` is the top level, as in
     :func:`eval_system`.
     """
-    chains = _Chains(registry)
-    grades, layers = call_layers(registry, name, assignment, budget, chains)
-    return _grade(chains[name], grades, _call_grades(registry[name]._plan, budget, layers))
+    return _table(registry, name, budget, assignment, _value)[2](name, budget)
 
 
 def eval_system(
@@ -190,71 +235,35 @@ def call_layers(
     name: str,
     assignment: Mapping[str, float],
     budget: Budget = None,
-    chains: Mapping[str, ChainList] | None = None,
 ) -> tuple[dict[str, float], list[dict[str, float]]]:
-    """The grades :func:`require_bindings` checked for ``name`` and the
-    value of every system ``name`` calls, at each budget it can read.
+    """The paper's sequence of grade memberships for ``name``: the grades
+    :func:`require_bindings` checked, and the value of every system
+    ``name`` calls at each budget it can read.
 
     ``layers[b][s]`` is ``resolve_call(registry, s, b, assignment)`` for
-    each system ``s`` reached through a call edge (see :func:`_layers`);
-    a call granted budget b reads ``layers[min(b, len(layers) - 1)]``.
-    A caller that grades more systems itself passes the ``chains`` the
-    table was graded from, so no system's chains are enumerated twice.
+    each system ``s`` reached through a call edge (see :func:`_table`); a
+    call granted budget b past the last layer reads the last.
     """
-    _check_budget(budget)
-    walked, grades = require_bindings(registry, name, assignment)
-    chains = _Chains(registry) if chains is None else chains
-
-    def grade(s: str, b: int, layers: list[dict[str, float]]) -> float:
-        return _grade(chains[s], grades, _call_grades(registry[s]._plan, b, layers))
-
-    return grades, _layers(registry, walked, budget, grade)
+    return _table(registry, name, budget, assignment, _value)[:2]
 
 
-def _layers(
-    registry: SystemRegistry,
-    walked: list[str],
-    budget: Budget,
-    grade: Callable[[str, int, list[dict[str, T]]], T],
-) -> list[dict[str, T]]:
-    """``grade`` of every system that the root ``walked[0]`` reaches
-    through a call edge, at each budget the root can grant.
-
-    ``walked`` is as :func:`require_bindings` returns it, and each
-    system's calls are read from its plan.  Layer b is ``grade(system,
-    b, layers)`` of every callee over the layers below it.  Every call
-    is dead below budget 2, so layer 1 is a copy of layer 0 and
-    ``grade`` is never called at budget 1.  Filling stops at the last
-    budget the root grants a call (its largest declared count at the top
-    level, ``budget - 1`` below it), or at the first b >= 2 whose layer
-    equals layer b - 1: every later layer is that one.
-    """
-    calls = {s: registry[s]._plan.calls for s in walked}
-    called = {call.target for atoms in calls.values() for call in atoms}
-    root_counts = [call.count for call in calls[walked[0]]]
-    last = max(root_counts, default=0) if budget is None else budget - 1
-    callees = [s for s in walked if s in called]
-    layers: list[dict[str, T]] = []
-    while len(layers) <= last:
-        if len(layers) == 1:
-            layer = dict(layers[0])  # every call is dead below budget 2
-        else:
-            layer = {s: grade(s, len(layers), layers) for s in callees}
-            if len(layers) >= 2 and layer == layers[-1]:
-                break
-        layers.append(layer)
-    return layers
+def _value(
+    plan: _Plan, chains: ChainList, grades: dict[str, float], budget: Budget,
+    layers: list[dict[str, float]],
+) -> float:
+    """The numeric grader: a system's value at ``budget``, :func:`_grade`
+    of its ``chains`` over the values its calls read in ``layers``."""
+    return _grade(chains, grades, _call_grades(plan, budget, layers))
 
 
 def _call_grades(plan: _Plan, budget: Budget, layers: list[dict[str, float]]) -> dict[Call, float]:
     """The value each call of ``plan`` reads at ``budget``: its callee's
-    value in ``layers[min(effective budget, top)]``, or ``0.0`` when the
-    call is dead (a call that may never run transmits nothing)."""
-    top = len(layers) - 1
+    value at its effective budget (:func:`_at`), or ``0.0`` when the call
+    is dead (a call that may never run transmits nothing)."""
     called = {}
     for call in plan.calls:
         b = _effective(call.count, budget)
-        called[call] = layers[min(b, top)][call.target] if b >= 1 else 0.0
+        called[call] = _at(layers, call.target, b) if b >= 1 else 0.0
     return called
 
 
@@ -301,10 +310,13 @@ def edge_grades(
     return list(zip(plan.us, plan.vs, map({**grades, **called}.__getitem__, plan.slots)))
 
 
-def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> Size:
-    """What the system with these ``chains`` unrolls to at ``budget``: (flat
-    terms, nested node occurrences, trace events, live chains), each
-    saturating past the cap.
+def _size(
+    _plan: _Plan, chains: ChainList, _grades: dict[str, float], budget: Budget,
+    layers: list[dict[str, Size]],
+) -> Size:
+    """The size grader: what the system with these ``chains`` unrolls to at
+    ``budget``, as (flat terms, nested node occurrences, trace events,
+    live chains), each saturating past the cap.
 
     A live chain has the product of its callees' terms.  It adds their
     occurrences and events, a PUSH and a POP per call, a summary event
@@ -312,13 +324,12 @@ def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> S
     system adds one occurrence, ENTER and EXIT.
     """
     over = algebra.MAX_EXPANSION + 1
-    top = len(layers) - 1
     terms, nodes, events, live = 0, 1, 2, 0
     for _chain, atoms in _live_chains(chains, budget):
         product, calls, subs = 1, 0, 0
         for atom in atoms:
             if isinstance(atom, Call):
-                child = layers[min(_effective(atom.count, budget), top)][atom.target]
+                child = _at(layers, atom.target, _effective(atom.count, budget))
                 product = min(product * child[0], over)
                 nodes += child[1]
                 events += 2 + child[2]
@@ -327,17 +338,6 @@ def _size(chains: ChainList, budget: Budget, layers: list[dict[str, Size]]) -> S
         events += 1 + (subs if calls == 1 else 0)
         live += 1
     return min(terms, over), min(nodes, over), min(events, over), min(live, over)
-
-
-def _sized(
-    registry: SystemRegistry, name: str, budget: Budget, assignment: Mapping[str, float] | None
-) -> tuple[Size, list[dict[str, Size]], dict[str, float], _Chains]:
-    """Check the budget and bindings, then size: (size, layers, grades, chains)."""
-    _check_budget(budget)
-    walked, grades = require_bindings(registry, name, assignment)
-    chains = _Chains(registry)
-    layers = _layers(registry, walked, budget, lambda s, b, layers: _size(chains[s], b, layers))
-    return _size(chains[name], budget, layers), layers, grades, chains
 
 
 # --------------------------------------------------------------------------
@@ -455,15 +455,15 @@ def _unroll(
     """The one way into the expansion DAG: size ``name`` at ``budget``, refuse
     it when ``size[output]`` passes the cap, and only then build it.  Gives
     the node memo (callees first, root last), the grades and the size layers."""
-    size, layers, grades, chains = _sized(registry, name, budget, assignment)
-    _check_size(size[output], what)
+    grades, layers, size, chains = _table(registry, name, budget, assignment, _size)
+    _check_size(size(name, budget)[output], what)
     nodes: dict[tuple[str, Budget], ExpansionNode] = {}
     _expansion_node(chains, nodes, name, budget)
     return list(nodes.values()), grades, layers
 
 
 def _expansion_node(
-    chains: _Chains,
+    chains: Chains,
     nodes: dict[tuple[str, Budget], ExpansionNode],
     name: str,
     budget: Budget,
@@ -475,7 +475,7 @@ def _expansion_node(
     node = nodes.get(key)
     if node is None:
         branches = []
-        for chain, atoms in _live_chains(chains[name], budget):
+        for chain, atoms in _live_chains(chains(name), budget):
             segments: list[Union[Var, ExpansionNode]] = []
             for a in atoms:  # a loop, not a generator: one frame per call level
                 if isinstance(a, Call):
@@ -528,13 +528,12 @@ def _distributed(nodes: list[ExpansionNode], layers: list[dict[str, Size]]) -> l
     """The nodes a flat output distributes, callees first: the root, and each
     node a distributed node's branch calls when all it calls have flat terms
     (in the size layers).  A node behind an empty factor is never distributed."""
-    top = len(layers) - 1
     needed = {nodes[-1]}
     for node in reversed(nodes):  # callers first
         if node in needed:
             for branch in node.branches:
                 called = [seg for seg in branch.segments if isinstance(seg, ExpansionNode)]
-                if all(layers[min(seg.budget, top)][seg.system][0] > 0 for seg in called):
+                if all(_at(layers, seg.system, seg.budget)[0] > 0 for seg in called):
                     needed.update(called)
     return [node for node in nodes if node in needed]
 
@@ -678,8 +677,7 @@ def trace_eval(
     """
     nodes, grades, layers = _unroll(registry, name, None, assignment, 2, "trace events")
     # every other node is flattened into the trace's expr= text
-    top = len(layers) - 1
-    widest = max((layers[min(n.budget, top)][n.system][0] for n in nodes[:-1]), default=0)
+    widest = max((_at(layers, n.system, n.budget)[0] for n in nodes[:-1]), default=0)
     _check_size(widest, "flat terms in one call")
     texts = _paper_texts(nodes[:-1], every=True)
     told: dict[ExpansionNode, tuple[list[TraceEvent], float]] = {}  # each node's events, value

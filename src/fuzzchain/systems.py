@@ -161,7 +161,8 @@ class _Plan:
     def table(self) -> tuple[tuple[tuple[int, Atom], ...], ...]:
         """Entry i lists vertex ``vertices[i]``'s (neighbor index, atom) pairs
         in edge-declaration order.  It holds a tuple per edge end, so it is
-        built on first read: the matrix routes walk no chain of the system."""
+        built on first read, and only a chain walk reads it: the matrix
+        routes and ``validate`` walk no chain of the system."""
         table: list[list[tuple[int, Atom]]] = [[] for _ in range(self._n)]
         for u, v, edge in zip(self.us, self.vs, self._edges):
             table[u].append((v, edge.atom))
@@ -228,7 +229,7 @@ def validate_registry(registry: SystemRegistry) -> list[Diagnostic]:
                 )
         plan = system._plan
         for terminal in (plan.start, plan.goal):
-            if not plan.table[terminal]:
+            if terminal not in plan.us and terminal not in plan.vs:
                 message = f"disconnected terminal {system.vertices[terminal]!r}"
                 diagnostics.append(Diagnostic(system.name, "warning", message))
     return diagnostics

@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import grid_system
+from conftest import grid_system, invoke_cli
 
+from fuzzchain import algebra, chains
 from fuzzchain.algebra import Term, Var, canonicalize, format_expr, parse_expr
 from fuzzchain.chains import derive_ftf, enumerate_chains
 from fuzzchain.checks import random_registry
 from fuzzchain.recursion import eval_system
 from fuzzchain.rng import SplitMix64
-from fuzzchain.systems import EdgeDef, FuzzySystem, SystemRegistry, builtin_fixtures
+from fuzzchain.systems import (
+    EdgeDef,
+    FuzzySystem,
+    SystemRegistry,
+    builtin_fixtures,
+    format_registry,
+)
 
 # Simple corner-to-corner paths in a k x k grid graph (OEIS A007764).
 GRID_CHAIN_COUNTS = {2: 2, 3: 12, 4: 184, 5: 8512}
@@ -138,3 +145,31 @@ def test_derive_ftf_lists_no_chains(monkeypatch):
     monkeypatch.setattr("fuzzchain.chains.enumerate_chains", unavailable)
     monkeypatch.setattr("fuzzchain.recursion.enumerate_chains", unavailable)
     assert [derive_ftf(system) for system in systems] == want
+
+
+def test_derive_ftf_refuses_past_the_cap_one_chain_after_it(monkeypatch, tmp_path):
+    # the 6x6 grid's 1 262 816 chains pass the real cap; a cap below the
+    # 4x4 grid's 184 shows the same refusal in a few milliseconds
+    grid = grid_system(4)
+    walked = []
+    real = chains._walk
+
+    def counting(system):
+        for found in real(system):
+            walked.append(1)
+            yield found
+
+    monkeypatch.setattr(chains, "_walk", counting)
+    monkeypatch.setattr(algebra, "MAX_EXPANSION", 184)
+    assert len(derive_ftf(grid).terms) == 184  # at the cap is allowed
+    monkeypatch.setattr(algebra, "MAX_EXPANSION", 183)
+    walked.clear()
+    with pytest.raises(ValueError, match="^expansion too large: over the cap of 183 chains$"):
+        derive_ftf(grid)
+    assert len(walked) == 184  # one chain past the cap, and one walk
+    registry = SystemRegistry()
+    registry.add(grid)
+    path = tmp_path / "grid.fz"
+    path.write_text(format_registry(registry), encoding="utf-8")
+    refusal = "error: expansion too large: over the cap of 183 chains\n"
+    assert invoke_cli("ftf", "--fixtures", str(path), "--system", "grid") == (3, "", refusal)

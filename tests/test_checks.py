@@ -7,6 +7,7 @@ from fuzzchain.checks import (
     check_budget_laws,
     check_closure_power,
     check_eval_closure,
+    check_expansion,
     check_pivot_invariant,
     run_all,
 )
@@ -22,14 +23,33 @@ def test_budget_laws_catch_a_table_that_stops_at_layer_one(monkeypatch):
     # a layer table cut after layer 1 leaves every callee's own calls dead;
     # seed 45 is the budget-laws seed of `check --seed 42`
     assert check_budget_laws(45, 100).passed
-    real = recursion.call_layers
+    real = recursion._table
 
     def cut(*args):
-        grades, layers = real(*args)
-        return grades, layers[:2]
+        grades, layers, grade, chains = real(*args)
+        del layers[2:]  # the bound grader reads the cut table too
+        return grades, layers, grade, chains
 
-    monkeypatch.setattr(recursion, "call_layers", cut)
+    monkeypatch.setattr(recursion, "_table", cut)
     assert check_budget_laws(45, 100).failures > 0
+
+
+def test_expansion_agree_catches_a_size_one_event_short_per_chain(monkeypatch):
+    # every value still agrees; only the emitted counts can tell the size
+    # layers wrong.  Seed 46 and 10 trials are the expansion-agree run of
+    # `check --seed 42 --trials 50`
+    assert check_expansion(46, 10).passed
+    real = recursion._size
+
+    def short(*args):
+        terms, nodes, events, live = real(*args)
+        return terms, nodes, events - live, live
+
+    for module in (recursion, checks):  # checks reads it by name
+        monkeypatch.setattr(module, "_size", short)
+    result = check_expansion(46, 10)
+    assert result.failures > 0
+    assert "events; emitted" in result.detail
 
 
 def test_eval_closure_oracle_catches_two_routes_that_agree(monkeypatch):

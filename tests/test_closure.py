@@ -34,6 +34,7 @@ from fuzzchain.systems import (
     connection_matrix,
     format_registry,
     parse_registry,
+    validate_registry,
 )
 
 A = [[0.5, 0.2], [0.9, 0.4]]
@@ -573,6 +574,16 @@ def test_the_matrix_routes_build_no_walk_table():
         assert "table" not in vars(plan), route
         assert "table" in vars(registry["psi1"]._plan), route
         assert len(plan.table) == 80 and "table" in vars(plan)
+
+
+def test_validate_builds_no_walk_table():
+    # a terminal with no edge is read off the plan's endpoints, so validate
+    # walks no chain and leaves every walk table unbuilt
+    registry, _names = _sparse_registry(SplitMix64(29), 80, hang=True)
+    registry.add(FuzzySystem.build("loose", "A", "B", [("A", "C", Var("x"))]))
+    rendered = [str(d) for d in validate_registry(registry)]
+    assert rendered == ["warning: loose: disconnected terminal 'B'"]
+    assert [s.name for s in registry if "table" in vars(s._plan)] == []
 
 
 def test_transmission_memory_stays_far_below_the_grid():

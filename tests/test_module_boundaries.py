@@ -11,8 +11,8 @@ builds its merges and grids from numbers only.
 
 Structure has one owner: ``systems.py`` derives each system's plan, and
 no other module maps vertices to indices or tells atoms apart to find
-a system's variables and calls.  Outside ``systems.py`` one function,
-the chain walk, reads the plan's walk table, and the oracles read a
+a system's variables and calls.  One function, the chain walk, reads
+the plan's walk table, and the oracles read a
 system through its record fields alone.  Both connection matrices, the
 symbolic and the numeric, are laid out by one fill in ``systems.py`` and
 printed by one renderer.
@@ -191,10 +191,9 @@ def test_both_connection_matrices_come_from_one_fill_and_one_printer():
 
 
 def test_one_function_reads_the_walk_table():
+    # systems.py too: the table builds itself, and validate reads no edge of it
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "systems":
-            continue  # the plan's owner
         for function in _nodes(_tree(path.stem), (ast.FunctionDef, ast.AsyncFunctionDef)):
             reads = [node for node in _nodes(function, ast.Attribute) if node.attr == "table"]
             if reads:
@@ -262,14 +261,15 @@ def test_the_expansion_is_built_through_one_sized_entry():
 
 def test_each_call_is_read_by_one_rule_and_dead_chains_drop_in_one_place():
     """Numerically every call is read through ``_call_grades``, which
-    gives a dead call ``0.0``; ``_grade`` grades every chain and
-    ``edge_grades`` is the top-level case.  Only the structural routes,
-    the sizer and the expansion builder, drop a dead call's chains."""
+    gives a dead call ``0.0``: the numeric grader ``_value`` grades every
+    chain with ``_grade`` over it, and ``edge_grades`` is the top-level
+    case.  Only the structural routes, the sizer and the expansion
+    builder, drop a dead call's chains."""
     tree = _tree("recursion")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     grade_names = {node.id for node in _nodes(functions["_grade"], ast.Name)}
     assert not {"_live_chains", "_effective", "layers", "top"} & grade_names
-    for reader in ("resolve_call", "call_layers", "edge_grades"):
+    for reader in ("_value", "edge_grades"):
         assert _calls_to(functions[reader], "_call_grades"), reader
     edges = functions["edge_grades"]
     assert [node for node in _nodes(edges, ast.Attribute) if node.attr == "count"] == []
@@ -277,6 +277,29 @@ def test_each_call_is_read_by_one_rule_and_dead_chains_drop_in_one_place():
     for caller in ("_size", "_expansion_node"):
         assert len(_calls_to(functions[caller], "_live_chains")) == 1, caller
     assert len(_calls_to(tree, "_live_chains")) == 2  # and nothing else calls it
+
+
+def test_the_layer_table_has_one_entry_and_one_reader():
+    """Only ``_table`` checks the budget and the bindings and enumerates
+    chains, so every layered route fills its table there; only ``_at``
+    clamps a budget to the table, ``layers[min(...)]``; and ``call_layers``
+    takes no memo of chains."""
+    tree = _tree("recursion")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_check_budget", "require_bindings", "enumerate_chains"):
+        assert _calls_to(tree, name) == _calls_to(functions["_table"], name) != [], name
+    clamped = [
+        node
+        for node in _nodes(tree, ast.Subscript)
+        if ast.unparse(node.value) == "layers" and _calls_to(node.slice, "min")
+    ]
+    assert len(clamped) == 1 and clamped[0] in _nodes(functions["_at"], ast.Subscript)
+    assert [arg.arg for arg in functions["call_layers"].args.args] == [
+        "registry",
+        "name",
+        "assignment",
+        "budget",
+    ]
 
 
 def test_shared_expansion_records_compare_by_identity():
@@ -320,6 +343,7 @@ def test_the_output_bound_has_one_owner():
     for module, producers in (
         ("algebra", ("expr_power", "multinomial_expand")),
         ("recursion", ("_unroll", "trace_eval")),
+        ("chains", ("derive_ftf",)),
     ):
         for producer in producers:
             assert _calls_to(functions[module][producer], "_check_size"), producer

@@ -92,8 +92,8 @@ def test_eval_system_fixture_values(registry, fixture_assignment):
 
 
 def _reference_layers(registry, walked, budget, grade):
-    """``recursion._layers`` as written before layer 1 was a copy of layer 0:
-    every layer is graded."""
+    """The fill of ``recursion._table`` as written before layer 1 was a copy
+    of layer 0: every layer is graded."""
     calls = {s: [e.atom for e in registry[s].edges if isinstance(e.atom, Call)] for s in walked}
     called = {call.target for atoms in calls.values() for call in atoms}
     last = max((c.count for c in calls[walked[0]]), default=0) if budget is None else budget - 1
@@ -116,26 +116,25 @@ def test_layers_never_grade_budget_one_and_match_a_table_that_does(seed):
     ]
     assignment = {**random_assignment(rng), **FIXTURE_ASSIGNMENT}
     for registry in registries:
-        chains = recursion._Chains(registry)
         for name in registry.names():
-            walked, grades = require_bindings(registry, name, assignment)
-            graders = {
-                "grade": lambda s, b, layers: recursion._grade(
-                    chains[s], grades, recursion._call_grades(registry[s]._plan, b, layers)
-                ),
-                "size": lambda s, b, layers: recursion._size(chains[s], b, layers),
-            }
+            walked, _grades = require_bindings(registry, name, assignment)
             for budget in (None, 0, 1, 2, 3, 5):
-                for grader in graders.values():
+                for grader in (recursion._value, recursion._size):
                     asked = []
 
-                    def grade(s, b, layers):
+                    def spy(plan, chains, grades, b, layers):
                         asked.append(b)
-                        return grader(s, b, layers)
+                        return grader(plan, chains, grades, b, layers)
 
-                    got = recursion._layers(registry, walked, budget, grade)
+                    grades, got, _grade, chains = recursion._table(
+                        registry, name, budget, assignment, spy
+                    )
                     assert 1 not in asked
-                    want = _reference_layers(registry, walked, budget, grader)
+
+                    def reference(s, b, layers):
+                        return grader(registry[s]._plan, chains(s), grades, b, layers)
+
+                    want = _reference_layers(registry, walked, budget, reference)
                     assert got == want, (name, budget)
 
 
@@ -693,6 +692,11 @@ def test_canonicalize_sorts_one_term_per_atom_identity_set(monkeypatch):
         assert 0 < len(sorted_terms) <= 7
 
 
+def _size_of(registry, name, budget):
+    """The root's size, graded off the entry's table as ``_unroll`` grades it."""
+    return recursion._table(registry, name, budget, None, recursion._size)[2](name, budget)
+
+
 def _outputs(registry, name, budget, assignment):
     """What the layered size predicts, counted on the outputs themselves."""
     terms = len(symbolic_expand(registry, name, budget).terms)
@@ -707,7 +711,7 @@ def test_sizes_predict_every_output_of_the_expansion(fixture_assignment):
     seen = {}
     for count in range(9):
         registry = builtin_fixtures(rec_count=count)
-        size = recursion._sized(registry, "psi1_rec", None, None)[0]
+        size = _size_of(registry, "psi1_rec", None)
         assert size[:3] == _outputs(registry, "psi1_rec", None, fixture_assignment)
         seen[count] = (size[0], size[2])
     assert (seen[3], seen[5], seen[8]) == ((30, 142), (126, 622), (1022, 5102))
@@ -721,7 +725,7 @@ def test_layered_size_matches_the_outputs_of_random_registries():
         assignment = random_assignment(rng)
         for name in registry.names():
             budget = rng.choice([None, None, 0, 1, 2, 3, 4])
-            size = recursion._sized(registry, name, budget, None)[0]
+            size = _size_of(registry, name, budget)
             if size[0] > 5000:
                 continue  # keep the flattening cheap
             assert size[: 3 if budget is None else 2] == _outputs(
@@ -781,11 +785,11 @@ def test_doubly_exponential_expansion_is_sized_without_blowing_up(fixture_assign
             """
         )
 
-    assert recursion._sized(squaring(60), "s", None, None)[0][0] == algebra.MAX_EXPANSION + 1
+    assert _size_of(squaring(60), "s", None)[0] == algebra.MAX_EXPANSION + 1
     # at count 7 the trace tells a short story, but each call's expr= text
     # would list the callee's 2 * 10^11 flat terms
     registry = squaring(7)
-    assert recursion._sized(registry, "s", None, None)[0][2] == 1400
+    assert _size_of(registry, "s", None)[2] == 1400
     with pytest.raises(ValueError, match="over the cap of 1048576 flat terms in one call"):
         trace_eval(registry, "s", fixture_assignment)
     with pytest.raises(ValueError, match="over the cap of 1048576 flat terms$"):
@@ -887,7 +891,7 @@ def test_a_branch_with_an_empty_factor_builds_no_callee_terms():
             "top", "A", "B", [("A", "C", Call("psi1_rec", 20)), ("C", "B", Call("dead", 1))]
         )
     )
-    assert recursion._sized(registry, "psi1_rec", 20, None)[0][0] > algebra.MAX_EXPANSION
+    assert _size_of(registry, "psi1_rec", 20)[0] > algebra.MAX_EXPANSION
     tracemalloc.start()
     try:
         assert symbolic_expand(registry, "top") == FtfExpr(())
@@ -1063,7 +1067,7 @@ def _calls(branch) -> int:
 def test_replayed_trace_matches_its_size_and_the_evaluator(fixture_assignment):
     def agrees(registry, name, assignment):
         result = trace_eval(registry, name, assignment)
-        assert len(result.events) == recursion._sized(registry, name, None, None)[0][2]
+        assert len(result.events) == _size_of(registry, name, None)[2]
         assert result.value == eval_system(registry, name, assignment)
 
     for count in range(9):
